@@ -6,8 +6,9 @@ pseudo-inverse / regularized-inverse formulas are applied to G so that the
 nulling property h_j^T w_i = delta_ij holds exactly. The matched-filter
 direction for UE k is therefore conj(h_k).
 
-All operations act on one subcarrier slice H (M x N, columns = UE channel
-vectors); wrappers assemble full per-subcarrier BeamformerSets.
+The single-slice functions act on one subcarrier slice H (M x N, columns =
+UE channel vectors) and serve as references; inverse_directions computes
+the ZF and MMSE beams for a whole stack (..., M, N) of slices at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CMatrix, SingularMatrixError, lu_factor, lu_solve, solve_array
+from .linalg import (CMatrix, SingularMatrixError, lu_factor, lu_solve, solve_array,
+                     solve_batched)
 from .metrics import BeamformerSet
 
 
@@ -54,7 +56,7 @@ def equal_power(n_ue: int, p_max: float) -> np.ndarray:
 
 
 def _normalize_columns(w: np.ndarray) -> np.ndarray:
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
+    return w / np.linalg.norm(w, axis=-2, keepdims=True)
 
 
 def _as_channel(h_k) -> np.ndarray:
@@ -175,24 +177,43 @@ def solve_virtual_uplink_powers(h_k, target_sinrs: np.ndarray, sigma2: float,
         f"virtual uplink powers did not converge in {max_iter} iterations", lam)
 
 
+def inverse_directions(h, reg=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing (reg = 0) or MMSE unit directions for a stack of slices (..., M, N).
+
+    reg is mmse_beamformer's regularizer sigma^2 N / P_max, a scalar or one
+    value per slice. Returns (w_tilde (..., M, N), singular (...,)): the
+    beams zf_beamformer / mmse_beamformer give per slice, and the slices
+    whose Gram is singular to PIVOT_RTOL, whose directions are NaN.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    reg = np.asarray(reg, dtype=np.float64)[..., None, None]
+    gram = np.swapaxes(h, -1, -2) @ h.conj() + reg * np.eye(h.shape[-1])
+    x, singular = solve_batched(gram, np.eye(h.shape[-1]))
+    x[singular] = np.nan
+    with np.errstate(invalid="ignore"):       # the NaN columns of singular slices
+        return _normalize_columns(h.conj() @ x), singular
+
+
 def beamform_sample(h: np.ndarray, method: str, sigma2_mean: float,
                     p_max: float | None = None) -> BeamformerSet:
-    """Apply a classical beamformer independently per subcarrier of one sample.
+    """Apply a classical beamformer to every subcarrier of one sample.
 
     h: (K, M, N) channel; method: 'ZF' | 'MMSE' | 'MF'. sigma2_mean feeds the
     MMSE regularizer (scalar; per-UE variances are averaged by the caller).
+    A singular Gram raises SingularChannelError naming the subcarrier.
     """
-    k_sc, m_tx, n_ue = h.shape
+    h = np.asarray(h, dtype=np.complex128)
+    n_ue = h.shape[-1]
     p_max = float(n_ue) if p_max is None else float(p_max)
-    w = np.empty((k_sc, m_tx, n_ue), dtype=np.complex128)
-    p = equal_power(n_ue, p_max)
-    for k in range(k_sc):
-        if method == "ZF":
-            w[k], _ = zf_beamformer(h[k], p_max)
-        elif method == "MMSE":
-            w[k], _ = mmse_beamformer(h[k], sigma2_mean, p_max)
-        elif method == "MF":
-            w[k] = matched_filter(h[k])
-        else:
-            raise ValueError(f"unknown classical method {method!r}")
-    return BeamformerSet(w_tilde=w, p=p, p_max=p_max)
+    if method == "MMSE" and sigma2_mean <= 0:
+        raise ValueError("noise variance must be positive")
+    if method == "MF":
+        w = _normalize_columns(h.conj())
+    elif method in ("ZF", "MMSE"):
+        w, singular = inverse_directions(h, sigma2_mean * n_ue / p_max if method == "MMSE" else 0.0)
+        if singular.any():
+            raise SingularChannelError(
+                f"channel Gram is singular on subcarrier {int(np.argmax(singular))}")
+    else:
+        raise ValueError(f"unknown classical method {method!r}")
+    return BeamformerSet(w_tilde=w, p=equal_power(n_ue, p_max), p_max=p_max)

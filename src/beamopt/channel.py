@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,14 +194,19 @@ def gen_taps(profile: TdlProfile, delay_spread_ns: float, rng: np.random.Generat
 
 def taps_to_freq(taps, k_sc: int, scs_hz: float) -> np.ndarray:
     """Frequency response H(f_k) = sum_l g_l exp(-j 2 pi f_k tau_l), f_k = k*scs."""
+    delays = np.array([t[0] for t in taps], dtype=np.float64)
+    gains = np.array([t[1] for t in taps], dtype=np.complex128)
+    return _phase_matrix(delays, k_sc, scs_hz) @ gains
+
+
+def _phase_matrix(delays_s: np.ndarray, k_sc: int, scs_hz: float) -> np.ndarray:
+    """(K, L) matrix exp(-j 2 pi f_k tau_l) mapping tap gains to subcarriers."""
     if k_sc < 1:
         raise ValueError("need at least one subcarrier")
     if scs_hz <= 0:
         raise ValueError("subcarrier spacing must be positive")
-    delays = np.array([t[0] for t in taps], dtype=np.float64)
-    gains = np.array([t[1] for t in taps], dtype=np.complex128)
     freqs = np.arange(k_sc, dtype=np.float64) * scs_hz
-    return np.exp(-2j * np.pi * np.outer(freqs, delays)) @ gains
+    return np.exp(-2j * np.pi * np.outer(freqs, delays_s))
 
 
 def draw_ue_snrs(nominal_snr_db: float, jitter_db: float, dist: str,
@@ -229,14 +233,21 @@ def gen_channel(cfg, rng: np.random.Generator) -> ChannelMatrix:
     m_tx, n_ue, k_sc, scs_hz and jitter_db.
 
     Tap draws are independent per (tx antenna, UE) pair; the profile
-    normalization gives E[|H[k,m,n]|^2] = 1.
+    normalization gives E[|H[k,m,n]|^2] = 1. The draws and arithmetic are
+    those of gen_taps + taps_to_freq per pair, so the output is bit-identical
+    to that composition.
     """
     profile = cfg.profile if isinstance(cfg.profile, TdlProfile) else TdlProfile.load(cfg.profile)
+    if cfg.delay_spread_ns <= 0:
+        raise ValueError("delay spread must be positive")
+    phase = _phase_matrix(profile.delays * cfg.delay_spread_ns * 1e-9, cfg.k_sc, cfg.scs_hz)
+    z = rng.standard_normal((cfg.m_tx, cfg.n_ue, 2, profile.delays.size))
+    gains = (z[:, :, 0] + 1j * z[:, :, 1]) * np.sqrt(profile.powers / 2.0)
     h = np.empty((cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)
+    # one matvec per pair: a single batched product rounds differently
     for m in range(cfg.m_tx):
         for n in range(cfg.n_ue):
-            taps = gen_taps(profile, cfg.delay_spread_ns, rng)
-            h[:, m, n] = taps_to_freq(taps, cfg.k_sc, cfg.scs_hz)
+            h[:, m, n] = phase @ gains[m, n]
     offsets = draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
     return ChannelMatrix(h=h, ue_snr_offset_db=offsets)
 
@@ -247,26 +258,18 @@ def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
 
 
 def gen_dataset(cfg, count: int, seed: int, threads: int = 1) -> ChannelDataset:
-    """Generate `count` independent samples; deterministic for fixed seed and config."""
+    """Generate `count` independent samples; deterministic for fixed seed and config.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
     if count < 1:
         raise ValueError("dataset must contain at least one sample")
     h = np.empty((count, cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)
     offsets = np.empty((count, cfg.n_ue), dtype=np.float64)
-
-    def _one(i: int):
+    for i in range(count):
         sample = gen_channel(cfg, sample_rng(seed, i))
-        return i, sample
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, sample in pool.map(_one, range(count)):
-                h[i] = sample.h
-                offsets[i] = sample.ue_snr_offset_db
-    else:
-        for i in range(count):
-            _, sample = _one(i)
-            h[i] = sample.h
-            offsets[i] = sample.ue_snr_offset_db
+        h[i] = sample.h
+        offsets[i] = sample.ue_snr_offset_db
     return ChannelDataset(h=h, ue_snr_offset_db=offsets, profile=str(getattr(cfg.profile, "name", cfg.profile)),
                           delay_spread_ns=float(cfg.delay_spread_ns), jitter_db=float(cfg.jitter_db),
                           seed=int(seed))

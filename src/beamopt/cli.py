@@ -1,8 +1,9 @@
 """Command-line harness: generate / train / eval / plot / verify.
 
-Exit codes: 0 success; 1 verify failure or unexpected error; 2 invalid
-config; 3 dataset missing or shape-incompatible; 4 training diverged
-(non-finite loss); 5 incompatible checkpoint; 6 malformed results CSV.
+Exit codes: 0 success; 1 verify failure, non-finite eval rate or
+unexpected error; 2 invalid config; 3 dataset missing or shape-incompatible;
+4 training diverged (non-finite loss); 5 incompatible checkpoint; 6
+malformed results CSV.
 """
 
 from __future__ import annotations
@@ -23,18 +24,6 @@ EXIT_BAD_DATASET = 3
 EXIT_DIVERGED = 4
 EXIT_BAD_CHECKPOINT = 5
 EXIT_BAD_CSV = 6
-
-
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("BEAMOPT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer BEAMOPT_THREADS={env!r}", file=sys.stderr)
-    return 1
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -82,8 +71,7 @@ def cmd_generate(args) -> int:
         count = cfg.test_samples
     else:
         count = cfg.train_samples
-    threads = _resolve_threads(args.threads)
-    ds = channel.gen_dataset(cfg, count=count, seed=seed, threads=threads)
+    ds = channel.gen_dataset(cfg, count=count, seed=seed)
     channel.save_dataset(ds, args.out)
     print(f"wrote {count} samples (K={cfg.k_sc}, M={cfg.m_tx}, N={cfg.n_ue}) to {args.out}")
     print(f"fingerprint {ds.fingerprint()}")
@@ -134,8 +122,7 @@ def cmd_eval(args) -> int:
     skipped = [m for m in cfg.methods if m not in methods]
     if skipped:
         print(f"skipping {skipped}: no checkpoint supplied", file=sys.stderr)
-    rows = evaluation.evaluate(ds, cfg.snr_grid_db, methods, nn_models,
-                               experiment=cfg.id, threads=_resolve_threads(args.threads))
+    rows = evaluation.evaluate(ds, cfg.snr_grid_db, methods, nn_models, experiment=cfg.id)
     results.write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0
@@ -167,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="beamopt",
                                      description="MU-MISO beamforming benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    threads_help = "no effect; accepted for compatibility, as is BEAMOPT_THREADS"
 
     gen = sub.add_parser("generate", help="generate a channel dataset file")
     gen.add_argument("--config", required=True)
@@ -175,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the dataset seed from the config")
     gen.add_argument("--split", choices=("train", "test"), default="train",
                      help="which sample count to generate (test uses seed+1 by default)")
-    gen.add_argument("--threads", type=int, default=None)
+    gen.add_argument("--threads", type=int, default=None, help=threads_help)
     gen.add_argument("--desk-scale", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
@@ -184,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--ckpt", required=True, help="checkpoint output path")
     tr.add_argument("--verbose", action="store_true", help="log per-epoch losses")
-    tr.add_argument("--threads", type=int, default=None)
+    tr.add_argument("--threads", type=int, default=None, help=threads_help)
     tr.add_argument("--desk-scale", action="store_true")
     tr.set_defaults(func=cmd_train)
 
@@ -194,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ckpt", action="append", default=[],
                     help="model checkpoint (repeatable)")
     ev.add_argument("--out", required=True, help="results CSV path")
-    ev.add_argument("--threads", type=int, default=None)
+    ev.add_argument("--threads", type=int, default=None, help=threads_help)
     ev.add_argument("--desk-scale", action="store_true")
     ev.set_defaults(func=cmd_eval)
 

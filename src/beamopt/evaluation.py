@@ -2,25 +2,36 @@
 matrices and per-UE noise variances for each (sample, nominal SNR) pair.
 
 Noise variances derive from the offsets stored in the dataset, so repeated
-runs are bit-identical and need no extra randomness. Samples whose channel
-Gram is singular for zero-forcing are dropped for *all* methods to keep
-the comparison paired (with continuous channel draws this is a non-event).
+runs are bit-identical and need no extra randomness. Work that does not
+depend on SNR runs once per dataset: the zero-forcing solve over the whole
+(S, K) stack of slices and each network's forward pass. MMSE solves the
+stack once per SNR. Every method's per-sample rates come from
+metrics.per_sample_sum_rates.
+
+Samples whose channel Gram is singular for zero-forcing are dropped for
+*all* methods to keep the comparison paired (with continuous channel draws
+this is a non-event). Any other non-finite rate raises NonFiniteRateError.
+Evaluation is single-threaded; the `threads` argument is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .baselines import SingularChannelError, beamform_sample
+from .baselines import inverse_directions
 from .channel import ChannelDataset, snr_db_to_noise_var
 from .models import ModelConfig, ModelParams, forward_graph
 
 CLASSICAL_METHODS = ("ZF", "MMSE")
 NEURAL_METHODS = ("NNBF", "NNBF-P")
+
+
+class NonFiniteRateError(RuntimeError):
+    """A method produced a non-finite rate on a sample that is not ZF-singular."""
 
 
 @dataclass(frozen=True)
@@ -33,33 +44,12 @@ class ResultRow:
     n: int
 
 
-def _classical_rates(ds: ChannelDataset, method: str, sigma2: np.ndarray,
-                     p_max: float, threads: int = 1) -> np.ndarray:
-    """Per-sample sum rates for a classical method; NaN marks dropped samples."""
-    n_samples = len(ds)
-
-    def one(i: int) -> float:
-        try:
-            bf = beamform_sample(ds.h[i], method, float(sigma2[i].mean()), p_max)
-        except SingularChannelError:
-            return float("nan")
-        return metrics.weighted_sum_rate(metrics.sinr_per_ue(ds.h[i], bf, sigma2[i]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(one, range(n_samples))))
-    return np.array([one(i) for i in range(n_samples)])
-
-
-def _neural_rates(ds: ChannelDataset, cfg: ModelConfig, params: ModelParams,
-                  sigma2: np.ndarray, batch: int = 64) -> np.ndarray:
-    rates = np.empty(len(ds))
-    for start in range(0, len(ds), batch):
-        h = ds.h[start:start + batch]
-        wr, wi, p = forward_graph(h, params, cfg, training=False)
-        rates[start:start + batch] = metrics.per_sample_sum_rates(
-            wr.data, wi.data, h, p.data, sigma2[start:start + batch])
-    return rates
+def _neural_beams(h: np.ndarray, cfg: ModelConfig, params: ModelParams,
+                  batch: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inference forward over the dataset: (wr, wi, p) for every sample."""
+    outs = [forward_graph(h[start:start + batch], params, cfg, training=False)
+            for start in range(0, len(h), batch)]
+    return tuple(np.concatenate([out[i].data for out in outs]) for i in range(3))
 
 
 def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
@@ -68,7 +58,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
     """Mean/std spectral efficiency per (method, nominal SNR) on paired draws.
 
     nn_models maps 'NNBF'/'NNBF-P' to (ModelConfig, ModelParams) pairs for
-    any requested neural methods.
+    any requested neural methods. `threads` has no effect.
     """
     nn_models = nn_models or {}
     for method in methods:
@@ -76,27 +66,32 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
             raise ValueError(f"method {method} requested but no model supplied")
         if method not in CLASSICAL_METHODS + NEURAL_METHODS:
             raise ValueError(f"unknown method {method!r}")
-    n_ue = dataset.shape[3]
+    h = dataset.h
+    n_samples, n_ue = len(dataset), dataset.shape[3]
     budget = float(n_ue) if p_max is None else float(p_max)
+    equal = np.full((n_samples, n_ue), budget / n_ue)
+
+    zf_w, singular = inverse_directions(h)
+    keep = ~singular.any(axis=1)
+    beams = {m: _neural_beams(h, *nn_models[m]) for m in methods if m in NEURAL_METHODS}
+    if "ZF" in methods:
+        beams["ZF"] = (zf_w.real, zf_w.imag, equal)
 
     rows: list[ResultRow] = []
-    per_method: dict[str, dict[float, np.ndarray]] = {m: {} for m in methods}
     for snr_db in snr_grid_db:
         sigma2 = snr_db_to_noise_var(float(snr_db) + dataset.ue_snr_offset_db)
+        if "MMSE" in methods:
+            w, _ = inverse_directions(h, (sigma2.mean(axis=1) * n_ue / budget)[:, None])
+            beams["MMSE"] = (w.real, w.imag, equal)
         for method in methods:
-            if method in CLASSICAL_METHODS:
-                per_method[method][snr_db] = _classical_rates(dataset, method, sigma2,
-                                                              budget, threads)
-            else:
-                cfg, params = nn_models[method]
-                per_method[method][snr_db] = _neural_rates(dataset, cfg, params, sigma2)
-
-    for snr_db in snr_grid_db:
-        valid = np.ones(len(dataset), dtype=bool)
-        for method in methods:
-            valid &= np.isfinite(per_method[method][snr_db])
-        for method in methods:
-            vals = per_method[method][snr_db][valid]
+            wr, wi, p = beams[method]
+            rates = metrics.per_sample_sum_rates(wr, wi, h, p, sigma2)
+            bad = np.flatnonzero(keep & ~np.isfinite(rates))
+            if bad.size:
+                raise NonFiniteRateError(
+                    f"{method} at {float(snr_db)} dB: non-finite rate on sample "
+                    f"{int(bad[0])} ({bad.size} samples)")
+            vals = rates[keep]
             if vals.size == 0:
                 raise RuntimeError(f"no valid samples at {snr_db} dB")
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0

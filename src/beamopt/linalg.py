@@ -151,6 +151,40 @@ def solve(a: CMatrix, b: CMatrix) -> CMatrix:
 
 
 def solve_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Array-level variant of solve() for internal per-subcarrier loops."""
+    """Array-level variant of solve() for a single matrix."""
     lu, perm = lu_factor(np.asarray(a, dtype=np.complex128))
     return lu_solve(lu, perm, np.asarray(b, dtype=np.complex128))
+
+
+def solve_batched(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A X = B for a stack of square matrices (..., n, n).
+
+    The elimination is lu_factor's, vectorized across the stack: the same
+    pivot choices, the same per-matrix PIVOT_RTOL threshold. Returns X
+    (..., n, c) and a boolean singular mask (...,); the rows of X for a
+    singular matrix are unspecified.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    lead, n = a.shape[:-2], a.shape[-1]
+    lu = a.reshape(-1, n, n).copy()
+    x = np.broadcast_to(b, a.shape[:-1] + np.shape(b)[-1:]).reshape(len(lu), n, -1)
+    x = x.astype(np.complex128)
+    stack = np.arange(len(lu))
+    threshold = PIVOT_RTOL * np.maximum(np.abs(lu).max(axis=(1, 2)), 1e-300)
+    singular = np.zeros(len(lu), dtype=bool)
+    for k in range(n):
+        piv = k + np.argmax(np.abs(lu[:, k:, k]), axis=1)
+        singular |= np.abs(lu[stack, piv, k]) < threshold
+        for arr in (lu, x):                       # row swap; applies P to b as it goes
+            row = arr[stack, piv].copy()
+            arr[stack, piv] = arr[:, k]
+            arr[:, k] = row
+        lu[singular, k, k] = 1.0                  # keeps singular matrices finite
+        lu[:, k + 1:, k] /= lu[:, k, k, None]
+        lu[:, k + 1:, k + 1:] -= lu[:, k + 1:, k, None] * lu[:, None, k, k + 1:]
+    for k in range(1, n):                         # forward: L y = P b
+        x[:, k] -= (lu[:, None, k, :k] @ x[:, :k])[:, 0]
+    for k in range(n - 1, -1, -1):                # backward: U x = y
+        x[:, k] -= (lu[:, None, k, k + 1:] @ x[:, k + 1:])[:, 0]
+        x[:, k] /= lu[:, k, k, None]
+    return x.reshape(lead + x.shape[1:]), singular.reshape(lead)

@@ -11,6 +11,7 @@ feasible design.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, asdict
@@ -128,34 +129,41 @@ class ModelParams:
         return out
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma.
+def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
+    """Every named tensor of the model as (name, shape, init), in draw order.
 
-    The power head is drawn last so equal-seed NNBF and NNBF-P share
-    identical backbone and beamforming-head parameters.
+    init is 'normal' (Kaiming fan-in normal), 'ones', 'zeros', or 'bn' for a
+    batch-norm running-stat buffer pair. The power head comes last so
+    equal-seed NNBF and NNBF-P share identical backbone and beamforming-head
+    parameters.
     """
-    params = ModelParams()
+    spec = []
     for i, (c_in, c_out, _) in enumerate(cfg.bb_spec):
-        fan_in = c_in * cfg.kernel_size
-        params.add(f"bb{i}.conv.w",
-                   rng.standard_normal((c_out, c_in, cfg.kernel_size)) * np.sqrt(2.0 / fan_in))
-        params.add(f"bb{i}.bn.gamma", np.ones(c_out))
-        params.add(f"bb{i}.bn.beta", np.zeros(c_out))
-        params.bn_states[f"bb{i}.bn"] = BatchNormState.fresh(c_out)
-
-    def fc_stack(prefix: str, widths, out_features: int):
-        f_in = cfg.flat_features
-        for j, width in enumerate(widths):
-            params.add(f"{prefix}{j}.w", rng.standard_normal((width, f_in)) * np.sqrt(2.0 / f_in))
-            params.add(f"{prefix}{j}.b", np.zeros(width))
-            f_in = width
-        j = len(widths)
-        params.add(f"{prefix}{j}.w", rng.standard_normal((out_features, f_in)) * np.sqrt(2.0 / f_in))
-        params.add(f"{prefix}{j}.b", np.zeros(out_features))
-
-    fc_stack("bf", cfg.fc_widths_bf, cfg.bf_out_features)
+        spec += [(f"bb{i}.conv.w", (c_out, c_in, cfg.kernel_size), "normal"),
+                 (f"bb{i}.bn.gamma", (c_out,), "ones"), (f"bb{i}.bn.beta", (c_out,), "zeros"),
+                 (f"bb{i}.bn", (c_out,), "bn")]
+    heads = [("bf", cfg.fc_widths_bf, cfg.bf_out_features)]
     if cfg.joint_power:
-        fc_stack("pw", cfg.fc_widths_pw, cfg.n_ue)
+        heads.append(("pw", cfg.fc_widths_pw, cfg.n_ue))
+    for prefix, widths, out_features in heads:
+        f_in = cfg.flat_features
+        for j, width in enumerate((*widths, out_features)):
+            spec += [(f"{prefix}{j}.w", (width, f_in), "normal"),
+                     (f"{prefix}{j}.b", (width,), "zeros")]
+            f_in = width
+    return spec
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma."""
+    params = ModelParams()
+    for name, shape, init in param_spec(cfg):
+        if init == "bn":
+            params.bn_states[name] = BatchNormState.fresh(shape[0])
+        elif init == "normal":
+            params.add(name, rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:])))
+        else:
+            params.add(name, np.ones(shape) if init == "ones" else np.zeros(shape))
     return params
 
 
@@ -262,21 +270,21 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
-    reference = init_params(cfg, np.random.Generator(np.random.PCG64(0)))
     params = ModelParams()
-    for name, t in reference.tensors.items():
+    for name, shape, init in param_spec(cfg):
+        if init == "bn":
+            for suffix in (".run_mean", ".run_var"):
+                if name + suffix not in named or named[name + suffix].shape != shape:
+                    raise CheckpointError(f"{path}: missing or misshaped buffer {name + suffix!r}")
+            params.bn_states[name] = BatchNormState(mean=named[name + ".run_mean"].copy(),
+                                                    var=named[name + ".run_var"].copy())
+            continue
         if name not in named:
             raise CheckpointError(f"{path}: missing parameter {name!r}")
-        if named[name].shape != t.data.shape:
+        if named[name].shape != shape:
             raise CheckpointError(
-                f"{path}: parameter {name!r} shaped {named[name].shape}, expected {t.data.shape}")
+                f"{path}: parameter {name!r} shaped {named[name].shape}, expected {shape}")
         params.add(name, named[name])
-    for name, st in reference.bn_states.items():
-        for suffix in (".run_mean", ".run_var"):
-            if name + suffix not in named or named[name + suffix].shape != st.mean.shape:
-                raise CheckpointError(f"{path}: missing or misshaped buffer {name + suffix!r}")
-        params.bn_states[name] = BatchNormState(mean=named[name + ".run_mean"].copy(),
-                                                var=named[name + ".run_var"].copy())
     extras = set(named) - set(params.flat_arrays())
     if extras:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(extras)}")

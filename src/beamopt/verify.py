@@ -68,6 +68,20 @@ def check_zf_nulling() -> CheckResult:
     return CheckResult("zf_nulling", worst <= 1e-9, f"max cross gain {worst:.2e}")
 
 
+def check_batched_classical() -> CheckResult:
+    rng = np.random.default_rng(25)
+    h = _rand_channel(rng, 24, 4, 3).reshape(3, 8, 4, 3)
+    reg = rng.uniform(0.1, 2.0, (3, 8))
+    w_zf, _ = baselines.inverse_directions(h)
+    w_mm, _ = baselines.inverse_directions(h, reg)
+    worst = 0.0
+    for idx in np.ndindex(3, 8):
+        ref_mm, _ = baselines.mmse_beamformer(h[idx], reg[idx])   # P_max = N: reg = sigma^2
+        worst = max(worst, float(np.max(np.abs(w_zf[idx] - baselines.zf_beamformer(h[idx])[0]))),
+                    float(np.max(np.abs(w_mm[idx] - ref_mm))))
+    return CheckResult("batched_classical", worst <= 1e-10, f"max deviation {worst:.2e}")
+
+
 def check_mmse_zf_limit() -> CheckResult:
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -274,6 +288,7 @@ def check_adam_bowl() -> CheckResult:
 
 ALL_CHECKS = (
     check_zf_nulling,
+    check_batched_classical,
     check_mmse_zf_limit,
     check_structure_collinearity,
     check_structure_oracle,

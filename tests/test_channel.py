@@ -231,6 +231,23 @@ class TestDataset:
         full = gen_dataset(cfg, count=8, seed=3)
         np.testing.assert_array_equal(full.h[5], h5)
 
+    @pytest.mark.parametrize("cfg", [SimpleCfg(jitter_db=6.0),
+                                     SimpleCfg("TDL-C", 300.0, m_tx=3, n_ue=2, k_sc=12)])
+    def test_gen_channel_bit_identical_to_per_pair_taps(self, cfg):
+        """The tap oracle: gen_taps + taps_to_freq per (m, n) pair, then the offsets."""
+        prof = TdlProfile.load(cfg.profile)
+        for i in range(4):
+            rng = sample_rng(7, i)
+            h = np.empty((cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=complex)
+            for m in range(cfg.m_tx):
+                for n in range(cfg.n_ue):
+                    h[:, m, n] = taps_to_freq(gen_taps(prof, cfg.delay_spread_ns, rng),
+                                              cfg.k_sc, cfg.scs_hz)
+            offsets = draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
+            sample = gen_channel(cfg, sample_rng(7, i))
+            np.testing.assert_array_equal(sample.h, h)
+            np.testing.assert_array_equal(sample.ue_snr_offset_db, offsets)
+
     def test_getitem_returns_channel_matrix(self):
         ds = gen_dataset(SimpleCfg(), count=3, seed=2)
         sample = ds[1]

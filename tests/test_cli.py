@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from beamopt import autodiff, verify
+from beamopt import autodiff, evaluation, models, verify
 from beamopt.cli import main
 
 TINY_CONFIG = """
@@ -170,6 +170,24 @@ class TestTrainEval:
         bad.write_bytes(b"\x01" * 64)
         assert run("eval", "--config", cfg, "--dataset", test_ds,
                    "--ckpt", bad, "--out", tmp / "r.csv") == 5
+
+    def test_non_finite_eval_rate_exit_1(self, tiny, monkeypatch, capsys):
+        tmp, cfg = tiny
+        test_ds, ckpt = tmp / "test.ds", tmp / "model.ckpt"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        mc = models.ModelConfig(m_tx=2, n_ue=2, k_sc=8)
+        models.save_checkpoint(ckpt, mc, models.init_params(mc, np.random.default_rng(0)))
+        real_forward = evaluation.forward_graph
+
+        def nan_forward(h, params, model_cfg, training):
+            wr, wi, p = real_forward(h, params, model_cfg, training)
+            return wr * np.nan, wi, p
+
+        monkeypatch.setattr(evaluation, "forward_graph", nan_forward)
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
+                   "--out", tmp / "r.csv") == 1
+        assert "NNBF-P at -5.0 dB: non-finite rate on sample 0" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
 
     def test_diverged_training_exit_4(self, tiny, monkeypatch):
         tmp, cfg = tiny

@@ -91,3 +91,63 @@ def test_neural_rows_match_manual_forward():
              for i in range(len(ds))]
     assert rows[0].se_mean == pytest.approx(np.mean(rates), abs=1e-12)
     assert rows[0].se_std == pytest.approx(np.std(rates, ddof=1), abs=1e-12)
+
+
+def _small_model(seed=7):
+    cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
+    return cfg, init_params(cfg, np.random.default_rng(seed))
+
+
+class TinyCfg(SimpleCfg):
+    m_tx = 2
+
+
+def test_zf_singular_sample_dropped_for_every_method():
+    ds = gen_dataset(TinyCfg(), count=5, seed=8)
+    ds.h[2, :, :, 1] = ds.h[2, :, :, 0]           # two UEs share one channel: rank-deficient Gram
+    methods = ["ZF", "MMSE", "NNBF-P"]
+    rows = evaluate(ds, [0.0, 10.0], methods, {"NNBF-P": _small_model()})
+    assert [r.n for r in rows] == [4] * 6
+
+    kept = ChannelDataset(h=np.delete(ds.h, 2, axis=0),
+                          ue_snr_offset_db=np.delete(ds.ue_snr_offset_db, 2, axis=0),
+                          profile="TDL-A", delay_spread_ns=30.0, jitter_db=6.0, seed=8)
+    ref = evaluate(kept, [0.0, 10.0], methods, {"NNBF-P": _small_model()})
+    for r, q in zip(rows, ref):
+        assert (r.method, r.snr_db) == (q.method, q.snr_db)
+        assert r.se_mean == pytest.approx(q.se_mean, rel=1e-12)
+
+
+def test_non_finite_rate_raises_naming_method_snr_and_sample(monkeypatch):
+    import beamopt.evaluation as evaluation
+
+    real_forward = evaluation.forward_graph
+
+    def nan_on_sample_3(h, params, cfg, training):
+        wr, wi, p = real_forward(h, params, cfg, training)
+        wr.data[3] = np.nan
+        return wr, wi, p
+
+    monkeypatch.setattr(evaluation, "forward_graph", nan_on_sample_3)
+    ds = gen_dataset(TinyCfg(), count=6, seed=9)
+    with pytest.raises(evaluation.NonFiniteRateError, match=r"NNBF-P at -5\.0 dB.*sample 3"):
+        evaluate(ds, [-5.0, 5.0], ["ZF", "NNBF-P"], {"NNBF-P": _small_model()})
+
+
+@pytest.mark.parametrize("grid", [[5.0], [-5.0, 0.0, 5.0, 10.0, 15.0]])
+def test_forward_runs_once_per_batch_whatever_the_grid(monkeypatch, grid):
+    import beamopt.evaluation as evaluation
+
+    calls = []
+    real_forward = evaluation.forward_graph
+
+    def counting(h, params, cfg, training):
+        calls.append(h.shape[0])
+        return real_forward(h, params, cfg, training)
+
+    monkeypatch.setattr(evaluation, "forward_graph", counting)
+    ds = gen_dataset(TinyCfg(), count=70, seed=10)
+    nnbf = ModelConfig(m_tx=2, n_ue=2, k_sc=8, joint_power=False, fc_widths_bf=(16,))
+    models = {"NNBF-P": _small_model(), "NNBF": (nnbf, init_params(nnbf, np.random.default_rng(1)))}
+    evaluate(ds, grid, ["NNBF", "NNBF-P"], models)
+    assert calls == [64, 6, 64, 6]                # ceil(70 / 64) = 2 forwards per model

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -252,6 +254,23 @@ class TestCheckpoint:
         save_checkpoint(path, cfg, params)
         path.write_bytes(path.read_bytes()[:-64])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda t: t.pop("bf0.w"), "missing parameter 'bf0.w'"),
+        (lambda t: t.update({"pw1.b": np.zeros(3)}), "'pw1.b' shaped"),
+        (lambda t: t.pop("bb1.bn.run_var"), "buffer 'bb1.bn.run_var'"),
+        (lambda t: t.update({"extra": np.zeros(1)}), r"unexpected tensors \['extra'\]"),
+    ])
+    def test_tensor_set_checked_against_config(self, tmp_path, edit, match):
+        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
+        tensors = init_params(cfg, np.random.default_rng(27)).flat_arrays()
+        edit(tensors)
+        path = tmp_path / "model.ckpt"
+        blob = cfg.to_json().encode()
+        path.write_bytes(b"BMCK" + struct.pack("<II", 1, len(blob)) + blob
+                         + ad.encode_tensors(tensors))
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
