@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (CMatrix, SingularMatrixError, lu_factor, lu_solve, solve_array,
-                     solve_batched)
-from .metrics import BeamformerSet
+from .linalg import SingularMatrixError, lu_factor, lu_solve, solve_array, solve_batched
 
 
 class SingularChannelError(ValueError):
@@ -60,7 +58,7 @@ def _normalize_columns(w: np.ndarray) -> np.ndarray:
 
 
 def _as_channel(h_k) -> np.ndarray:
-    arr = h_k.data if isinstance(h_k, CMatrix) else np.asarray(h_k, dtype=np.complex128)
+    arr = np.asarray(h_k, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"expected an (M, N) channel slice, got shape {arr.shape}")
     return arr
@@ -192,28 +190,3 @@ def inverse_directions(h, reg=0.0) -> tuple[np.ndarray, np.ndarray]:
     x[singular] = np.nan
     with np.errstate(invalid="ignore"):       # the NaN columns of singular slices
         return _normalize_columns(h.conj() @ x), singular
-
-
-def beamform_sample(h: np.ndarray, method: str, sigma2_mean: float,
-                    p_max: float | None = None) -> BeamformerSet:
-    """Apply a classical beamformer to every subcarrier of one sample.
-
-    h: (K, M, N) channel; method: 'ZF' | 'MMSE' | 'MF'. sigma2_mean feeds the
-    MMSE regularizer (scalar; per-UE variances are averaged by the caller).
-    A singular Gram raises SingularChannelError naming the subcarrier.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    n_ue = h.shape[-1]
-    p_max = float(n_ue) if p_max is None else float(p_max)
-    if method == "MMSE" and sigma2_mean <= 0:
-        raise ValueError("noise variance must be positive")
-    if method == "MF":
-        w = _normalize_columns(h.conj())
-    elif method in ("ZF", "MMSE"):
-        w, singular = inverse_directions(h, sigma2_mean * n_ue / p_max if method == "MMSE" else 0.0)
-        if singular.any():
-            raise SingularChannelError(
-                f"channel Gram is singular on subcarrier {int(np.argmax(singular))}")
-    else:
-        raise ValueError(f"unknown classical method {method!r}")
-    return BeamformerSet(w_tilde=w, p=equal_power(n_ue, p_max), p_max=p_max)

@@ -12,9 +12,10 @@ dataset serves the whole SNR sweep with identical draws for every method.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +87,12 @@ class TdlProfile:
         object.__setattr__(self, "powers", p)
 
     @classmethod
+    @functools.cache
     def load(cls, name: str) -> "TdlProfile":
-        """Load a built-in profile by name, sorting taps and normalizing powers."""
+        """Load a built-in profile by name, sorting taps and normalizing powers.
+
+        Memoised: every call with the same name returns the same read-only profile.
+        """
         if name not in _TDL_TABLES:
             raise ValueError(f"unknown delay profile {name!r}; choose from {sorted(_TDL_TABLES)}")
         delays, powers_db = _TDL_TABLES[name]
@@ -95,40 +100,6 @@ class TdlProfile:
         d = np.asarray(delays, dtype=np.float64)[order]
         p = 10.0 ** (np.asarray(powers_db, dtype=np.float64)[order] / 10.0)
         return cls(name=name, delays=d, powers=p / p.sum())
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Per-subcarrier downlink channel H of shape (K, M, N) plus UE SNR offsets."""
-
-    h: np.ndarray                 # complex128, (K, M, N)
-    ue_snr_offset_db: np.ndarray  # float64, (N,), jitter around the nominal SNR
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=np.complex128)
-        off = np.array(self.ue_snr_offset_db, dtype=np.float64)
-        if h.ndim != 3:
-            raise ValueError(f"H must have shape (K, M, N), got {h.shape}")
-        if off.shape != (h.shape[2],):
-            raise ValueError("one SNR offset per UE is required")
-        if not np.all(np.isfinite(h)) or not np.all(np.isfinite(off)):
-            raise ValueError("channel entries and SNR offsets must be finite")
-        h.setflags(write=False)
-        off.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "ue_snr_offset_db", off)
-
-    @property
-    def k_sc(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def m_tx(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def n_ue(self) -> int:
-        return self.h.shape[2]
 
 
 @dataclass
@@ -154,9 +125,6 @@ class ChannelDataset:
 
     def __len__(self) -> int:
         return self.h.shape[0]
-
-    def __getitem__(self, i: int) -> ChannelMatrix:
-        return ChannelMatrix(h=self.h[i], ue_snr_offset_db=self.ue_snr_offset_db[i])
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -228,9 +196,12 @@ def snr_db_to_noise_var(snr_db) -> np.ndarray:
     return 10.0 ** (-np.asarray(snr_db, dtype=np.float64) / 10.0)
 
 
-def gen_channel(cfg, rng: np.random.Generator) -> ChannelMatrix:
+def gen_channel(cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One channel snapshot for a config exposing profile, delay_spread_ns,
     m_tx, n_ue, k_sc, scs_hz and jitter_db.
+
+    Returns (h, offsets): the complex128 channel (K, M, N) and the per-UE
+    SNR offsets in dB (N,).
 
     Tap draws are independent per (tx antenna, UE) pair; the profile
     normalization gives E[|H[k,m,n]|^2] = 1. The draws and arithmetic are
@@ -248,8 +219,7 @@ def gen_channel(cfg, rng: np.random.Generator) -> ChannelMatrix:
     for m in range(cfg.m_tx):
         for n in range(cfg.n_ue):
             h[:, m, n] = phase @ gains[m, n]
-    offsets = draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
-    return ChannelMatrix(h=h, ue_snr_offset_db=offsets)
+    return h, draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
 
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -267,9 +237,7 @@ def gen_dataset(cfg, count: int, seed: int, threads: int = 1) -> ChannelDataset:
     h = np.empty((count, cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)
     offsets = np.empty((count, cfg.n_ue), dtype=np.float64)
     for i in range(count):
-        sample = gen_channel(cfg, sample_rng(seed, i))
-        h[i] = sample.h
-        offsets[i] = sample.ue_snr_offset_db
+        h[i], offsets[i] = gen_channel(cfg, sample_rng(seed, i))
     return ChannelDataset(h=h, ue_snr_offset_db=offsets, profile=str(getattr(cfg.profile, "name", cfg.profile)),
                           delay_spread_ns=float(cfg.delay_spread_ns), jitter_db=float(cfg.jitter_db),
                           seed=int(seed))
@@ -296,7 +264,10 @@ def save_dataset(ds: ChannelDataset, path) -> None:
 
 
 def load_dataset(path) -> ChannelDataset:
-    """Read a dataset file; raises distinct errors for version/corruption/shape faults."""
+    """Read a dataset file; raises distinct errors for version/corruption/shape faults.
+
+    A NaN or Inf channel entry or SNR offset is corruption.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < _HEADER.size:
@@ -316,6 +287,11 @@ def load_dataset(path) -> ChannelDataset:
     offsets = np.frombuffer(raw, dtype="<f8", count=s * n, offset=_HEADER.size).reshape(s, n)
     flat = np.frombuffer(raw, dtype="<f8", count=s * k * m * n * 2,
                          offset=_HEADER.size + 8 * s * n).reshape(s, k, m, n, 2)
+    finite = np.isfinite(flat).reshape(s, -1).all(axis=1) & np.isfinite(offsets).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise CorruptDatasetError(f"{path}: non-finite channel entry or SNR offset in sample "
+                                  f"{int(bad[0])} ({bad.size} samples)")
     h = flat[..., 0] + 1j * flat[..., 1]
     return ChannelDataset(h=h, ue_snr_offset_db=offsets.copy(),
                           profile=_PROFILE_NAMES[profile_id], delay_spread_ns=spread,

@@ -1,9 +1,9 @@
 """Command-line harness: generate / train / eval / plot / verify.
 
 Exit codes: 0 success; 1 verify failure, non-finite eval rate or
-unexpected error; 2 invalid config; 3 dataset missing or shape-incompatible;
-4 training diverged (non-finite loss); 5 incompatible checkpoint; 6
-malformed results CSV.
+unexpected error; 2 invalid config; 3 dataset missing, corrupt (NaN/Inf
+included) or shape-incompatible; 4 training diverged (non-finite loss);
+5 incompatible checkpoint; 6 malformed results CSV.
 """
 
 from __future__ import annotations

@@ -11,12 +11,11 @@ import io
 from dataclasses import dataclass, replace
 
 from .channel import _TDL_TABLES
-from .trainer import TrainConfig
+from .trainer import SNR_RANGE_DB, TrainConfig
 
 SCHEMA_VERSION = 1
 
 KNOWN_METHODS = ("ZF", "MMSE", "NNBF", "NNBF-P")
-SNR_RANGE_DB = (-15.0, 50.0)
 MODULATIONS = ("QPSK", "16QAM")
 
 
@@ -131,18 +130,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
     else:
         raise ConfigError("experiment.k_sc: set k_sc or resource_blocks")
 
-    train = TrainConfig(
-        epochs=_get(parser, "train", "epochs", int),
-        batch_size=_get(parser, "train", "batch_size", int),
-        lr=_get(parser, "train", "lr", float),
-        lr_decay=_get(parser, "train", "lr_decay", float, fallback=1.0),
-        seed=_get(parser, "train", "seed", int),
-        val_fraction=_get(parser, "train", "val_fraction", float, fallback=0.1),
-        early_stop_patience=_get(parser, "train", "early_stop_patience", int, fallback=20),
-        snr_sampling=_get(parser, "train", "snr_sampling", str, fallback="uniform"),
-        fixed_snr_db=_get(parser, "train", "fixed_snr_db", float, fallback=5.0),
-    )
     try:
+        train = TrainConfig(
+            epochs=_get(parser, "train", "epochs", int),
+            batch_size=_get(parser, "train", "batch_size", int),
+            lr=_get(parser, "train", "lr", float),
+            lr_decay=_get(parser, "train", "lr_decay", float, fallback=1.0),
+            seed=_get(parser, "train", "seed", int),
+            val_fraction=_get(parser, "train", "val_fraction", float, fallback=0.1),
+            early_stop_patience=_get(parser, "train", "early_stop_patience", int, fallback=20),
+            snr_sampling=_get(parser, "train", "snr_sampling", str, fallback="uniform"),
+            fixed_snr_db=_get(parser, "train", "fixed_snr_db", float, fallback=5.0),
+        )
         return ExperimentConfig(
             id=_get(parser, "experiment", "id", str),
             profile=_get(parser, "experiment", "profile", str),

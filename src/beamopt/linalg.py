@@ -1,14 +1,14 @@
-"""Complex vector/matrix arithmetic and LU-based linear solves.
+"""LU-based complex linear solves on plain complex128 ndarrays.
 
-All values are complex128 (64-bit real and imaginary parts), immutable
-after construction, and validated to be finite. Matrix inversion is
-never formed explicitly; it is expressed as an LU solve against the
-identity or against a right-hand side.
+solve_array (lu_factor + lu_solve) solves one matrix and raises on a
+singular pivot; solve_batched runs the same elimination over a stack and
+returns a singular mask instead. The single-matrix path is the reference
+the batched kernel is tested against. Matrix inversion is never formed
+explicitly; it is expressed as an LU solve against the identity or
+against a right-hand side.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,81 +23,6 @@ class SingularMatrixError(ValueError):
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
         super().__init__(f"matrix is singular to working precision at pivot {pivot_index}")
-
-
-def _as_complex(data) -> np.ndarray:
-    arr = np.array(data, dtype=np.complex128)  # private copy; frozen types own their storage
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite (no NaN/Inf)")
-    return arr
-
-
-@dataclass(frozen=True)
-class CMatrix:
-    """Dense complex matrix, row-major complex128 storage."""
-
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = _as_complex(self.data)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "CMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
-
-    @classmethod
-    def diag(cls, entries) -> "CMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=np.complex128)))
-
-    def column(self, j: int) -> "CVector":
-        return CVector(self.data[:, j])
-
-
-@dataclass(frozen=True)
-class CVector:
-    """Dense complex vector, complex128 storage."""
-
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = _as_complex(self.data)
-        if arr.ndim != 1:
-            raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def len(self) -> int:
-        return self.data.shape[0]
-
-
-def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Complex matrix product; dims (a.rows, b.cols)."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
-    return CMatrix(a.data @ b.data)
-
-
-def hermitian(a: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    return CMatrix(a.data.conj().T)
-
-
-def norm2(v: CVector) -> float:
-    """Euclidean norm sqrt(sum |v_i|^2)."""
-    return float(np.sqrt(np.sum(np.abs(v.data) ** 2)))
 
 
 def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,24 +61,20 @@ def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Solve A X = B by LU with partial pivoting.
+def solve_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A X = B for one matrix by LU with partial pivoting.
 
     Requires A square and B row-compatible. For condition numbers up to
     ~1e8 the relative residual ||AX - B||_F / ||B||_F stays below 1e-10.
     """
-    if a.rows != a.cols:
-        raise ValueError(f"matrix must be square, got {a.rows}x{a.cols}")
-    if b.rows != a.rows:
-        raise ValueError(f"right-hand side has {b.rows} rows, expected {a.rows}")
-    lu, perm = lu_factor(a.data)
-    return CMatrix(lu_solve(lu, perm, b.data))
-
-
-def solve_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Array-level variant of solve() for a single matrix."""
-    lu, perm = lu_factor(np.asarray(a, dtype=np.complex128))
-    return lu_solve(lu, perm, np.asarray(b, dtype=np.complex128))
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
+    lu, perm = lu_factor(a)
+    return lu_solve(lu, perm, b)
 
 
 def solve_batched(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,15 @@
-"""SINR, weighted sum-rate, and the negative-sum-rate training loss.
+"""SINR, sum-rate, and the negative-sum-rate training loss.
 
 The received-signal convention is h_k^T w (no conjugate on the channel),
 so the effective gain of beam i at UE n is sum_m h[k,m,n] * w[k,m,i].
-Rates are log2, in bits/s/Hz, averaged over subcarriers. Per-UE noise
-variances generalize the single sigma^2 of the narrowband formulation.
+Rates are the plain sum over UEs of log2(1 + SINR), in bits/s/Hz,
+averaged over subcarriers. Per-UE noise variances generalize the single
+sigma^2 of the narrowband formulation.
 
-Two routes compute the same objective: the numpy reference below, and
-`neg_sum_rate_graph`, which builds the identical expression from autodiff
-ops so the trainer can backpropagate through it.
+Three functions compute the same objective, one per consumer:
+sinr_per_ue + weighted_sum_rate is the single-sample test oracle,
+per_sample_sum_rates the batched numpy path of validation and eval, and
+neg_sum_rate_graph the autodiff loss the trainer backpropagates through.
 """
 
 from __future__ import annotations
@@ -55,36 +57,14 @@ class BeamformerSet:
         return self.w_tilde.shape[2]
 
 
-@dataclass(frozen=True)
-class RateWeights:
-    """Non-negative per-UE rate weights; uniform by default."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.alpha, dtype=np.float64)
-        if a.ndim != 1 or np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise ValueError("rate weights must be a 1-D array of finite non-negative values")
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
-
-    @classmethod
-    def uniform(cls, n_ue: int) -> "RateWeights":
-        return cls(np.ones(n_ue))
-
-
-def _channel_array(h) -> np.ndarray:
-    return np.asarray(getattr(h, "h", h), dtype=np.complex128)
-
-
-def effective_gains(h, w_tilde: np.ndarray) -> np.ndarray:
+def effective_gains(h: np.ndarray, w_tilde: np.ndarray) -> np.ndarray:
     """e[k, n, i] = h[k, :, n]^T w_tilde[k, :, i] for every UE/beam pair."""
-    return np.einsum("kmn,kmi->kni", _channel_array(h), w_tilde)
+    return np.einsum("kmn,kmi->kni", h, w_tilde)
 
 
-def sinr_per_ue(h, bf: BeamformerSet, sigma2: np.ndarray) -> np.ndarray:
+def sinr_per_ue(h: np.ndarray, bf: BeamformerSet, sigma2: np.ndarray) -> np.ndarray:
     """Per-subcarrier, per-UE SINR array of shape (K, N)."""
-    h_arr = _channel_array(h)
+    h_arr = np.asarray(h, dtype=np.complex128)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     k_sc, _, n_ue = h_arr.shape
     if bf.w_tilde.shape != h_arr.shape:
@@ -100,35 +80,23 @@ def sinr_per_ue(h, bf: BeamformerSet, sigma2: np.ndarray) -> np.ndarray:
     return signal / (interference + sigma2[None, :])
 
 
-def weighted_sum_rate(gamma: np.ndarray, alpha: RateWeights | np.ndarray | None = None) -> float:
-    """(1/K) sum_k sum_n alpha_n log2(1 + gamma[k, n]), in bits/s/Hz."""
+def weighted_sum_rate(gamma: np.ndarray) -> float:
+    """(1/K) sum_k sum_n log2(1 + gamma[k, n]), in bits/s/Hz."""
     gamma = np.asarray(gamma, dtype=np.float64)
     if np.any(gamma < 0):
         raise ValueError("SINRs must be non-negative")
-    if alpha is None:
-        weights = np.ones(gamma.shape[1])
-    else:
-        weights = alpha.alpha if isinstance(alpha, RateWeights) else np.asarray(alpha, dtype=np.float64)
-    rates = np.log1p(gamma) / _LN2
-    return float((rates @ weights).mean())
-
-
-def neg_sum_rate_loss(h, bf: BeamformerSet, sigma2: np.ndarray,
-                      alpha: RateWeights | np.ndarray | None = None) -> float:
-    """Training objective: negative weighted sum-rate."""
-    return -weighted_sum_rate(sinr_per_ue(h, bf, sigma2), alpha)
+    return float((np.log1p(gamma) / _LN2).sum(axis=1).mean())
 
 
 def neg_sum_rate_graph(wr: "ad.Tensor", wi: "ad.Tensor", h: np.ndarray,
-                       p: "ad.Tensor", sigma2: np.ndarray,
-                       alpha: np.ndarray | None = None) -> "ad.Tensor":
+                       p: "ad.Tensor", sigma2: np.ndarray) -> "ad.Tensor":
     """Batched loss built from autodiff ops; mirrors the numpy reference.
 
     wr, wi: real/imag beam directions, (B, K, M, N) tensors (unit columns).
     h: constant complex channel batch (B, K, M, N).
     p: per-UE powers, (B, N) tensor.
     sigma2: per-UE noise variances, (B, N).
-    Returns the scalar batch-mean negative weighted sum-rate.
+    Returns the scalar batch-mean negative sum-rate.
     """
     b, k_sc, m_tx, n_ue = h.shape
     hr = np.ascontiguousarray(h.real)
@@ -149,21 +117,18 @@ def neg_sum_rate_graph(wr: "ad.Tensor", wi: "ad.Tensor", h: np.ndarray,
     interference = ad.tsum(weighted * (1.0 - eye)[None, None], axis=3)
     gamma = signal / (interference + sigma2[:, None, :])
 
-    weights = np.ones(n_ue) if alpha is None else np.asarray(alpha, dtype=np.float64)
-    rates = ad.log1p(gamma) * (weights[None, None, :] / _LN2)
+    rates = ad.log1p(gamma) * (1.0 / _LN2)
     per_sample = ad.tsum(rates, axis=(1, 2)) * (1.0 / k_sc)        # (B,)
     return -ad.tmean(per_sample)
 
 
 def per_sample_sum_rates(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
-                         p: np.ndarray, sigma2: np.ndarray,
-                         alpha: np.ndarray | None = None) -> np.ndarray:
-    """Batched numpy weighted sum-rates, one per sample (for validation/eval)."""
+                         p: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """Batched numpy sum-rates, one per sample (for validation/eval)."""
     w = wr + 1j * wi
     gains = np.abs(np.einsum("bkmn,bkmi->bkni", h, w)) ** 2
     weighted = gains * p[:, None, None, :]
     signal = np.einsum("bknn->bkn", weighted)
     interference = weighted.sum(axis=3) - signal
     gamma = signal / (interference + sigma2[:, None, :])
-    weights = np.ones(h.shape[3]) if alpha is None else np.asarray(alpha, dtype=np.float64)
-    return (np.log1p(gamma) / _LN2 @ weights).mean(axis=1)
+    return (np.log1p(gamma) / _LN2).sum(axis=2).mean(axis=1)

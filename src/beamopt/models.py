@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .metrics import BeamformerSet
 
 NORM_FLOOR = 1e-12
 
@@ -232,14 +231,6 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
     else:
         p = Tensor(np.full((b, n_ue), cfg.power_budget / n_ue))
     return wr, wi, p
-
-
-def forward_nnbf_p(h: np.ndarray, params: ModelParams, cfg: ModelConfig) -> list[BeamformerSet]:
-    """Inference-mode forward returning one feasible BeamformerSet per sample."""
-    wr, wi, p = forward_graph(h, params, cfg, training=False)
-    w = wr.data + 1j * wi.data
-    return [BeamformerSet(w_tilde=w[i], p=p.data[i], p_max=cfg.power_budget)
-            for i in range(h.shape[0])]
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:

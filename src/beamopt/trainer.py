@@ -1,5 +1,5 @@
-"""Unsupervised training loop: minimize the negative weighted sum-rate of
-the network's own beamforming designs over generated channel batches.
+"""Unsupervised training loop: minimize the negative sum-rate of the
+network's own beamforming designs over generated channel batches.
 
 No labels are consumed anywhere; this module deliberately does not import
 the classical baselines. Everything is seeded: the train/validation split,
@@ -10,6 +10,7 @@ single batched graphs, so results are independent of thread count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -19,6 +20,9 @@ from . import autodiff as ad
 from . import metrics
 from .channel import ChannelDataset, snr_db_to_noise_var
 from .models import ModelConfig, ModelParams, forward_graph
+
+# Nominal SNRs the harness supports: uniform training draws and the eval grid.
+SNR_RANGE_DB = (-15.0, 50.0)
 
 
 class TrainingDiverged(RuntimeError):
@@ -41,17 +45,22 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.1
     early_stop_patience: int = 20         # epochs without improvement; 0 disables
-    snr_sampling: str = "uniform"         # 'uniform' over snr_range, or 'fixed'
+    snr_sampling: str = "uniform"         # 'uniform' over SNR_RANGE_DB, or 'fixed'
     fixed_snr_db: float = 5.0
-    snr_range: tuple = (-15.0, 50.0)
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
+        if self.epochs < 1:
+            raise ValueError("train.epochs: must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("train.batch_size: must be at least 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"train.lr: must be finite and non-negative, got {self.lr!r}")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError(f"train.lr_decay: must lie in (0, 1], got {self.lr_decay!r}")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
+            raise ValueError(f"train.val_fraction: must lie in (0, 1), got {self.val_fraction!r}")
         if self.snr_sampling not in ("uniform", "fixed"):
-            raise ValueError(f"unknown snr_sampling policy {self.snr_sampling!r}")
+            raise ValueError(f"train.snr_sampling: unknown policy {self.snr_sampling!r}")
 
 
 @dataclass
@@ -77,13 +86,12 @@ def _val_nominals(tc: TrainConfig, n_val: int, rng: np.random.Generator) -> np.n
     """Per-sample validation SNRs, fixed across epochs so val losses compare."""
     if tc.snr_sampling == "fixed":
         return np.full(n_val, tc.fixed_snr_db)
-    lo, hi = tc.snr_range
+    lo, hi = SNR_RANGE_DB
     return rng.uniform(lo, hi, size=n_val)
 
 
 def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
-          tc: TrainConfig, alpha: np.ndarray | None = None,
-          log=None) -> tuple[ModelParams, TrainReport]:
+          tc: TrainConfig, log=None) -> tuple[ModelParams, TrainReport]:
     """Train in place; returns (best-validation-epoch parameter copy, report)."""
     if len(dataset) < 2:
         raise ValueError("training needs at least two samples (train + validation)")
@@ -114,16 +122,16 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
             if tc.snr_sampling == "fixed":
                 nominal = tc.fixed_snr_db
             else:
-                nominal = float(snr_rng.uniform(*tc.snr_range))
+                nominal = float(snr_rng.uniform(*SNR_RANGE_DB))
             h = dataset.h[batch_idx]
             sigma2 = _noise_vars(dataset.ue_snr_offset_db[batch_idx], nominal)
             opt.zero_grad()
             with ad.Tape() as tape:
                 wr, wi, p = forward_graph(h, params, cfg, training=True)
-                loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2, alpha)
+                loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                rates = metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, sigma2, alpha)
+                rates = metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, sigma2)
                 bad = int(np.flatnonzero(~np.isfinite(rates))[0]) if np.any(~np.isfinite(rates)) else 0
                 raise TrainingDiverged(epoch, b_start // tc.batch_size, int(batch_idx[bad]))
             tape.backward(loss)
@@ -131,7 +139,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
             epoch_loss += loss_val * batch_idx.size
         report.train_loss.append(epoch_loss / order.size)
 
-        val_loss = _validation_loss(cfg, params, dataset, val_idx, val_sigma2, alpha)
+        val_loss = _validation_loss(cfg, params, dataset, val_idx, val_sigma2)
         report.val_loss.append(val_loss)
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
@@ -149,8 +157,8 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
     return best_params, report
 
 
-def _validation_loss(cfg, params, dataset, val_idx, val_sigma2, alpha) -> float:
+def _validation_loss(cfg, params, dataset, val_idx, val_sigma2) -> float:
     h = dataset.h[val_idx]
     wr, wi, p = forward_graph(h, params, cfg, training=False)
-    rates = metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, val_sigma2, alpha)
+    rates = metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, val_sigma2)
     return float(-rates.mean())

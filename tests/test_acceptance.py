@@ -101,10 +101,10 @@ def test_criterion_03_mmse_limit_and_ordering(zf_corpus):
     for _ in range(500):
         h = rand_complex(rng, 1, 4, 4)
         noise = np.full(4, sigma2)
-        bf_zf = bo.baselines.beamform_sample(h, "ZF", sigma2)
-        bf_mm = bo.baselines.beamform_sample(h, "MMSE", sigma2)
-        zf_se.append(metrics.weighted_sum_rate(metrics.sinr_per_ue(h, bf_zf, noise)))
-        mm_se.append(metrics.weighted_sum_rate(metrics.sinr_per_ue(h, bf_mm, noise)))
+        for se, reg in ((zf_se, 0.0), (mm_se, sigma2)):
+            w, _ = bo.baselines.inverse_directions(h, reg)
+            bf = bo.BeamformerSet(w_tilde=w, p=bo.equal_power(4, 4.0), p_max=4.0)
+            se.append(metrics.weighted_sum_rate(metrics.sinr_per_ue(h, bf, noise)))
     assert np.mean(mm_se) >= np.mean(zf_se)
     announce(3, f"aligned distance {worst:.2e}; SE(MMSE)={np.mean(mm_se):.3f} >= "
                 f"SE(ZF)={np.mean(zf_se):.3f} at 5 dB over 500 samples")

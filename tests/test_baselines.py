@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from beamopt.baselines import (InfeasibleTargetsError, SingularChannelError,
-                               VirtualUplinkPowers, beamform_sample, equal_power,
+                               VirtualUplinkPowers, equal_power, inverse_directions,
                                matched_filter, mmse_beamformer, optimal_structure_bf,
                                solve_virtual_uplink_powers, virtual_uplink_sinrs,
                                zf_beamformer)
-from beamopt.linalg import CMatrix
-from beamopt.metrics import sinr_per_ue, weighted_sum_rate
+from beamopt.metrics import BeamformerSet, sinr_per_ue, weighted_sum_rate
 
 
 def rand_channel(rng, m, n):
@@ -72,13 +71,6 @@ class TestZeroForcing:
         with pytest.raises(ValueError, match="N <= M"):
             zf_beamformer(np.ones((2, 3), dtype=complex))
 
-    def test_accepts_cmatrix(self):
-        rng = np.random.default_rng(2)
-        h = rand_channel(rng, 4, 2)
-        w1, _ = zf_beamformer(h)
-        w2, _ = zf_beamformer(CMatrix(h))
-        np.testing.assert_array_equal(w1, w2)
-
 
 class TestMmse:
     def test_limit_matches_zf(self):
@@ -123,11 +115,11 @@ class TestMmse:
         zf_rates, mm_rates = [], []
         for _ in range(500):
             h = rand_channel(rng, 4, 4)[None]          # one subcarrier
-            for rates, method in ((zf_rates, "ZF"), (mm_rates, "MMSE")):
-                try:
-                    bf = beamform_sample(h, method, sigma2)
-                except SingularChannelError:
+            for rates, reg in ((zf_rates, 0.0), (mm_rates, sigma2)):
+                w, singular = inverse_directions(h, reg)
+                if singular.any():
                     continue
+                bf = BeamformerSet(w_tilde=w, p=equal_power(4, 4.0), p_max=4.0)
                 rates.append(weighted_sum_rate(sinr_per_ue(h, bf, np.full(4, sigma2))))
         assert np.mean(mm_rates) >= np.mean(zf_rates)
 
@@ -205,12 +197,9 @@ class TestBeamformSample:
     def test_builds_full_set(self):
         rng = np.random.default_rng(12)
         h = (rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2)))
-        bf = beamform_sample(h, "MMSE", 0.5)
-        assert bf.w_tilde.shape == (4, 3, 2)
+        w, singular = inverse_directions(h, 0.5)
+        bf = BeamformerSet(w_tilde=w, p=equal_power(2, 2.0), p_max=2.0)
+        assert bf.w_tilde.shape == (4, 3, 2) and not singular.any()
         np.testing.assert_allclose(np.linalg.norm(bf.w_tilde, axis=1), np.ones((4, 2)),
                                    atol=1e-9)
         np.testing.assert_array_equal(bf.p, np.ones(2))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown classical method"):
-            beamform_sample(np.ones((1, 1, 1), dtype=complex), "WMMSE", 1.0)

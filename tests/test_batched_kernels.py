@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamopt.baselines import inverse_directions, mmse_beamformer, zf_beamformer
-from beamopt.linalg import CMatrix, SingularMatrixError, lu_factor, solve, solve_batched
+from beamopt.linalg import SingularMatrixError, lu_factor, solve_array, solve_batched
 from beamopt.metrics import (BeamformerSet, per_sample_sum_rates, sinr_per_ue,
                              weighted_sum_rate)
 
@@ -60,7 +60,7 @@ def test_solve_batched_matches_single_solve(case):
             assert singular[i]
             continue
         assert not singular[i]
-        ref = solve(CMatrix(a[i]), CMatrix(b)).data
+        ref = solve_array(a[i], b)
         assert np.max(np.abs(x[i] - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1.0)
 
 

@@ -50,6 +50,12 @@ class TestTdlProfile:
         with pytest.raises(ValueError, match="unknown delay profile"):
             TdlProfile.load("TDL-B")
 
+    def test_load_is_memoised_and_read_only(self):
+        prof = TdlProfile.load("TDL-C")
+        assert TdlProfile.load("TDL-C") is prof
+        with pytest.raises(ValueError, match="read-only"):
+            prof.powers[0] = 1.0
+
 
 class TestGenTaps:
     def test_single_tap_unit_power(self):
@@ -132,28 +138,28 @@ class TestDrawUeSnrs:
 class TestGenChannel:
     def test_shape_matches_table_dimensions(self):
         cfg = SimpleCfg(m_tx=4, n_ue=4, k_sc=48)
-        h = gen_channel(cfg, np.random.default_rng(8))
-        assert h.h.shape == (48, 4, 4)
-        assert h.k_sc == 12 * 4
+        h, offsets = gen_channel(cfg, np.random.default_rng(8))
+        assert h.shape == (48, 4, 4) and offsets.shape == (4,)
+        assert h.shape[0] == 12 * 4
 
     def test_unit_average_gain_single_tap(self):
         cfg = SimpleCfg(m_tx=1, n_ue=1, k_sc=1)
         cfg.profile = TdlProfile(name="flat", delays=np.array([0.0]), powers=np.array([1.0]))
         rng = np.random.default_rng(9)
-        gains = np.array([abs(gen_channel(cfg, rng).h[0, 0, 0]) ** 2 for _ in range(100_000)])
+        gains = np.array([abs(gen_channel(cfg, rng)[0][0, 0, 0]) ** 2 for _ in range(100_000)])
         assert gains.mean() == pytest.approx(1.0, rel=0.03)
 
     def test_antenna_pairs_uncorrelated(self):
         cfg = SimpleCfg(m_tx=2, n_ue=1, k_sc=1, delay_spread_ns=100.0)
         rng = np.random.default_rng(10)
-        draws = np.array([gen_channel(cfg, rng).h[0, :, 0] for _ in range(100_000)])
+        draws = np.array([gen_channel(cfg, rng)[0][0, :, 0] for _ in range(100_000)])
         corr = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
         assert abs(corr) < 0.02
 
     def test_parseval_energy_across_subcarriers(self):
         cfg = SimpleCfg(m_tx=1, n_ue=1, k_sc=16, profile="TDL-C", delay_spread_ns=300.0)
         rng = np.random.default_rng(11)
-        energy = np.mean([np.mean(np.abs(gen_channel(cfg, rng).h) ** 2)
+        energy = np.mean([np.mean(np.abs(gen_channel(cfg, rng)[0]) ** 2)
                           for _ in range(20_000)])
         assert energy == pytest.approx(1.0, rel=0.03)
 
@@ -208,6 +214,19 @@ class TestDataset:
         with pytest.raises(DatasetShapeError, match="implausible"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value", [("h", np.nan), ("h", np.inf),
+                                              ("offset", np.nan), ("offset", -np.inf)])
+    def test_non_finite_entries_rejected(self, tmp_path, field, value):
+        ds = gen_dataset(SimpleCfg(jitter_db=6.0), count=5, seed=1)
+        if field == "h":
+            ds.h[3, 2, 1, 0] = complex(0.5, value)
+        else:
+            ds.ue_snr_offset_db[3, 1] = value
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        with pytest.raises(CorruptDatasetError, match=r"non-finite .* in sample 3 \(1 samples\)"):
+            load_dataset(path)
+
     def test_fingerprint_tracks_delay_spread(self):
         ds30 = gen_dataset(SimpleCfg(delay_spread_ns=30.0), count=2, seed=5)
         ds300 = gen_dataset(SimpleCfg(delay_spread_ns=300.0), count=2, seed=5)
@@ -227,7 +246,7 @@ class TestDataset:
 
     def test_sample_streams_independent_of_order(self):
         cfg = SimpleCfg()
-        h5 = gen_channel(cfg, sample_rng(3, 5)).h
+        h5, _ = gen_channel(cfg, sample_rng(3, 5))
         full = gen_dataset(cfg, count=8, seed=3)
         np.testing.assert_array_equal(full.h[5], h5)
 
@@ -244,15 +263,9 @@ class TestDataset:
                     h[:, m, n] = taps_to_freq(gen_taps(prof, cfg.delay_spread_ns, rng),
                                               cfg.k_sc, cfg.scs_hz)
             offsets = draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
-            sample = gen_channel(cfg, sample_rng(7, i))
-            np.testing.assert_array_equal(sample.h, h)
-            np.testing.assert_array_equal(sample.ue_snr_offset_db, offsets)
-
-    def test_getitem_returns_channel_matrix(self):
-        ds = gen_dataset(SimpleCfg(), count=3, seed=2)
-        sample = ds[1]
-        assert sample.h.shape == (8, 2, 2)
-        assert sample.ue_snr_offset_db.shape == (2,)
+            sample_h, sample_offsets = gen_channel(cfg, sample_rng(7, i))
+            np.testing.assert_array_equal(sample_h, h)
+            np.testing.assert_array_equal(sample_offsets, offsets)
 
 
 def test_snr_to_noise_var_convention():

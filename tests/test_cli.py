@@ -88,6 +88,16 @@ class TestGenerate:
         assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
         assert "train_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [("epochs = 2", "epochs = 0", "train.epochs"),
+                                               ("lr = 0.001", "lr = -1", "train.lr"),
+                                               ("seed = 5", "seed = 5\nval_fraction = 1.5",
+                                                "train.val_fraction")])
+    def test_invalid_train_value_exit_2(self, tiny, capsys, old, new, key):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace(old, new))
+        assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
+        assert f"config error: {key}:" in capsys.readouterr().err
+
     def test_env_var_thread_fallback(self, tiny, monkeypatch):
         tmp, cfg = tiny
         a, b = tmp / "a.ds", tmp / "b.ds"
@@ -187,6 +197,17 @@ class TestTrainEval:
         assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
                    "--out", tmp / "r.csv") == 1
         assert "NNBF-P at -5.0 dB: non-finite rate on sample 0" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
+    def test_non_finite_dataset_exit_3(self, tiny, capsys):
+        tmp, cfg = tiny
+        test_ds = tmp / "test.ds"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        raw = bytearray(test_ds.read_bytes())
+        raw[-8:] = np.float64(np.nan).tobytes()          # imag part of the last sample's last entry
+        test_ds.write_bytes(bytes(raw))
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--out", tmp / "r.csv") == 3
+        assert "non-finite channel entry or SNR offset in sample 3" in capsys.readouterr().err
         assert not (tmp / "r.csv").exists()
 
     def test_diverged_training_exit_4(self, tiny, monkeypatch):

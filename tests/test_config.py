@@ -65,6 +65,29 @@ def test_field_level_messages():
         parse_config_text(MINIMAL.replace("[dataset]", "[data]"))
 
 
+@pytest.mark.parametrize("key, line", [
+    ("train.epochs", "epochs = 0"),
+    ("train.batch_size", "batch_size = 0"),
+    ("train.lr", "lr = -1"),
+    ("train.lr", "lr = nan"),
+    ("train.lr", "lr = inf"),
+    ("train.lr_decay", "lr_decay = 0"),
+    ("train.lr_decay", "lr_decay = 1.5"),
+    ("train.val_fraction", "val_fraction = 1.5"),
+    ("train.snr_sampling", "snr_sampling = sweep"),
+])
+def test_invalid_train_values_name_the_key(key, line):
+    name = line.split(" =")[0]
+    text = "".join(l for l in MINIMAL.splitlines(True) if not l.startswith(name + " ="))
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.") + ":"):
+        parse_config_text(text + line + "\n")
+
+
+def test_zero_lr_and_unit_decay_accepted():
+    cfg = parse_config_text(MINIMAL.replace("lr = 0.001", "lr = 0\nlr_decay = 1"))
+    assert (cfg.train.lr, cfg.train.lr_decay) == (0.0, 1.0)
+
+
 def test_snr_range_guard():
     with pytest.raises(ConfigError, match="outside"):
         parse_config_text(MINIMAL.replace("-5, 5", "-5, 60"))

@@ -3,8 +3,8 @@ import pytest
 
 from beamopt.channel import ChannelDataset, gen_dataset, snr_db_to_noise_var
 from beamopt.evaluation import evaluate
-from beamopt.metrics import sinr_per_ue, weighted_sum_rate
-from beamopt.models import ModelConfig, init_params
+from beamopt.metrics import BeamformerSet, sinr_per_ue, weighted_sum_rate
+from beamopt.models import ModelConfig, forward_graph, init_params
 
 
 class SimpleCfg:
@@ -84,11 +84,12 @@ def test_neural_rows_match_manual_forward():
     params = init_params(cfg, np.random.default_rng(6))
     rows = evaluate(ds, [5.0], ["NNBF-P"], {"NNBF-P": (cfg, params)})
 
-    from beamopt.models import forward_nnbf_p
-    sets = forward_nnbf_p(ds.h, params, cfg)
+    wr, wi, p = forward_graph(ds.h, params, cfg, training=False)
+    w = wr.data + 1j * wi.data
     sigma2 = snr_db_to_noise_var(5.0 + ds.ue_snr_offset_db)
-    rates = [weighted_sum_rate(sinr_per_ue(ds.h[i], sets[i], sigma2[i]))
-             for i in range(len(ds))]
+    rates = [weighted_sum_rate(sinr_per_ue(
+        ds.h[i], BeamformerSet(w_tilde=w[i], p=p.data[i], p_max=cfg.power_budget), sigma2[i]))
+        for i in range(len(ds))]
     assert rows[0].se_mean == pytest.approx(np.mean(rates), abs=1e-12)
     assert rows[0].se_std == pytest.approx(np.std(rates, ddof=1), abs=1e-12)
 

@@ -7,8 +7,7 @@ from scipy.special import erf
 from beamopt import autodiff as ad
 from beamopt import metrics
 from beamopt.models import (CheckpointError, ModelConfig, basic_block, channel_to_input,
-                            forward_graph, forward_nnbf_p, init_params, load_checkpoint,
-                            save_checkpoint)
+                            forward_graph, init_params, load_checkpoint, save_checkpoint)
 
 
 def rand_batch(rng, b, k, m, n):
@@ -213,16 +212,6 @@ class TestForward:
         for name, t in params.tensors.items():
             assert t.grad is not None, f"{name} missing grad"
             assert np.max(np.abs(t.grad)) > 0, f"{name} has all-zero grad"
-
-    def test_inference_wrapper_returns_feasible_sets(self):
-        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
-        params = init_params(cfg, np.random.default_rng(22))
-        h = rand_batch(np.random.default_rng(23), 3, 8, 2, 2)
-        sets = forward_nnbf_p(h, params, cfg)
-        assert len(sets) == 3
-        for bf in sets:
-            assert bf.w_tilde.shape == (8, 2, 2)
-            assert bf.p.sum() == pytest.approx(cfg.power_budget, abs=1e-12)
 
 
 class TestCheckpoint:
