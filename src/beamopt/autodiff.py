@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -31,8 +31,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    # keep numpy from consuming Tensor operands; binary ops with ndarrays
-    # must come back through the reflected operators below
+    # keep numpy from consuming Tensor operands: an ndarray or scalar on the
+    # left works only through a reflected operator below (division)
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
@@ -41,23 +41,8 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -66,18 +51,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return div(self, other)
@@ -88,20 +66,8 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
 
 class Tape:
@@ -215,12 +181,6 @@ def div(a, b) -> Tensor:
                   (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))])
 
 
-def power(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    e = float(exponent)
-    return _make(a.data ** e, [(a, lambda g: g * e * a.data ** (e - 1.0))])
-
-
 def square(a) -> Tensor:
     a = as_tensor(a)
     return _make(a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
@@ -232,20 +192,9 @@ def sqrt(a) -> Tensor:
     return _make(root, [(a, lambda g: g * 0.5 / root)])
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), [(a, lambda g: g / a.data)])
-
-
 def log1p(a) -> Tensor:
     a = as_tensor(a)
     return _make(np.log1p(a.data), [(a, lambda g: g / (1.0 + a.data))])
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-    return _make(out_data, [(a, lambda g: g * out_data)])
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -280,12 +229,6 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), [(a, lambda g: g.reshape(a.data.shape))])
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    inverse = np.argsort(axes)
-    return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(inverse))])
-
-
 def getitem(a, key) -> Tensor:
     """Basic slicing/integer indexing; the gradient scatters back into zeros."""
     a = as_tensor(a)
@@ -296,21 +239,6 @@ def getitem(a, key) -> Tensor:
         return full
 
     return _make(a.data[key], [(a, pull)])
-
-
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_pull(i):
-        sl = [slice(None)] * parts[i].data.ndim
-        sl[axis] = slice(offsets[i], offsets[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return _make(np.concatenate([p.data for p in parts], axis=axis),
-                 [(p, make_pull(i)) for i, p in enumerate(parts)])
 
 
 def gelu(a) -> Tensor:
@@ -355,7 +283,7 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out_data, pulls)
 
 
-def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation: x (B, C_in, L), w (C_out, C_in, ksz) -> (B, C_out, L_out)."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
@@ -386,14 +314,7 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
             dw[:, :, k] = np.einsum("bol,bcl->oc", g, window)
         return dw
 
-    pulls = [(x, pull_x), (w, pull_w)]
-    if b is not None:
-        b = as_tensor(b)
-        if b.data.shape != (c_out,):
-            raise ValueError(f"bias shape {b.data.shape} does not match {c_out} channels")
-        out_data = out_data + b.data[None, :, None]
-        pulls.append((b, lambda g: g.sum(axis=(0, 2))))
-    return _make(out_data, pulls)
+    return _make(out_data, [(x, pull_x), (w, pull_w)])
 
 
 @dataclass
@@ -549,16 +470,3 @@ def decode_tensors(blob: bytes) -> "OrderedDict[str, np.ndarray]":
         raise ValueError("truncated or corrupt tensor container") from exc
     return out
 
-
-def save_tensors(path, named: "OrderedDict[str, np.ndarray]") -> None:
-    with open(path, "wb") as f:
-        f.write(encode_tensors(named))
-
-
-def load_tensors(path) -> "OrderedDict[str, np.ndarray]":
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        return decode_tensors(raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -64,8 +64,8 @@ def _as_channel(h_k) -> np.ndarray:
     return arr
 
 
-def zf_beamformer(h_k, p_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing directions and equal powers for one subcarrier.
+def zf_beamformer(h_k) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing directions and equal powers (budget N) for one subcarrier.
 
     Returns (w_tilde (M, N) unit columns, p (N,)). The unnormalized beams
     satisfy h_j^T w_i = delta_ij; a singular Gram raises SingularChannelError.
@@ -79,25 +79,22 @@ def zf_beamformer(h_k, p_max: float | None = None) -> tuple[np.ndarray, np.ndarr
         w = h.conj() @ solve_array(gram, np.eye(n_ue))
     except SingularMatrixError as exc:
         raise SingularChannelError(f"channel Gram is singular (pivot {exc.pivot_index})") from exc
-    p_max = float(n_ue) if p_max is None else float(p_max)
-    return _normalize_columns(w), equal_power(n_ue, p_max)
+    return _normalize_columns(w), equal_power(n_ue, float(n_ue))
 
 
-def mmse_beamformer(h_k, sigma2: float, p_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized-inverse directions and equal powers for one subcarrier.
+def mmse_beamformer(h_k, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Regularized-inverse directions and equal powers (budget N) for one subcarrier.
 
-    The regularizer is sigma^2 scaled by N / P_max (per-UE loading
-    lambda_i = P_max / N); with P_max = N it reduces to sigma^2 I.
+    The regularizer is sigma^2 N / P_max, which is sigma^2 I under the
+    budget P_max = N.
     """
     h = _as_channel(h_k)
     m_tx, n_ue = h.shape
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
-    p_max = float(n_ue) if p_max is None else float(p_max)
-    reg = sigma2 * n_ue / p_max
-    gram = h.T @ h.conj() + reg * np.eye(n_ue)
+    gram = h.T @ h.conj() + sigma2 * np.eye(n_ue)
     w = h.conj() @ solve_array(gram, np.eye(n_ue))
-    return _normalize_columns(w), equal_power(n_ue, p_max)
+    return _normalize_columns(w), equal_power(n_ue, float(n_ue))
 
 
 def matched_filter(h_k) -> np.ndarray:
@@ -178,8 +175,8 @@ def solve_virtual_uplink_powers(h_k, target_sinrs: np.ndarray, sigma2: float,
 def inverse_directions(h, reg=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing (reg = 0) or MMSE unit directions for a stack of slices (..., M, N).
 
-    reg is mmse_beamformer's regularizer sigma^2 N / P_max, a scalar or one
-    value per slice. Returns (w_tilde (..., M, N), singular (...,)): the
+    reg is mmse_beamformer's regularizer sigma^2, a scalar or one value per
+    slice. Returns (w_tilde (..., M, N), singular (...,)): the
     beams zf_beamformer / mmse_beamformer give per slice, and the slices
     whose Gram is singular to PIVOT_RTOL, whose directions are NaN.
     """

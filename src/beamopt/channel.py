@@ -227,11 +227,8 @@ def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, sample_index))))
 
 
-def gen_dataset(cfg, count: int, seed: int, threads: int = 1) -> ChannelDataset:
-    """Generate `count` independent samples; deterministic for fixed seed and config.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def gen_dataset(cfg, count: int, seed: int) -> ChannelDataset:
+    """Generate `count` independent samples; deterministic for fixed seed and config."""
     if count < 1:
         raise ValueError("dataset must contain at least one sample")
     h = np.empty((count, cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)

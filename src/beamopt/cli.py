@@ -1,9 +1,10 @@
 """Command-line harness: generate / train / eval / plot / verify.
 
 Exit codes: 0 success; 1 verify failure, non-finite eval rate or
-unexpected error; 2 invalid config; 3 dataset missing, corrupt (NaN/Inf
-included) or shape-incompatible; 4 training diverged (non-finite loss);
-5 incompatible checkpoint; 6 malformed results CSV.
+unexpected error; 2 invalid config (unknown section or key included);
+3 dataset missing, corrupt (NaN/Inf included) or shape-incompatible;
+4 training diverged (non-finite loss); 5 unreadable, incompatible or
+non-finite checkpoint; 6 malformed results CSV.
 """
 
 from __future__ import annotations
@@ -154,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="beamopt",
                                      description="MU-MISO beamforming benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_help = "no effect; accepted for compatibility, as is BEAMOPT_THREADS"
 
     gen = sub.add_parser("generate", help="generate a channel dataset file")
     gen.add_argument("--config", required=True)
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the dataset seed from the config")
     gen.add_argument("--split", choices=("train", "test"), default="train",
                      help="which sample count to generate (test uses seed+1 by default)")
-    gen.add_argument("--threads", type=int, default=None, help=threads_help)
     gen.add_argument("--desk-scale", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
@@ -172,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--ckpt", required=True, help="checkpoint output path")
     tr.add_argument("--verbose", action="store_true", help="log per-epoch losses")
-    tr.add_argument("--threads", type=int, default=None, help=threads_help)
     tr.add_argument("--desk-scale", action="store_true")
     tr.set_defaults(func=cmd_train)
 
@@ -182,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ckpt", action="append", default=[],
                     help="model checkpoint (repeatable)")
     ev.add_argument("--out", required=True, help="results CSV path")
-    ev.add_argument("--threads", type=int, default=None, help=threads_help)
     ev.add_argument("--desk-scale", action="store_true")
     ev.set_defaults(func=cmd_eval)
 

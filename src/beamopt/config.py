@@ -11,12 +11,21 @@ import io
 from dataclasses import dataclass, replace
 
 from .channel import _TDL_TABLES
-from .trainer import SNR_RANGE_DB, TrainConfig
+from .trainer import SNR_RANGE_DB, TrainConfig, validation_size
 
 SCHEMA_VERSION = 1
 
 KNOWN_METHODS = ("ZF", "MMSE", "NNBF", "NNBF-P")
 MODULATIONS = ("QPSK", "16QAM")
+
+KNOWN_KEYS = {
+    "experiment": ("schema_version", "id", "profile", "delay_spread_ns", "modulation", "m_tx",
+                   "n_ue", "k_sc", "resource_blocks", "subcarrier_spacing_hz", "snr_grid_db",
+                   "jitter_db", "methods", "allow_snr_outside_range"),
+    "dataset": ("train_samples", "test_samples", "seed"),
+    "train": ("epochs", "batch_size", "lr", "lr_decay", "seed", "val_fraction",
+              "early_stop_patience", "snr_sampling", "fixed_snr_db"),
+}
 
 
 class ConfigError(ValueError):
@@ -74,6 +83,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.methods: unknown {unknown}; choose from {KNOWN_METHODS}")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ConfigError("dataset.train_samples/test_samples: must be at least 1")
+        validation_size(self.train_samples, self.train.val_fraction)
 
     @property
     def neural_methods(self) -> tuple:
@@ -116,9 +126,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
-    for section in ("experiment", "dataset", "train"):
+    for section, known in KNOWN_KEYS.items():
         if not parser.has_section(section):
             raise ConfigError(f"{section}: missing section")
+        unknown = [key for key in parser.options(section) if key not in known]
+        if unknown:
+            raise ConfigError(f"{section}.{unknown[0]}: unknown key")
+    extra = [section for section in parser.sections() if section not in KNOWN_KEYS]
+    if extra:
+        raise ConfigError(f"{extra[0]}: unknown section")
     version = _get(parser, "experiment", "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"experiment.schema_version: got {version}, expected {SCHEMA_VERSION}")

@@ -11,8 +11,6 @@ metrics.per_sample_sum_rates.
 Samples whose channel Gram is singular for zero-forcing are dropped for
 *all* methods to keep the comparison paired (with continuous channel draws
 this is a non-event). Any other non-finite rate raises NonFiniteRateError.
-Evaluation is single-threaded; the `threads` argument is accepted for
-compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -53,12 +51,11 @@ def _neural_beams(h: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
 
 def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
-             nn_models: dict | None = None, experiment: str = "",
-             p_max: float | None = None, threads: int = 1) -> list[ResultRow]:
+             nn_models: dict | None = None, experiment: str = "") -> list[ResultRow]:
     """Mean/std spectral efficiency per (method, nominal SNR) on paired draws.
 
     nn_models maps 'NNBF'/'NNBF-P' to (ModelConfig, ModelParams) pairs for
-    any requested neural methods. `threads` has no effect.
+    any requested neural methods. ZF and MMSE split the budget N equally.
     """
     nn_models = nn_models or {}
     for method in methods:
@@ -67,9 +64,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
         if method not in CLASSICAL_METHODS + NEURAL_METHODS:
             raise ValueError(f"unknown method {method!r}")
     h = dataset.h
-    n_samples, n_ue = len(dataset), dataset.shape[3]
-    budget = float(n_ue) if p_max is None else float(p_max)
-    equal = np.full((n_samples, n_ue), budget / n_ue)
+    equal = np.ones(dataset.ue_snr_offset_db.shape)
 
     zf_w, singular = inverse_directions(h)
     keep = ~singular.any(axis=1)
@@ -81,7 +76,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
     for snr_db in snr_grid_db:
         sigma2 = snr_db_to_noise_var(float(snr_db) + dataset.ue_snr_offset_db)
         if "MMSE" in methods:
-            w, _ = inverse_directions(h, (sigma2.mean(axis=1) * n_ue / budget)[:, None])
+            w, _ = inverse_directions(h, sigma2.mean(axis=1)[:, None])
             beams["MMSE"] = (w.real, w.imag, equal)
         for method in methods:
             wr, wi, p = beams[method]

@@ -4,8 +4,8 @@ blocks feeding separate fully connected heads for beam directions and
 
 Output constraints are architectural, not learned: beam columns are
 divided by their norm (plus a 1e-12 floor) and the power head ends in a
-softmax scaled by the power budget, so any parameter values produce a
-feasible design.
+softmax scaled by the power budget P_max = N, so any parameter values
+produce a feasible design.
 """
 
 from __future__ import annotations
@@ -24,9 +24,13 @@ from .autodiff import BatchNormState, Tensor
 NORM_FLOOR = 1e-12
 
 DEFAULT_BB_SPEC = ((2, 16, False), (16, 32, True), (32, 32, True))
+KERNEL_SIZE = 3
+PADDING = 1
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"BMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -44,12 +48,6 @@ class ModelConfig:
     bb_spec: tuple = DEFAULT_BB_SPEC              # (c_in, c_out, downsample) per block
     fc_widths_bf: tuple = (1024,)
     fc_widths_pw: tuple = (1024,)
-    wideband_bf: bool = False                     # one beam per UE shared across subcarriers
-    kernel_size: int = 3
-    padding: int = 1
-    p_max: float | None = None                    # defaults to N
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         if min(self.m_tx, self.n_ue, self.k_sc) < 1 or self.m_tx < self.n_ue:
@@ -68,17 +66,8 @@ class ModelConfig:
                 f"backbone must end with C*L = 8K features per antenna pair, got {c_last}*{self.k_sc // down}")
 
     @property
-    def power_budget(self) -> float:
-        return float(self.n_ue) if self.p_max is None else float(self.p_max)
-
-    @property
     def flat_features(self) -> int:
         return 8 * self.n_ue * self.m_tx * self.k_sc
-
-    @property
-    def bf_out_features(self) -> int:
-        per_sc = 1 if self.wideband_bf else self.k_sc
-        return 2 * self.m_tx * self.n_ue * per_sc
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -105,10 +94,6 @@ class ModelParams:
         t = Tensor(data, requires_grad=True)
         self.tensors[name] = t
         return t
-
-    def zero_grad(self):
-        for t in self.tensors.values():
-            t.grad = None
 
     def copy(self) -> "ModelParams":
         dup = ModelParams()
@@ -138,10 +123,10 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     """
     spec = []
     for i, (c_in, c_out, _) in enumerate(cfg.bb_spec):
-        spec += [(f"bb{i}.conv.w", (c_out, c_in, cfg.kernel_size), "normal"),
+        spec += [(f"bb{i}.conv.w", (c_out, c_in, KERNEL_SIZE), "normal"),
                  (f"bb{i}.bn.gamma", (c_out,), "ones"), (f"bb{i}.bn.beta", (c_out,), "zeros"),
                  (f"bb{i}.bn", (c_out,), "bn")]
-    heads = [("bf", cfg.fc_widths_bf, cfg.bf_out_features)]
+    heads = [("bf", cfg.fc_widths_bf, 2 * cfg.k_sc * cfg.m_tx * cfg.n_ue)]   # (K, M, N) x I/Q
     if cfg.joint_power:
         heads.append(("pw", cfg.fc_widths_pw, cfg.n_ue))
     for prefix, widths, out_features in heads:
@@ -167,13 +152,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def basic_block(x: Tensor, conv_w: Tensor, gamma: Tensor, beta: Tensor,
-                state: BatchNormState, downsample: bool, training: bool,
-                padding: int = 1, bn_eps: float = 1e-5, bn_momentum: float = 0.1) -> Tensor:
+                state: BatchNormState, downsample: bool, training: bool) -> Tensor:
     """conv1d -> batch norm -> GELU; downsampling blocks use stride 2."""
-    stride = 2 if downsample else 1
-    y = ad.conv1d(x, conv_w, b=None, stride=stride, padding=padding)
+    y = ad.conv1d(x, conv_w, stride=2 if downsample else 1, padding=PADDING)
     y = ad.batchnorm1d(y, gamma, beta, state, training=training,
-                       eps=bn_eps, momentum=bn_momentum)
+                       eps=BN_EPS, momentum=BN_MOMENTUM)
     return ad.gelu(y)
 
 
@@ -193,7 +176,7 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
     """Network forward pass on a channel batch.
 
     Returns (wr, wi, p): unit-norm beam direction components shaped
-    (B, K, M, N) and per-UE powers (B, N) summing to the budget. Record on
+    (B, K, M, N) and per-UE powers (B, N) summing to N. Record on
     an active Tape to train; run without one for inference.
     """
     b, k_sc, m_tx, n_ue = h.shape
@@ -204,8 +187,7 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
     for i, (_, _, down) in enumerate(cfg.bb_spec):
         x = basic_block(x, params.tensors[f"bb{i}.conv.w"],
                         params.tensors[f"bb{i}.bn.gamma"], params.tensors[f"bb{i}.bn.beta"],
-                        params.bn_states[f"bb{i}.bn"], downsample=down, training=training,
-                        padding=cfg.padding, bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
+                        params.bn_states[f"bb{i}.bn"], downsample=down, training=training)
     feat = ad.flatten_groups(x, group=n_ue * m_tx)       # (B, 8NMK)
 
     def head(prefix: str, widths) -> Tensor:
@@ -215,21 +197,15 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
         j = len(widths)
         return ad.linear(z, params.tensors[f"{prefix}{j}.w"], params.tensors[f"{prefix}{j}.b"])
 
-    raw = head("bf", cfg.fc_widths_bf)
-    k_bf = 1 if cfg.wideband_bf else k_sc
-    raw = ad.reshape(raw, (b, k_bf, m_tx, n_ue, 2))
+    raw = ad.reshape(head("bf", cfg.fc_widths_bf), (b, k_sc, m_tx, n_ue, 2))
     wr_raw, wi_raw = raw[..., 0], raw[..., 1]
     norm = ad.sqrt(ad.tsum(ad.square(wr_raw) + ad.square(wi_raw), axis=2, keepdims=True))
     scale = 1.0 / (norm + NORM_FLOOR)
     wr, wi = wr_raw * scale, wi_raw * scale
-    if cfg.wideband_bf:
-        ones = np.ones((1, k_sc, 1, 1))
-        wr, wi = wr * ones, wi * ones                    # broadcast across subcarriers
-
     if cfg.joint_power:
-        p = ad.softmax(head("pw", cfg.fc_widths_pw), axis=1) * cfg.power_budget
+        p = ad.softmax(head("pw", cfg.fc_widths_pw), axis=1) * float(n_ue)
     else:
-        p = Tensor(np.full((b, n_ue), cfg.power_budget / n_ue))
+        p = Tensor(np.ones((b, n_ue)))
     return wr, wi, p
 
 
@@ -244,7 +220,8 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
-    """Load and shape-validate a checkpoint written by save_checkpoint."""
+    """Load a checkpoint written by save_checkpoint, rejecting any tensor or
+    batch-norm buffer that is missing, misshaped or not finite."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
@@ -276,7 +253,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
             raise CheckpointError(
                 f"{path}: parameter {name!r} shaped {named[name].shape}, expected {shape}")
         params.add(name, named[name])
-    extras = set(named) - set(params.flat_arrays())
+    loaded = params.flat_arrays()
+    extras = set(named) - set(loaded)
     if extras:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(extras)}")
+    bad = next((name for name, arr in loaded.items() if not np.isfinite(arr).all()), None)
+    if bad is not None:
+        raise CheckpointError(f"{path}: non-finite value in tensor {bad!r}")
     return cfg, params

@@ -5,7 +5,7 @@ No labels are consumed anywhere; this module deliberately does not import
 the classical baselines. Everything is seeded: the train/validation split,
 per-epoch shuffles, and the per-batch nominal-SNR draws all come from
 dedicated child streams of the config seed, and gradients reduce inside
-single batched graphs, so results are independent of thread count.
+single batched graphs, so results are independent of BLAS thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +61,18 @@ class TrainConfig:
             raise ValueError(f"train.val_fraction: must lie in (0, 1), got {self.val_fraction!r}")
         if self.snr_sampling not in ("uniform", "fixed"):
             raise ValueError(f"train.snr_sampling: unknown policy {self.snr_sampling!r}")
+        lo, hi = SNR_RANGE_DB
+        if not lo <= self.fixed_snr_db <= hi:
+            raise ValueError(f"train.fixed_snr_db: must lie in [{lo}, {hi}], got {self.fixed_snr_db!r}")
+
+
+def validation_size(n_samples: int, val_fraction: float) -> int:
+    """Validation sample count of train()'s split; raises if no training sample is left."""
+    n_val = max(1, int(round(val_fraction * n_samples)))
+    if n_val >= n_samples:
+        raise ValueError(f"train.val_fraction: {val_fraction!r} of {n_samples} samples "
+                         "leaves no training sample")
+    return n_val
 
 
 @dataclass
@@ -93,18 +105,14 @@ def _val_nominals(tc: TrainConfig, n_val: int, rng: np.random.Generator) -> np.n
 def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
           tc: TrainConfig, log=None) -> tuple[ModelParams, TrainReport]:
     """Train in place; returns (best-validation-epoch parameter copy, report)."""
-    if len(dataset) < 2:
-        raise ValueError("training needs at least two samples (train + validation)")
+    n_val = validation_size(len(dataset), tc.val_fraction)
     t0 = time.perf_counter()
     root = np.random.SeedSequence(tc.seed)
     split_rng, shuffle_rng, snr_rng, val_rng = (
         np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4))
 
     indices = split_rng.permutation(len(dataset))
-    n_val = max(1, int(round(tc.val_fraction * len(dataset))))
     val_idx, train_idx = indices[:n_val], indices[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation split consumed every sample")
     val_nominals = _val_nominals(tc, n_val, val_rng)
     val_sigma2 = snr_db_to_noise_var(val_nominals[:, None] + dataset.ue_snr_offset_db[val_idx])
 

@@ -76,7 +76,7 @@ def check_batched_classical() -> CheckResult:
     w_mm, _ = baselines.inverse_directions(h, reg)
     worst = 0.0
     for idx in np.ndindex(3, 8):
-        ref_mm, _ = baselines.mmse_beamformer(h[idx], reg[idx])   # P_max = N: reg = sigma^2
+        ref_mm, _ = baselines.mmse_beamformer(h[idx], reg[idx])
         worst = max(worst, float(np.max(np.abs(w_zf[idx] - baselines.zf_beamformer(h[idx])[0]))),
                     float(np.max(np.abs(w_mm[idx] - ref_mm))))
     return CheckResult("batched_classical", worst <= 1e-10, f"max deviation {worst:.2e}")
@@ -258,7 +258,7 @@ def check_constraints() -> CheckResult:
         wr, wi, p = forward_graph(h, params, cfg, training=False)
         norms = np.linalg.norm(wr.data + 1j * wi.data, axis=2)
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
-        worst_pow = max(worst_pow, float(np.max(np.abs(p.data.sum(axis=1) - cfg.power_budget))))
+        worst_pow = max(worst_pow, float(np.max(np.abs(p.data.sum(axis=1) - cfg.n_ue))))
     ok = worst_norm <= 1e-9 and worst_pow <= 1e-12
     return CheckResult("constraints_by_construction", ok,
                        f"norm dev {worst_norm:.2e}, power dev {worst_pow:.2e}")

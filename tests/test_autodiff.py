@@ -102,16 +102,13 @@ class TestElementwiseOps:
     def test_power_and_sqrt(self):
         rng = np.random.default_rng(1)
         x0 = rng.uniform(0.5, 2.0, 6)
-        assert_grad_close(lambda t: ad.tsum(ad.power(t, 3.0) + ad.sqrt(t)), x0)
+        assert_grad_close(lambda t: ad.tsum(ad.square(t) * t + ad.sqrt(t)), x0)   # x^3 + x^0.5
 
     def test_log_and_log1p(self):
         rng = np.random.default_rng(2)
         x0 = rng.uniform(0.5, 3.0, 5)
-        assert_grad_close(lambda t: ad.tsum(ad.log(t) + ad.log1p(t)), x0)
-
-    def test_exp(self):
-        rng = np.random.default_rng(3)
-        assert_grad_close(lambda t: ad.tsum(ad.exp(t)), rng.standard_normal(4))
+        # log(x) as log1p(x - 1): the engine has only log1p
+        assert_grad_close(lambda t: ad.tsum(ad.log1p(t - 1.0) + ad.log1p(t)), x0)
 
     def test_mean_reductions(self):
         rng = np.random.default_rng(4)
@@ -119,24 +116,13 @@ class TestElementwiseOps:
         mixer = rng.standard_normal(3)
         assert_grad_close(lambda t: ad.tsum(ad.tmean(t, axis=1) * mixer), x0)
 
-    def test_reshape_transpose_getitem(self):
+    def test_reshape_getitem(self):
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((2, 6))
 
         def build(t):
             r = ad.reshape(t, (2, 3, 2))
-            tr = ad.transpose(r, (2, 0, 1))
-            return ad.tsum(ad.square(tr[0])) + ad.tsum(tr[1, :, 1:])
-
-        assert_grad_close(build, x0)
-
-    def test_concat(self):
-        rng = np.random.default_rng(6)
-        x0 = rng.standard_normal((4, 3))
-
-        def build(t):
-            joined = ad.concat([t * 2.0, t], axis=1)
-            return ad.tsum(ad.square(joined))
+            return ad.tsum(ad.square(r[..., 0])) + ad.tsum(r[1, 1:, 1])
 
         assert_grad_close(build, x0)
 
@@ -232,17 +218,15 @@ class TestConv1d:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 9))
         w = rng.standard_normal((4, 3, 3))
-        b = rng.standard_normal(4)
         stride, padding = 2, 1
-        out = ad.conv1d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b),
-                        stride=stride, padding=padding).data
+        out = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding).data
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
         l_out = (9 + 2 * padding - 3) // stride + 1
         expected = np.zeros((2, 4, l_out))
         for bb in range(2):
             for oo in range(4):
                 for tt in range(l_out):
-                    acc = b[oo]
+                    acc = 0.0
                     for cc in range(3):
                         for kk in range(3):
                             acc += w[oo, cc, kk] * xp[bb, cc, tt * stride + kk]
@@ -262,13 +246,11 @@ class TestConv1d:
         rng = np.random.default_rng(12)
         x0 = rng.standard_normal((2, 2, 8))
         w0 = rng.standard_normal((3, 2, 3))
-        b0 = rng.standard_normal(3)
         for stride, padding in ((1, 0), (1, 1), (2, 1)):
-            def conv_sq(x, w, b):
-                return ad.tsum(ad.square(ad.conv1d(x, w, b, stride=stride, padding=padding)))
-            assert_grad_close(lambda t: conv_sq(t, ad.Tensor(w0), ad.Tensor(b0)), x0)
-            assert_grad_close(lambda t: conv_sq(ad.Tensor(x0), t, ad.Tensor(b0)), w0)
-            assert_grad_close(lambda t: conv_sq(ad.Tensor(x0), ad.Tensor(w0), t), b0)
+            def conv_sq(x, w):
+                return ad.tsum(ad.square(ad.conv1d(x, w, stride=stride, padding=padding)))
+            assert_grad_close(lambda t: conv_sq(t, ad.Tensor(w0)), x0)
+            assert_grad_close(lambda t: conv_sq(ad.Tensor(x0), t), w0)
 
 
 class TestBatchNorm:
@@ -411,30 +393,22 @@ class TestAdam:
 
 
 class TestTensorContainer:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(21)
         named = OrderedDict()
         named["a.w"] = rng.standard_normal((3, 4))
         named["b"] = rng.standard_normal(7)
         named["scalarish"] = np.array(3.25)
-        path = tmp_path / "tensors.bin"
-        ad.save_tensors(path, named)
-        back = ad.load_tensors(path)
+        back = ad.decode_tensors(ad.encode_tensors(named))
         assert list(back) == list(named)
         for k in named:
             np.testing.assert_array_equal(back[k], named[k])
 
-    def test_truncated_rejected(self, tmp_path):
-        named = OrderedDict(x=np.ones((4, 4)))
-        path = tmp_path / "tensors.bin"
-        ad.save_tensors(path, named)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
+    def test_truncated_rejected(self):
+        raw = ad.encode_tensors(OrderedDict(x=np.ones((4, 4))))
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            ad.load_tensors(path)
+            ad.decode_tensors(raw[:-8])
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"WAT?" + b"\x00" * 16)
+    def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="not a named-tensor container"):
-            ad.load_tensors(path)
+            ad.decode_tensors(b"WAT?" + b"\x00" * 16)

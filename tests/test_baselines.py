@@ -96,15 +96,6 @@ class TestMmse:
         oracle /= np.linalg.norm(oracle, axis=0, keepdims=True)
         assert np.max(np.abs(w - oracle)) <= 1e-10
 
-    def test_regularizer_scales_with_budget(self):
-        rng = np.random.default_rng(5)
-        h = rand_channel(rng, 4, 2)
-        w_budget, _ = mmse_beamformer(h, 0.5, p_max=4.0)   # reg = 0.5 * 2/4 = 0.25
-        gram = h.T @ h.conj() + 0.25 * np.eye(2)
-        oracle = h.conj() @ np.linalg.solve(gram, np.eye(2))
-        oracle /= np.linalg.norm(oracle, axis=0, keepdims=True)
-        assert np.max(np.abs(w_budget - oracle)) <= 1e-10
-
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(ValueError):
             mmse_beamformer(np.eye(2, dtype=complex), 0.0)

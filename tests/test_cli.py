@@ -62,13 +62,6 @@ class TestGenerate:
         run("generate", "--config", cfg, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tiny):
-        tmp, cfg = tiny
-        a, b = tmp / "a.ds", tmp / "b.ds"
-        run("generate", "--config", cfg, "--out", a, "--threads", 1)
-        run("generate", "--config", cfg, "--out", b, "--threads", 4)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_test_split_differs(self, tiny):
         tmp, cfg = tiny
         a, b = tmp / "train.ds", tmp / "test.ds"
@@ -91,23 +84,28 @@ class TestGenerate:
     @pytest.mark.parametrize("old, new, key", [("epochs = 2", "epochs = 0", "train.epochs"),
                                                ("lr = 0.001", "lr = -1", "train.lr"),
                                                ("seed = 5", "seed = 5\nval_fraction = 1.5",
-                                                "train.val_fraction")])
+                                                "train.val_fraction"),
+                                               ("seed = 5", "seed = 5\nfixed_snr_db = 500",
+                                                "train.fixed_snr_db"),
+                                               ("seed = 5", "seed = 5\nlr_dcay = 0.5",
+                                                "train.lr_dcay")])
     def test_invalid_train_value_exit_2(self, tiny, capsys, old, new, key):
         tmp, cfg = tiny
         cfg.write_text(TINY_CONFIG.replace(old, new))
         assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
         assert f"config error: {key}:" in capsys.readouterr().err
 
-    def test_env_var_thread_fallback(self, tiny, monkeypatch):
-        tmp, cfg = tiny
-        a, b = tmp / "a.ds", tmp / "b.ds"
-        run("generate", "--config", cfg, "--out", a)
-        monkeypatch.setenv("BEAMOPT_THREADS", "3")
-        run("generate", "--config", cfg, "--out", b)
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestTrainEval:
+    def test_empty_training_split_exit_2(self, tiny, capsys):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace("train_samples = 8", "train_samples = 2")
+                       .replace("seed = 5", "seed = 5\nval_fraction = 0.9"))
+        assert run("train", "--config", cfg, "--dataset", tmp / "train.ds",
+                   "--ckpt", tmp / "m.ckpt") == 2
+        assert "config error: train.val_fraction: 0.9 of 2 samples leaves no training sample" \
+            in capsys.readouterr().err
+
     def test_full_pipeline(self, tiny, capsys):
         tmp, cfg = tiny
         train_ds, test_ds = tmp / "train.ds", tmp / "test.ds"
@@ -151,10 +149,9 @@ class TestTrainEval:
         outs = []
         for tag in ("1", "2"):
             ckpt, csv_out = tmp / f"m{tag}.ckpt", tmp / f"r{tag}.csv"
-            threads = "1" if tag == "1" else "4"
             run("train", "--config", cfg, "--dataset", train_ds, "--ckpt", ckpt)
             run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
-                "--out", csv_out, "--threads", threads)
+                "--out", csv_out)
             outs.append((ckpt.read_bytes(), csv_out.read_bytes()))
         assert outs[0] == outs[1]
 
@@ -171,6 +168,19 @@ class TestTrainEval:
         code = run("eval", "--config", other_cfg, "--dataset", other_ds,
                    "--ckpt", ckpt, "--out", tmp / "r.csv")
         assert code == 5
+
+    def test_non_finite_checkpoint_exit_5(self, tiny, capsys):
+        tmp, cfg = tiny
+        test_ds, ckpt = tmp / "test.ds", tmp / "model.ckpt"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        mc = models.ModelConfig(m_tx=2, n_ue=2, k_sc=8)
+        params = models.init_params(mc, np.random.default_rng(0))
+        params.tensors["bf0.w"].data[0, 0] = np.nan
+        models.save_checkpoint(ckpt, mc, params)
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
+                   "--out", tmp / "r.csv") == 5
+        assert "non-finite value in tensor 'bf0.w'" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
 
     def test_corrupt_checkpoint_exit_5(self, tiny):
         tmp, cfg = tiny

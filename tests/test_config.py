@@ -75,12 +75,33 @@ def test_field_level_messages():
     ("train.lr_decay", "lr_decay = 1.5"),
     ("train.val_fraction", "val_fraction = 1.5"),
     ("train.snr_sampling", "snr_sampling = sweep"),
+    ("train.fixed_snr_db", "fixed_snr_db = 500"),
+    ("train.fixed_snr_db", "fixed_snr_db = -16"),
+    ("train.fixed_snr_db", "fixed_snr_db = nan"),
+    ("train.val_fraction", "val_fraction = 0.95"),     # 8 of 8 train_samples
 ])
 def test_invalid_train_values_name_the_key(key, line):
     name = line.split(" =")[0]
     text = "".join(l for l in MINIMAL.splitlines(True) if not l.startswith(name + " ="))
     with pytest.raises(ConfigError, match=key.replace(".", r"\.") + ":"):
         parse_config_text(text + line + "\n")
+
+
+@pytest.mark.parametrize("section, anchor, line", [
+    ("experiment", "id = t1", "m_txx = 4"),
+    ("experiment", "id = t1", "snr_grid = 0, 5"),
+    ("dataset", "seed = 3", "test_sample = 3"),
+    ("train", "lr = 0.001", "lr_dcay = 0.5"),
+])
+def test_unknown_key_rejected(section, anchor, line):
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key$"):
+        parse_config_text(MINIMAL.replace(anchor, f"{anchor}\n{line}"))
+
+
+def test_unknown_section_rejected():
+    with pytest.raises(ConfigError, match=r"^model: unknown section$"):
+        parse_config_text(MINIMAL + "\n[model]\nwidth = 3\n")
 
 
 def test_zero_lr_and_unit_decay_accepted():

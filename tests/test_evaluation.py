@@ -33,13 +33,6 @@ def test_reproducible_bit_exact():
     assert a == b
 
 
-def test_thread_count_does_not_change_results():
-    ds = gen_dataset(SimpleCfg(), count=8, seed=2)
-    a = evaluate(ds, [5.0], ["ZF", "MMSE"], threads=1)
-    b = evaluate(ds, [5.0], ["ZF", "MMSE"], threads=4)
-    assert a == b
-
-
 def test_zf_closed_form_on_orthogonal_channels():
     # two orthogonal single-subcarrier channels: rate has no interference term
     h = np.zeros((1, 1, 2, 2), dtype=complex)
@@ -88,7 +81,7 @@ def test_neural_rows_match_manual_forward():
     w = wr.data + 1j * wi.data
     sigma2 = snr_db_to_noise_var(5.0 + ds.ue_snr_offset_db)
     rates = [weighted_sum_rate(sinr_per_ue(
-        ds.h[i], BeamformerSet(w_tilde=w[i], p=p.data[i], p_max=cfg.power_budget), sigma2[i]))
+        ds.h[i], BeamformerSet(w_tilde=w[i], p=p.data[i], p_max=float(cfg.n_ue)), sigma2[i]))
         for i in range(len(ds))]
     assert rows[0].se_mean == pytest.approx(np.mean(rates), abs=1e-12)
     assert rows[0].se_std == pytest.approx(np.std(rates, ddof=1), abs=1e-12)

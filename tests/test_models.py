@@ -6,7 +6,8 @@ from scipy.special import erf
 
 from beamopt import autodiff as ad
 from beamopt import metrics
-from beamopt.models import (CheckpointError, ModelConfig, basic_block, channel_to_input,
+from beamopt.models import (CHECKPOINT_VERSION, CheckpointError, ModelConfig, basic_block,
+                            channel_to_input,
                             forward_graph, init_params, load_checkpoint, save_checkpoint)
 
 
@@ -37,7 +38,7 @@ class TestModelConfig:
             ModelConfig(m_tx=2, n_ue=2, k_sc=8, bb_spec=((4, 32, True), (32, 32, True)))
 
     def test_json_round_trip(self):
-        cfg = ModelConfig(m_tx=4, n_ue=2, k_sc=16, joint_power=False, wideband_bf=True)
+        cfg = ModelConfig(m_tx=4, n_ue=2, k_sc=16, joint_power=False, fc_widths_bf=(64, 32))
         assert ModelConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -152,7 +153,7 @@ class TestForward:
             wr, wi, p = forward_graph(h, params, cfg, training=False)
             norms = np.linalg.norm(wr.data + 1j * wi.data, axis=2)
             assert np.max(np.abs(norms - 1.0)) <= 1e-9
-            np.testing.assert_allclose(p.data.sum(axis=1), np.full(3, cfg.power_budget),
+            np.testing.assert_allclose(p.data.sum(axis=1), np.full(3, float(cfg.n_ue)),
                                        atol=1e-12)
             assert np.all(p.data >= 0)
 
@@ -182,16 +183,6 @@ class TestForward:
         wr, wi, p = forward_graph(doubled, params, cfg, training=False)
         np.testing.assert_array_equal(wr.data[0], wr.data[1])
         np.testing.assert_array_equal(p.data[0], p.data[1])
-
-    def test_wideband_variant_shares_beam_across_subcarriers(self):
-        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, wideband_bf=True)
-        params = init_params(cfg, np.random.default_rng(16))
-        h = rand_batch(np.random.default_rng(17), 2, 8, 2, 2)
-        wr, wi, _ = forward_graph(h, params, cfg, training=False)
-        assert wr.data.shape == (2, 8, 2, 2)
-        for k in range(1, 8):
-            np.testing.assert_array_equal(wr.data[:, k], wr.data[:, 0])
-            np.testing.assert_array_equal(wi.data[:, k], wi.data[:, 0])
 
     def test_shape_mismatch_rejected(self):
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
@@ -257,9 +248,30 @@ class TestCheckpoint:
         edit(tensors)
         path = tmp_path / "model.ckpt"
         blob = cfg.to_json().encode()
-        path.write_bytes(b"BMCK" + struct.pack("<II", 1, len(blob)) + blob
+        path.write_bytes(b"BMCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
                          + ad.encode_tensors(tensors))
         with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, bad", [("bf0.w", np.nan), ("pw1.b", np.inf),
+                                           ("bb2.bn.run_var", -np.inf)])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, bad):
+        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
+        params = init_params(cfg, np.random.default_rng(28))
+        params.flat_arrays()[name].flat[-1] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, params)
+        with pytest.raises(CheckpointError, match=f"non-finite value in tensor '{name}'"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(29)))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checkpoint version 1, expected 2"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from beamopt import autodiff as ad
-from beamopt import metrics
+from beamopt import metrics, models
 from beamopt.channel import gen_dataset, snr_db_to_noise_var
 from beamopt.models import ModelConfig, forward_graph, init_params
-from beamopt.trainer import TrainConfig, TrainingDiverged, train
+from beamopt.trainer import TrainConfig, TrainingDiverged, train, validation_size
 
 
 class SimpleCfg:
@@ -33,6 +33,15 @@ class TestTrainConfig:
             TrainConfig(val_fraction=1.0)
         with pytest.raises(ValueError):
             TrainConfig(snr_sampling="sweep")
+
+    @pytest.mark.parametrize("n, frac, n_val", [(2, 0.1, 1), (10, 0.25, 2), (512, 0.1, 51)])
+    def test_validation_size(self, n, frac, n_val):
+        assert validation_size(n, frac) == n_val
+
+    @pytest.mark.parametrize("n, frac", [(1, 0.1), (2, 0.9), (4, 0.9)])
+    def test_empty_training_split_rejected(self, n, frac):
+        with pytest.raises(ValueError, match="train.val_fraction: .* leaves no training sample"):
+            validation_size(n, frac)
 
 
 class TestTrain:
@@ -77,11 +86,11 @@ class TestTrain:
         assert report.best_epoch == int(np.argmin(report.val_loss))
         assert report.best_val_loss == min(report.val_loss)
 
-    def test_early_stopping_cuts_run_short(self):
+    def test_early_stopping_cuts_run_short(self, monkeypatch):
         ds = gen_dataset(SimpleCfg(), count=16, seed=7)
         # zero lr and frozen running stats: validation loss cannot improve
-        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(32,), fc_widths_pw=(32,),
-                          bn_momentum=0.0)
+        monkeypatch.setattr(models, "BN_MOMENTUM", 0.0)
+        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(32,), fc_widths_pw=(32,))
         params = init_params(cfg, np.random.default_rng(8))
         tc = TrainConfig(epochs=50, batch_size=8, lr=0.0, seed=9,
                          snr_sampling="fixed", early_stop_patience=3)
@@ -98,7 +107,7 @@ class TestTrain:
             metrics.weighted_sum_rate(metrics.sinr_per_ue(
                 ds.h[i],
                 metrics.BeamformerSet(wr.data[i] + 1j * wi.data[i], p.data[i],
-                                      p_max=cfg.power_budget),
+                                      p_max=float(cfg.n_ue)),
                 sigma2[i]))
             for i in range(len(ds))
         ]
