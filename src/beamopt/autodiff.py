@@ -18,6 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -248,7 +249,7 @@ def gelu(a) -> Tensor:
 
     def pull(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return g * (0.5 * (1.0 + erf(a.data * _SQRT1_2)) + a.data * pdf)
+        return g * (cdf + a.data * pdf)
 
     return _make(a.data * cdf, [(a, pull)])
 
@@ -296,23 +297,24 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     l_out = (padded_len - ksz) // stride + 1
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    out_data = np.zeros((batch, c_out, l_out))
-    for k in range(ksz):
-        window = xp[:, :, k:k + stride * l_out:stride]
-        out_data += np.einsum("bcl,oc->bol", window, w.data[:, :, k])
+    # im2col: row (b, l) holds the window xp[b, :, l*stride : l*stride + ksz] as (c, k)
+    windows = sliding_window_view(xp, ksz, axis=2)[:, :, ::stride]
+    cols = windows.transpose(0, 2, 1, 3).reshape(batch * l_out, c_in * ksz)
+    w2 = w.data.reshape(c_out, c_in * ksz)
+    out_data = np.ascontiguousarray((cols @ w2.T).reshape(batch, l_out, c_out).transpose(0, 2, 1))
+
+    def rows(g):
+        return g.transpose(0, 2, 1).reshape(batch * l_out, c_out)
 
     def pull_x(g):
+        dcols = (rows(g) @ w2).reshape(batch, l_out, c_in, ksz).transpose(0, 2, 1, 3)
         dxp = np.zeros_like(xp)
         for k in range(ksz):
-            dxp[:, :, k:k + stride * l_out:stride] += np.einsum("bol,oc->bcl", g, w.data[:, :, k])
+            dxp[:, :, k:k + stride * l_out:stride] += dcols[..., k]
         return dxp[:, :, padding:padding + length] if padding else dxp
 
     def pull_w(g):
-        dw = np.empty_like(w.data)
-        for k in range(ksz):
-            window = xp[:, :, k:k + stride * l_out:stride]
-            dw[:, :, k] = np.einsum("bol,bcl->oc", g, window)
-        return dw
+        return (rows(g).T @ cols).reshape(w.data.shape)
 
     return _make(out_data, [(x, pull_x), (w, pull_w)])
 
@@ -389,8 +391,45 @@ def flatten_groups(x, group: int) -> Tensor:
                  [(x, lambda g: g.reshape(bg, channels, length))])
 
 
+def flat_buffer(tensors) -> np.ndarray:
+    """The one contiguous float64 vector holding every tensor's data back to back, in order.
+
+    Tensors that already view such a vector keep it. Otherwise their values
+    are copied into a new vector and each tensor's .data becomes a view of it,
+    so assigning a fresh array to .data detaches a tensor until the next call.
+    """
+    tensors = list(tensors)
+    arrays = [t.data for t in tensors]
+    base = arrays[0].base if arrays else None
+    if (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
+            and base.size == sum(a.size for a in arrays)):
+        address = base.ctypes.data
+        for a in arrays:
+            if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != address:
+                break
+            address += a.nbytes
+        else:
+            return base
+    flat = np.empty(sum(a.size for a in arrays))
+    offset = 0
+    for t, a in zip(tensors, arrays):
+        view = flat[offset:offset + a.size].reshape(a.shape)
+        view[...] = a
+        t.data = view
+        offset += a.size
+    return flat
+
+
 class Adam:
-    """Bias-corrected Adam over named parameter tensors."""
+    """Bias-corrected Adam over named parameter tensors laid out in one flat vector.
+
+    The moments are flat vectors aligned with `flat_buffer(params)`. A step
+    reads each tensor's gradient where the tape left it and updates the
+    parameters in place, one block of `BLOCK` entries at a time, so it makes
+    no parameter-sized temporary and its passes over memory stay in cache.
+    """
+
+    BLOCK = 1 << 15
 
     def __init__(self, params: "OrderedDict[str, Tensor]", lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8):
@@ -399,8 +438,10 @@ class Adam:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        size = flat_buffer(params.values()).size
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = np.empty((2, min(size, self.BLOCK)))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -411,40 +452,60 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        flat = flat_buffer(self.params.values())
+        offset = 0
+        for p in self.params.values():
+            size = p.data.size
+            g = None if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, size, self.BLOCK):
+                seg = slice(offset + lo, offset + min(lo + self.BLOCK, size))
+                self._update(flat[seg], 0.0 if g is None else g[lo:lo + self.BLOCK],
+                             self._m[seg], self._v[seg], bc1, bc2)
+            offset += size
+
+    def _update(self, p, g, m, v, bc1, bc2):
+        """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates,
+        in the operation order of the textbook expression."""
+        s, d = self._scratch[:, :p.size]
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        s *= g
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= self.lr
+        np.divide(v, bc2, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        s /= d
+        p -= s
 
 
 TENSOR_FILE_MAGIC = b"BNTC"
 TENSOR_FILE_VERSION = 1
 
 
-def encode_tensors(named: "OrderedDict[str, np.ndarray]") -> bytes:
-    """Serialize named arrays: per-tensor header + little-endian f64 payload."""
-    chunks = [TENSOR_FILE_MAGIC, struct.pack("<II", TENSOR_FILE_VERSION, len(named))]
+def encode_tensors(named: "OrderedDict[str, np.ndarray]", f) -> None:
+    """Write named arrays to the binary file `f`: per-tensor header +
+    little-endian f64 payload, each payload straight from its array, uncopied."""
+    f.write(TENSOR_FILE_MAGIC)
+    f.write(struct.pack("<II", TENSOR_FILE_VERSION, len(named)))
     for name, arr in named.items():
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype="<f8", order="C")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        if arr.ndim:
-            chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8").tobytes())
-    return b"".join(chunks)
+        f.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
+                            *arr.shape))
+        f.write(memoryview(arr.reshape(-1)))
 
 
-def decode_tensors(blob: bytes) -> "OrderedDict[str, np.ndarray]":
-    """Inverse of encode_tensors; round-trips bit-exactly."""
+def decode_tensors(blob) -> "OrderedDict[str, np.ndarray]":
+    """Inverse of encode_tensors; round-trips bit-exactly.
+
+    `blob` is bytes or a memoryview of them. The arrays are read-only views
+    into it (copies on a big-endian host).
+    """
     if len(blob) < 12 or blob[:4] != TENSOR_FILE_MAGIC:
         raise ValueError("not a named-tensor container")
     version, count = struct.unpack_from("<II", blob, 4)
@@ -456,7 +517,7 @@ def decode_tensors(blob: bytes) -> "OrderedDict[str, np.ndarray]":
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
+            name = bytes(blob[offset:offset + name_len]).decode("utf-8")
             offset += name_len
             (ndim,) = struct.unpack_from("<B", blob, offset)
             offset += 1
@@ -465,7 +526,7 @@ def decode_tensors(blob: bytes) -> "OrderedDict[str, np.ndarray]":
             n_items = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(blob, dtype="<f8", count=n_items, offset=offset).reshape(shape)
             offset += 8 * n_items
-            out[name] = arr.astype(np.float64)
+            out[name] = arr.astype(np.float64, copy=False)
     except (struct.error, ValueError) as exc:
         raise ValueError("truncated or corrupt tensor container") from exc
     return out

@@ -64,9 +64,12 @@ class DatasetShapeError(DatasetError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TdlProfile:
-    """Power-delay profile: normalized delays and unit-sum linear tap powers."""
+    """Power-delay profile: normalized delays and unit-sum linear tap powers.
+
+    Profiles compare and hash by identity (their fields are arrays).
+    """
 
     name: str
     delays: np.ndarray      # normalized (unitless), strictly increasing
@@ -177,6 +180,15 @@ def _phase_matrix(delays_s: np.ndarray, k_sc: int, scs_hz: float) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(freqs, delays_s))
 
 
+@functools.cache
+def _profile_phase(profile: TdlProfile, delay_spread_ns: float, k_sc: int,
+                   scs_hz: float) -> np.ndarray:
+    """The read-only phase matrix of a profile at a delay spread, memoised per argument set."""
+    phase = _phase_matrix(profile.delays * delay_spread_ns * 1e-9, k_sc, scs_hz)
+    phase.setflags(write=False)
+    return phase
+
+
 def draw_ue_snrs(nominal_snr_db: float, jitter_db: float, dist: str,
                  n_ue: int, rng: np.random.Generator) -> np.ndarray:
     """Per-UE SNRs: nominal + Gaussian offset (sigma = jitter/2), clipped to +/- jitter."""
@@ -211,15 +223,11 @@ def gen_channel(cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     profile = cfg.profile if isinstance(cfg.profile, TdlProfile) else TdlProfile.load(cfg.profile)
     if cfg.delay_spread_ns <= 0:
         raise ValueError("delay spread must be positive")
-    phase = _phase_matrix(profile.delays * cfg.delay_spread_ns * 1e-9, cfg.k_sc, cfg.scs_hz)
+    phase = _profile_phase(profile, cfg.delay_spread_ns, cfg.k_sc, cfg.scs_hz)
     z = rng.standard_normal((cfg.m_tx, cfg.n_ue, 2, profile.delays.size))
     gains = (z[:, :, 0] + 1j * z[:, :, 1]) * np.sqrt(profile.powers / 2.0)
-    h = np.empty((cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)
-    # one matvec per pair: a single batched product rounds differently
-    for m in range(cfg.m_tx):
-        for n in range(cfg.n_ue):
-            h[:, m, n] = phase @ gains[m, n]
-    return h, draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
+    h = np.matmul(phase, gains[..., None])[..., 0]      # (M, N, K)
+    return h.transpose(2, 0, 1), draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
 
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 verify failure, non-finite eval rate or
 unexpected error; 2 invalid config (unknown section or key included);
-3 dataset missing, corrupt (NaN/Inf included) or shape-incompatible;
+3 dataset missing, corrupt (NaN/Inf included), shape-incompatible or,
+for train, smaller than train_samples;
 4 training diverged (non-finite loss); 5 unreadable, incompatible or
 non-finite checkpoint; 6 malformed results CSV.
 """
@@ -82,6 +83,10 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
+    if len(ds) < cfg.train_samples:
+        raise channel.DatasetShapeError(
+            f"{args.dataset}: dataset has {len(ds)} samples, config wants "
+            f"train_samples = {cfg.train_samples}")
     neural = cfg.neural_methods
     if not neural:
         print("config lists no neural methods (NNBF / NNBF-P); nothing to train",

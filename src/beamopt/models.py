@@ -82,26 +82,41 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Named trainable tensors plus batch-norm running-stat buffers."""
+    """Named trainable tensors, each a view into one flat float64 vector, plus
+    batch-norm running-stat buffers.
 
-    def __init__(self):
+    `shapes` maps each tensor name to its shape in layout order; `flat`
+    (default: a new uninitialised vector) holds the values back to back.
+    """
+
+    def __init__(self, shapes: "OrderedDict[str, tuple]", flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat is None:
+            flat = np.empty(sum(sizes))
         self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
         self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self.tensors[name] = Tensor(flat[offset:offset + size].reshape(shape), requires_grad=True)
+            offset += size
 
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self.tensors:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self.tensors[name] = t
-        return t
+    @property
+    def flat(self) -> np.ndarray:
+        """The flat parameter vector (see `autodiff.flat_buffer`)."""
+        return ad.flat_buffer(self.tensors.values())
 
-    def copy(self) -> "ModelParams":
-        dup = ModelParams()
-        for name, t in self.tensors.items():
-            dup.tensors[name] = Tensor(t.data.copy(), requires_grad=True)
-        for name, st in self.bn_states.items():
-            dup.bn_states[name] = st.copy()
-        return dup
+    def copy(self, out: "ModelParams | None" = None) -> "ModelParams":
+        """A copy that shares no memory with these parameters; with `out`, one
+        of the same layout, the values are written into its buffers instead."""
+        shapes = OrderedDict((name, t.data.shape) for name, t in self.tensors.items())
+        if out is None:
+            out = ModelParams(shapes, self.flat.copy())
+        elif OrderedDict((name, t.data.shape) for name, t in out.tensors.items()) != shapes:
+            raise ValueError("copy target has a different parameter layout")
+        else:
+            np.copyto(out.flat, self.flat)
+        out.bn_states = OrderedDict((name, st.copy()) for name, st in self.bn_states.items())
+        return out
 
     def flat_arrays(self) -> "OrderedDict[str, np.ndarray]":
         out: "OrderedDict[str, np.ndarray]" = OrderedDict()
@@ -138,16 +153,29 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     return spec
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma."""
-    params = ModelParams()
-    for name, shape, init in param_spec(cfg):
+def _new_params(cfg: ModelConfig) -> ModelParams:
+    """Uninitialised tensors in param_spec order, with fresh batch-norm buffers."""
+    spec = param_spec(cfg)
+    params = ModelParams(OrderedDict((name, shape) for name, shape, init in spec if init != "bn"))
+    for name, shape, init in spec:
         if init == "bn":
             params.bn_states[name] = BatchNormState.fresh(shape[0])
-        elif init == "normal":
-            params.add(name, rng.standard_normal(shape) * np.sqrt(2.0 / math.prod(shape[1:])))
-        else:
-            params.add(name, np.ones(shape) if init == "ones" else np.zeros(shape))
+    return params
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma.
+
+    Draws go straight into the flat vector, in param_spec order.
+    """
+    params = _new_params(cfg)
+    for name, shape, init in param_spec(cfg):
+        if init == "normal":
+            data = params.tensors[name].data
+            rng.standard_normal(out=data)
+            data *= np.sqrt(2.0 / math.prod(shape[1:]))
+        elif init != "bn":
+            params.tensors[name].data[...] = 1.0 if init == "ones" else 0.0
     return params
 
 
@@ -216,7 +244,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_blob)))
         f.write(cfg_blob)
-        f.write(ad.encode_tensors(params.flat_arrays()))
+        ad.encode_tensors(params.flat_arrays(), f)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
@@ -234,11 +262,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad config header: {exc}") from exc
     try:
-        named = ad.decode_tensors(raw[12 + cfg_len:])
+        named = ad.decode_tensors(memoryview(raw)[12 + cfg_len:])
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
-    params = ModelParams()
+    params = _new_params(cfg)
     for name, shape, init in param_spec(cfg):
         if init == "bn":
             for suffix in (".run_mean", ".run_var"):
@@ -252,7 +280,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
         if named[name].shape != shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} shaped {named[name].shape}, expected {shape}")
-        params.add(name, named[name])
+        params.tensors[name].data[...] = named[name]
     loaded = params.flat_arrays()
     extras = set(named) - set(loaded)
     if extras:

@@ -152,7 +152,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_params = params.copy()
+            best_params = params.copy(out=best_params)
             since_best = 0
         else:
             since_best += 1

@@ -1,3 +1,4 @@
+import io
 import math
 from collections import OrderedDict
 
@@ -392,6 +393,12 @@ class TestAdam:
         assert abs(theta.data[0]) < 1e-2
 
 
+def encoded(named) -> bytes:
+    buf = io.BytesIO()
+    ad.encode_tensors(named, buf)
+    return buf.getvalue()
+
+
 class TestTensorContainer:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(21)
@@ -399,13 +406,13 @@ class TestTensorContainer:
         named["a.w"] = rng.standard_normal((3, 4))
         named["b"] = rng.standard_normal(7)
         named["scalarish"] = np.array(3.25)
-        back = ad.decode_tensors(ad.encode_tensors(named))
+        back = ad.decode_tensors(encoded(named))
         assert list(back) == list(named)
         for k in named:
             np.testing.assert_array_equal(back[k], named[k])
 
     def test_truncated_rejected(self):
-        raw = ad.encode_tensors(OrderedDict(x=np.ones((4, 4))))
+        raw = encoded(OrderedDict(x=np.ones((4, 4))))
         with pytest.raises(ValueError, match="truncated or corrupt"):
             ad.decode_tensors(raw[:-8])
 

@@ -141,6 +141,15 @@ class TestTrainEval:
         bad_cfg.write_text(TINY_CONFIG.replace("m_tx = 2", "m_tx = 4"))
         assert run("train", "--config", bad_cfg, "--dataset", ds, "--ckpt", tmp / "m.ckpt") == 3
 
+    def test_dataset_smaller_than_train_samples_exit_3(self, tiny, capsys):
+        tmp, cfg = tiny
+        test_ds = tmp / "test.ds"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--dataset", test_ds, "--ckpt", tmp / "m.ckpt") == 3
+        assert "dataset has 4 samples, config wants train_samples = 8" in capsys.readouterr().err
+        assert not (tmp / "m.ckpt").exists()
+
     def test_rerun_identical_checkpoint_and_csv(self, tiny):
         tmp, cfg = tiny
         train_ds, test_ds = tmp / "train.ds", tmp / "test.ds"

@@ -248,8 +248,9 @@ class TestCheckpoint:
         edit(tensors)
         path = tmp_path / "model.ckpt"
         blob = cfg.to_json().encode()
-        path.write_bytes(b"BMCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob
-                         + ad.encode_tensors(tensors))
+        with open(path, "wb") as f:
+            f.write(b"BMCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
+            ad.encode_tensors(tensors, f)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 

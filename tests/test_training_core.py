@@ -1,0 +1,186 @@
+"""The training-step core against loop references: im2col conv1d, the flat
+Adam, the flat parameter layout, and the allocation bounds of a step and a
+checkpoint write."""
+
+import tracemalloc
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamopt import autodiff as ad
+from beamopt.models import ModelConfig, init_params, save_checkpoint
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def conv1d_reference(x, w, g, stride, padding):
+    """Per-tap einsum cross-correlation: (out, dx, dw) for output gradient g."""
+    batch, c_in, length = x.shape
+    c_out, _, ksz = w.shape
+    l_out = (length + 2 * padding - ksz) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    out = np.zeros((batch, c_out, l_out))
+    dxp = np.zeros_like(xp)
+    dw = np.empty_like(w)
+    for k in range(ksz):
+        window = xp[:, :, k:k + stride * l_out:stride]
+        out += np.einsum("bcl,oc->bol", window, w[:, :, k])
+        dxp[:, :, k:k + stride * l_out:stride] += np.einsum("bol,oc->bcl", g, w[:, :, k])
+        dw[:, :, k] = np.einsum("bol,bcl->oc", g, window)
+    return out, dxp[:, :, padding:padding + length], dw
+
+
+class AdamReference:
+    """Per-tensor Adam that allocates its temporaries: the textbook expression."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.eps = params, lr, eps
+        self.beta1, self.beta2 = betas
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+@st.composite
+def conv_cases(draw):
+    c_in, c_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride, padding = draw(st.sampled_from((1, 2))), draw(st.sampled_from((0, 1)))
+    length = draw(st.integers(max(1, 3 - 2 * padding), 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((draw(st.integers(1, 4)), c_in, length))
+    w = rng.standard_normal((c_out, c_in, 3))
+    return x, w, stride, padding, rng
+
+
+@PROPERTY
+@given(conv_cases())
+def test_conv1d_matches_per_tap_reference(case):
+    x0, w0, stride, padding, rng = case
+    x, w = ad.Tensor(x0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.conv1d(x, w, stride=stride, padding=padding)
+        g = rng.standard_normal(out.data.shape)
+        loss = ad.tsum(out * g)           # so x.grad and w.grad are the pulls of g
+    tape.backward(loss)
+    ref_out, ref_dx, ref_dw = conv1d_reference(x0, w0, g, stride, padding)
+    for got, ref in ((out.data, ref_out), (x.grad, ref_dx), (w.grad, ref_dw)):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 40)), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from((7, ad.Adam.BLOCK)))
+def test_flat_adam_bit_identical_to_per_tensor_reference(shapes, seed, block):
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    flat = OrderedDict((f"t{i}", ad.Tensor(v.copy(), requires_grad=True)) for i, v in enumerate(values))
+    ref = OrderedDict((f"t{i}", ad.Tensor(v.copy(), requires_grad=True)) for i, v in enumerate(values))
+    blocked_adam = type("BlockedAdam", (ad.Adam,), {"BLOCK": block})   # 7 splits tensors
+    opt, ref_opt = blocked_adam(flat, lr=0.01), AdamReference(ref, lr=0.01)
+    for step in range(3):
+        for i, shape in enumerate(shapes):
+            g = None if (i + step) % 4 == 3 else rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+            flat[f"t{i}"].grad = ref[f"t{i}"].grad = g
+        opt.step()
+        ref_opt.step()
+        for name in flat:
+            assert flat[name].data.tobytes() == ref[name].data.tobytes()
+
+
+def small_model():
+    """About 1.2 M parameters: bf0.w and pw0.w are 1024 x 512."""
+    cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=16)
+    return cfg, init_params(cfg, np.random.default_rng(3))
+
+
+class TestFlatParameters:
+    def test_tensors_view_the_flat_vector_in_spec_order(self):
+        _, params = small_model()
+        bases = {id(t.data.base) for t in params.tensors.values()}
+        flat = params.flat
+        assert bases == {id(flat)}               # init drew into the views: nothing to pack
+        assert flat.size == sum(t.data.size for t in params.tensors.values())
+        offset = 0
+        for t in params.tensors.values():
+            assert t.data.base is flat
+            np.testing.assert_array_equal(flat[offset:offset + t.data.size], t.data.ravel())
+            offset += t.data.size
+
+    def test_write_through_tensor_shows_in_flat(self):
+        _, params = small_model()
+        params.tensors["bf1.b"].data[3] = 123.5
+        assert np.count_nonzero(params.flat == 123.5) == 1
+
+    def test_copy_shares_no_memory(self):
+        _, params = small_model()
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        for name, t in params.tensors.items():
+            assert not np.shares_memory(dup.tensors[name].data, t.data)
+            np.testing.assert_array_equal(dup.tensors[name].data, t.data)
+        for name, st_ in params.bn_states.items():
+            assert not np.shares_memory(dup.bn_states[name].mean, st_.mean)
+        dup.tensors["bf0.w"].data[0, 0] += 1.0
+        assert dup.tensors["bf0.w"].data[0, 0] != params.tensors["bf0.w"].data[0, 0]
+
+    def test_copy_into_existing_params(self):
+        cfg, params = small_model()
+        target = init_params(cfg, np.random.default_rng(8))
+        flat = target.flat
+        assert params.copy(out=target) is target
+        assert target.flat is flat and not np.shares_memory(flat, params.flat)
+        np.testing.assert_array_equal(flat, params.flat)
+        with pytest.raises(ValueError, match="different parameter layout"):
+            params.copy(out=init_params(ModelConfig(m_tx=2, n_ue=2, k_sc=8), np.random.default_rng(0)))
+
+    def test_rebound_tensor_is_packed_back(self):
+        _, params = small_model()
+        params.tensors["bf1.b"].data = np.full(params.tensors["bf1.b"].data.shape, 7.0)
+        flat = params.flat
+        assert params.tensors["bf1.b"].data.base is flat
+        np.testing.assert_array_equal(params.copy().tensors["bf1.b"].data, 7.0)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_step_allocates_less_than_one_parameter_vector():
+    _, params = small_model()
+    rng = np.random.default_rng(4)
+    opt = ad.Adam(params.tensors, lr=1e-3)
+    for t in params.tensors.values():
+        t.grad = rng.standard_normal(t.data.shape)
+    opt.step()
+    peak = traced_peak(opt.step)
+    assert peak < params.flat.nbytes, f"Adam.step peak {peak} B, parameters {params.flat.nbytes} B"
+
+
+def test_save_checkpoint_allocates_less_than_one_payload(tmp_path):
+    cfg, params = small_model()
+    payload = sum(a.nbytes for a in params.flat_arrays().values())
+    peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", cfg, params))
+    assert peak < payload, f"save_checkpoint peak {peak} B, payload {payload} B"
