@@ -3,8 +3,9 @@
 Ops execute eagerly on numpy arrays. When a Tape is active (used as a
 context manager) every op whose inputs require gradients records a
 backward closure on it; `tape.backward(scalar)` replays the records in
-reverse, accumulating gradients by sum over fan-out into `Tensor.grad`.
-A tape is consumed by its backward pass.
+reverse, accumulating gradients by sum over fan-out into the `.grad` of
+each leaf (a tensor no op on the tape produced). A tape is consumed by
+its backward pass, which frees its records as it goes.
 
 The layer set covers the backbone and heads needed here: conv1d (cross
 correlation), batch norm, exact-erf GELU, fully connected, softmax, and
@@ -13,7 +14,10 @@ group flatten, plus the elementwise/reduction ops to compose losses.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -93,7 +97,13 @@ class Tape:
         self._out_ids.add(id(out))
 
     def backward(self, output: "Tensor"):
-        """Accumulate d(output)/d(tensor) into .grad for every tensor on the tape."""
+        """Accumulate d(output)/d(tensor) into .grad for every tensor the tape
+        did not produce (leaves); intermediates get no .grad.
+
+        Records are popped as the pass goes and each intermediate's gradient
+        is dropped once its pulls have run, so the activations a record's
+        closures hold are freed during the pass.
+        """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
         if output.data.size != 1:
@@ -101,10 +111,13 @@ class Tape:
         if id(output) not in self._out_ids:
             raise RuntimeError("backward before forward: output was not recorded on this tape")
         self._consumed = True
+        records, produced = self._records, self._out_ids
+        self._records, self._out_ids = [], set()
         flowing: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-        holders: dict[int, Tensor] = {id(output): output}
-        for out, pulls in reversed(self._records):
-            g = flowing.get(id(out))
+        leaves: dict[int, Tensor] = {}
+        while records:
+            out, pulls = records.pop()
+            g = flowing.pop(id(out), None)
             if g is None:
                 continue
             for inp, vjp in pulls:
@@ -114,11 +127,11 @@ class Tape:
                     flowing[key] = flowing[key] + contrib
                 else:
                     flowing[key] = contrib
-                    holders[key] = inp
-        for key, tensor in holders.items():
-            if tensor.requires_grad:
-                g = flowing[key]
-                tensor.grad = g if tensor.grad is None else tensor.grad + g
+                    if key not in produced:
+                        leaves[key] = inp
+        for key, tensor in leaves.items():
+            g = flowing.pop(key)
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
 def _active_tape():
@@ -308,7 +321,7 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
 
     def pull_x(g):
         dcols = (rows(g) @ w2).reshape(batch, l_out, c_in, ksz).transpose(0, 2, 1, 3)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((batch, c_in, padded_len))
         for k in range(ksz):
             dxp[:, :, k:k + stride * l_out:stride] += dcols[..., k]
         return dxp[:, :, padding:padding + length] if padding else dxp
@@ -500,34 +513,43 @@ def encode_tensors(named: "OrderedDict[str, np.ndarray]", f) -> None:
         f.write(memoryview(arr.reshape(-1)))
 
 
-def decode_tensors(blob) -> "OrderedDict[str, np.ndarray]":
-    """Inverse of encode_tensors; round-trips bit-exactly.
+def decode_tensors(f, targets: "OrderedDict[str, np.ndarray]") -> "OrderedDict[str, tuple]":
+    """Inverse of encode_tensors: read the container at the binary file `f`'s
+    position straight into `targets`, bit-exactly.
 
-    `blob` is bytes or a memoryview of them. The arrays are read-only views
-    into it (copies on a big-endian host).
+    A tensor whose name is in `targets` and whose shape matches that
+    C-contiguous float64 array is read into it, uncopied; any other tensor
+    is skipped. Returns every tensor's name and shape in file order, so the
+    caller can tell what was missing, misshaped or extra.
     """
-    if len(blob) < 12 or blob[:4] != TENSOR_FILE_MAGIC:
+    start = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(start)
+    head = f.read(12)
+    if len(head) < 12 or head[:4] != TENSOR_FILE_MAGIC:
         raise ValueError("not a named-tensor container")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack_from("<II", head, 4)
     if version != TENSOR_FILE_VERSION:
         raise ValueError(f"container version {version}, expected {TENSOR_FILE_VERSION}")
-    offset = 12
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
+    shapes: "OrderedDict[str, tuple]" = OrderedDict()
     try:
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = bytes(blob[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
-            offset += 4 * ndim
-            n_items = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=n_items, offset=offset).reshape(shape)
-            offset += 8 * n_items
-            out[name] = arr.astype(np.float64, copy=False)
+            (name_len,) = struct.unpack("<H", f.read(2))
+            name = f.read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", f.read(1))
+            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            nbytes = 8 * math.prod(shape)
+            if f.tell() + nbytes > end:
+                raise ValueError(f"tensor {name!r} runs past the end")
+            target = targets.get(name)
+            if target is None or target.shape != shape:
+                f.seek(nbytes, io.SEEK_CUR)
+            else:
+                if f.readinto(memoryview(target.reshape(-1)).cast("B")) != nbytes:
+                    raise ValueError(f"short read in tensor {name!r}")
+                if sys.byteorder == "big":
+                    target.byteswap(inplace=True)
+            shapes[name] = shape
     except (struct.error, ValueError) as exc:
         raise ValueError("truncated or corrupt tensor container") from exc
-    return out
-
+    return shapes

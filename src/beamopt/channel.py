@@ -271,7 +271,8 @@ def save_dataset(ds: ChannelDataset, path) -> None:
 def load_dataset(path) -> ChannelDataset:
     """Read a dataset file; raises distinct errors for version/corruption/shape faults.
 
-    A NaN or Inf channel entry or SNR offset is corruption.
+    A NaN or Inf channel entry or SNR offset, and a delay spread or jitter
+    that no config allows (non-finite, spread <= 0, jitter < 0), is corruption.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -286,6 +287,9 @@ def load_dataset(path) -> ChannelDataset:
         raise CorruptDatasetError(f"{path}: unknown profile id {profile_id}")
     if min(m, n, k, s) < 1 or m < n:
         raise DatasetShapeError(f"{path}: implausible header dims M={m} N={n} K={k} count={s}")
+    if not (0.0 < spread < np.inf and 0.0 <= jitter < np.inf):
+        raise CorruptDatasetError(f"{path}: implausible delay spread {spread!r} ns or "
+                                  f"jitter {jitter!r} dB")
     expected = _HEADER.size + 8 * (s * n + s * k * m * n * 2)
     if len(raw) != expected:
         raise CorruptDatasetError(f"{path}: payload is {len(raw)} bytes, expected {expected}")

@@ -1,11 +1,11 @@
 """Command-line harness: generate / train / eval / plot / verify.
 
-Exit codes: 0 success; 1 verify failure, non-finite eval rate or
-unexpected error; 2 invalid config (unknown section or key included);
-3 dataset missing, corrupt (NaN/Inf included), shape-incompatible or,
-for train, smaller than train_samples;
-4 training diverged (non-finite loss); 5 unreadable, incompatible or
-non-finite checkpoint; 6 malformed results CSV.
+Exit codes: 0 success; 1 verify failure, non-finite eval rate, eval rate
+above the SINR ceiling or unexpected error; 2 invalid config (unknown
+section or key included); 3 dataset missing, corrupt (NaN/Inf included),
+shape-incompatible or smaller than train_samples (train) or test_samples
+(eval); 4 training diverged (non-finite loss or gradient norm);
+5 unreadable, incompatible or non-finite checkpoint; 6 malformed results CSV.
 """
 
 from __future__ import annotations
@@ -80,13 +80,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _require_samples(ds: channel.ChannelDataset, path, key: str, wanted: int) -> None:
+    if len(ds) < wanted:
+        raise channel.DatasetShapeError(
+            f"{path}: dataset has {len(ds)} samples, config wants {key} = {wanted}")
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
-    if len(ds) < cfg.train_samples:
-        raise channel.DatasetShapeError(
-            f"{args.dataset}: dataset has {len(ds)} samples, config wants "
-            f"train_samples = {cfg.train_samples}")
+    _require_samples(ds, args.dataset, "train_samples", cfg.train_samples)
     neural = cfg.neural_methods
     if not neural:
         print("config lists no neural methods (NNBF / NNBF-P); nothing to train",
@@ -113,6 +116,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
+    _require_samples(ds, args.dataset, "test_samples", cfg.test_samples)
     nn_models = {}
     for path in args.ckpt or []:
         mc, params = models.load_checkpoint(path)

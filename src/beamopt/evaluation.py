@@ -10,7 +10,8 @@ metrics.per_sample_sum_rates.
 
 Samples whose channel Gram is singular for zero-forcing are dropped for
 *all* methods to keep the comparison paired (with continuous channel draws
-this is a non-event). Any other non-finite rate raises NonFiniteRateError.
+this is a non-event). Any other non-finite rate raises NonFiniteRateError,
+and a rate above metrics.sum_rate_bound raises RateBoundError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ NEURAL_METHODS = ("NNBF", "NNBF-P")
 
 class NonFiniteRateError(RuntimeError):
     """A method produced a non-finite rate on a sample that is not ZF-singular."""
+
+
+class RateBoundError(RuntimeError):
+    """A method's rate exceeds the per-sample ceiling metrics.sum_rate_bound."""
+
+
+BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
             raise ValueError(f"unknown method {method!r}")
     h = dataset.h
     equal = np.ones(dataset.ue_snr_offset_db.shape)
+    h_norm2 = (h.real ** 2 + h.imag ** 2).sum(axis=2)          # ||h_{k,n}||^2, (S, K, N)
 
     zf_w, singular = inverse_directions(h)
     keep = ~singular.any(axis=1)
@@ -75,6 +84,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
     rows: list[ResultRow] = []
     for snr_db in snr_grid_db:
         sigma2 = snr_db_to_noise_var(float(snr_db) + dataset.ue_snr_offset_db)
+        ceiling = metrics.sum_rate_bound(h_norm2, sigma2) * (1.0 + BOUND_RTOL)
         if "MMSE" in methods:
             w, _ = inverse_directions(h, sigma2.mean(axis=1)[:, None])
             beams["MMSE"] = (w.real, w.imag, equal)
@@ -86,6 +96,12 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
                 raise NonFiniteRateError(
                     f"{method} at {float(snr_db)} dB: non-finite rate on sample "
                     f"{int(bad[0])} ({bad.size} samples)")
+            above = np.flatnonzero(rates > ceiling)
+            if above.size:
+                i = int(above[0])
+                raise RateBoundError(
+                    f"{method} at {float(snr_db)} dB: rate {float(rates[i]):.17g} on sample {i} "
+                    f"exceeds the bound {float(ceiling[i]):.17g} ({above.size} samples)")
             vals = rates[keep]
             if vals.size == 0:
                 raise RuntimeError(f"no valid samples at {snr_db} dB")

@@ -10,6 +10,7 @@ Three functions compute the same objective, one per consumer:
 sinr_per_ue + weighted_sum_rate is the single-sample test oracle,
 per_sample_sum_rates the batched numpy path of validation and eval, and
 neg_sum_rate_graph the autodiff loss the trainer backpropagates through.
+sum_rate_bound is the ceiling every feasible design's rate stays under.
 """
 
 from __future__ import annotations
@@ -132,3 +133,15 @@ def per_sample_sum_rates(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
     interference = weighted.sum(axis=3) - signal
     gamma = signal / (interference + sigma2[:, None, :])
     return (np.log1p(gamma) / _LN2).sum(axis=2).mean(axis=1)
+
+
+def sum_rate_bound(h_norm2: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """Per-sample ceiling (1/K) sum_{k,n} log2(1 + N ||h_{k,n}||^2 / sigma_n^2).
+
+    With unit-norm beams and powers summing to N, UE n's SINR is at most
+    p_n |h_{k,n}^T w_n|^2 / sigma_n^2 <= N ||h_{k,n}||^2 / sigma_n^2, so no
+    design's per_sample_sum_rates exceeds it. h_norm2 is ||h_{k,n}||^2
+    shaped (B, K, N); sigma2 is (B, N).
+    """
+    n_ue = h_norm2.shape[2]
+    return (np.log1p(n_ue * h_norm2 / sigma2[:, None, :]) / _LN2).sum(axis=2).mean(axis=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, asdict
@@ -52,6 +53,12 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.m_tx, self.n_ue, self.k_sc) < 1 or self.m_tx < self.n_ue:
             raise ValueError(f"need M >= N >= 1, K >= 1; got M={self.m_tx} N={self.n_ue} K={self.k_sc}")
+        if not self.bb_spec or any(len(block) != 3 for block in self.bb_spec):
+            raise ValueError(f"bb_spec must list (c_in, c_out, downsample) blocks: {self.bb_spec}")
+        sizes = (self.m_tx, self.n_ue, self.k_sc, *self.fc_widths_bf, *self.fc_widths_pw,
+                 *(c for block in self.bb_spec for c in block[:2]))
+        if any(type(v) is not int or v < 1 for v in sizes):
+            raise ValueError(f"dimensions, channels and widths must be positive integers: {self}")
         if self.bb_spec[0][0] != 2:
             raise ValueError("first block must take the 2 I/Q channels")
         for prev, nxt in zip(self.bb_spec, self.bb_spec[1:]):
@@ -249,40 +256,43 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     """Load a checkpoint written by save_checkpoint, rejecting any tensor or
-    batch-norm buffer that is missing, misshaped or not finite."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    version, cfg_len = struct.unpack_from("<II", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    try:
-        cfg = ModelConfig.from_json(raw[12:12 + cfg_len].decode("utf-8"))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: bad config header: {exc}") from exc
-    try:
-        named = ad.decode_tensors(memoryview(raw)[12 + cfg_len:])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+    batch-norm buffer that is missing, misshaped or not finite.
 
-    params = _new_params(cfg)
+    The payload streams from the file straight into the new flat parameter
+    vector and batch-norm buffers; the file never exists as one bytes object.
+    """
+    with open(path, "rb") as f:
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a model checkpoint")
+        version, cfg_len = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        try:
+            if 12 + cfg_len > os.fstat(f.fileno()).st_size:
+                raise ValueError("runs past the end of the file")
+            cfg = ModelConfig.from_json(f.read(cfg_len).decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: bad config header: {exc}") from exc
+        params = _new_params(cfg)
+        loaded = params.flat_arrays()
+        try:
+            shapes = ad.decode_tensors(f, loaded)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+
     for name, shape, init in param_spec(cfg):
         if init == "bn":
             for suffix in (".run_mean", ".run_var"):
-                if name + suffix not in named or named[name + suffix].shape != shape:
+                if shapes.get(name + suffix) != shape:
                     raise CheckpointError(f"{path}: missing or misshaped buffer {name + suffix!r}")
-            params.bn_states[name] = BatchNormState(mean=named[name + ".run_mean"].copy(),
-                                                    var=named[name + ".run_var"].copy())
-            continue
-        if name not in named:
+        elif name not in shapes:
             raise CheckpointError(f"{path}: missing parameter {name!r}")
-        if named[name].shape != shape:
+        elif shapes[name] != shape:
             raise CheckpointError(
-                f"{path}: parameter {name!r} shaped {named[name].shape}, expected {shape}")
-        params.tensors[name].data[...] = named[name]
-    loaded = params.flat_arrays()
-    extras = set(named) - set(loaded)
+                f"{path}: parameter {name!r} shaped {shapes[name]}, expected {shape}")
+    extras = set(shapes) - set(loaded)
     if extras:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(extras)}")
     bad = next((name for name, arr in loaded.items() if not np.isfinite(arr).all()), None)

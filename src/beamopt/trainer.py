@@ -26,14 +26,16 @@ SNR_RANGE_DB = (-15.0, 50.0)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the (epoch, batch, sample) coordinates."""
+    """Loss or gradient norm became non-finite; carries the (epoch, batch)
+    coordinates and, for a loss, the dataset sample."""
 
-    def __init__(self, epoch: int, batch: int, sample_index: int):
+    def __init__(self, epoch: int, batch: int, sample_index: int | None = None):
         self.epoch = epoch
         self.batch = batch
         self.sample_index = sample_index
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}, dataset sample {sample_index}")
+        where = f"epoch {epoch}, batch {batch}"
+        super().__init__(f"non-finite gradient norm at {where}" if sample_index is None
+                         else f"non-finite loss at {where}, dataset sample {sample_index}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,11 @@ def _val_nominals(tc: TrainConfig, n_val: int, rng: np.random.Generator) -> np.n
 
 def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
           tc: TrainConfig, log=None) -> tuple[ModelParams, TrainReport]:
-    """Train in place; returns (best-validation-epoch parameter copy, report)."""
+    """Train in place; returns (best-validation-epoch parameter copy, report).
+
+    The copy is made by the first epoch that improves the validation loss;
+    if none does (every loss NaN or +inf), it is a copy of the final parameters.
+    """
     n_val = validation_size(len(dataset), tc.val_fraction)
     t0 = time.perf_counter()
     root = np.random.SeedSequence(tc.seed)
@@ -118,7 +124,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
 
     opt = ad.Adam(params.tensors, lr=tc.lr)
     report = TrainReport()
-    best_params = params.copy()
+    best_params = None
     since_best = 0
 
     for epoch in range(tc.epochs):
@@ -133,7 +139,6 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
                 nominal = float(snr_rng.uniform(*SNR_RANGE_DB))
             h = dataset.h[batch_idx]
             sigma2 = _noise_vars(dataset.ue_snr_offset_db[batch_idx], nominal)
-            opt.zero_grad()
             with ad.Tape() as tape:
                 wr, wi, p = forward_graph(h, params, cfg, training=True)
                 loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2)
@@ -143,7 +148,10 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
                 bad = int(np.flatnonzero(~np.isfinite(rates))[0]) if np.any(~np.isfinite(rates)) else 0
                 raise TrainingDiverged(epoch, b_start // tc.batch_size, int(batch_idx[bad]))
             tape.backward(loss)
+            if not math.isfinite(_grad_norm(params)):
+                raise TrainingDiverged(epoch, b_start // tc.batch_size)
             opt.step()
+            opt.zero_grad()
             epoch_loss += loss_val * batch_idx.size
         report.train_loss.append(epoch_loss / order.size)
 
@@ -161,8 +169,16 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
         if tc.early_stop_patience > 0 and since_best >= tc.early_stop_patience:
             break
 
+    if best_params is None:
+        best_params = params.copy()
     report.wall_time_s = time.perf_counter() - t0
     return best_params, report
+
+
+def _grad_norm(params: ModelParams) -> float:
+    """Global gradient norm, summed per tensor in parameter order."""
+    return math.sqrt(sum(float(np.vdot(t.grad, t.grad))
+                         for t in params.tensors.values() if t.grad is not None))
 
 
 def _validation_loss(cfg, params, dataset, val_idx, val_sigma2) -> float:

@@ -273,6 +273,29 @@ def check_softmax_rows() -> CheckResult:
     return CheckResult("softmax_rows", dev <= 1e-12, f"max deviation {dev:.2e}")
 
 
+def check_rate_bound() -> CheckResult:
+    """ZF, MMSE and random designs stay under metrics.sum_rate_bound; a
+    single-UE matched filter at full power attains it."""
+    rng = np.random.default_rng(26)
+    h = _rand_channel(rng, 48, 4, 3).reshape(6, 8, 4, 3)
+    sigma2 = rng.uniform(0.05, 2.0, (6, 3))
+    bound = metrics.sum_rate_bound((np.abs(h) ** 2).sum(axis=2), sigma2)
+    w_rand = _rand_channel(rng, 48, 4, 3).reshape(6, 8, 4, 3)
+    w_rand /= np.linalg.norm(w_rand, axis=2, keepdims=True)
+    designs = [(baselines.inverse_directions(h)[0], np.ones((6, 3))),
+               (baselines.inverse_directions(h, sigma2.mean(axis=1)[:, None])[0], np.ones((6, 3))),
+               (w_rand, 3.0 * rng.dirichlet(np.ones(3), 6))]
+    worst = max(float(np.max(metrics.per_sample_sum_rates(w.real, w.imag, h, p, sigma2) / bound))
+                for w, p in designs)
+    h1, s1 = h[..., :1], sigma2[:, :1]
+    w_mf = h1.conj() / np.linalg.norm(h1, axis=2, keepdims=True)
+    attained = metrics.per_sample_sum_rates(w_mf.real, w_mf.imag, h1, np.ones((6, 1)), s1)
+    bound1 = metrics.sum_rate_bound((np.abs(h1) ** 2).sum(axis=2), s1)
+    gap = float(np.max(np.abs(attained / bound1 - 1.0)))
+    return CheckResult("rate_bound", worst <= 1.0 + 1e-12 and gap <= 1e-12,
+                       f"max rate/bound {worst:.6f}, single-UE gap {gap:.2e}")
+
+
 def check_adam_bowl() -> CheckResult:
     theta = ad.Tensor(np.array([1.0]), requires_grad=True)
     opt = ad.Adam(OrderedDict(theta=theta), lr=0.05)
@@ -303,6 +326,7 @@ ALL_CHECKS = (
     check_constraints,
     check_softmax_rows,
     check_adam_bowl,
+    check_rate_bound,
 )
 
 

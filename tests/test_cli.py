@@ -150,6 +150,16 @@ class TestTrainEval:
         assert "dataset has 4 samples, config wants train_samples = 8" in capsys.readouterr().err
         assert not (tmp / "m.ckpt").exists()
 
+    def test_dataset_smaller_than_test_samples_exit_3(self, tiny, capsys):
+        tmp, cfg = tiny
+        small_cfg, test_ds = tmp / "small.ini", tmp / "test.ds"
+        small_cfg.write_text(TINY_CONFIG.replace("test_samples = 4", "test_samples = 2"))
+        run("generate", "--config", small_cfg, "--out", test_ds, "--split", "test")
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--out", tmp / "r.csv") == 3
+        assert "dataset has 2 samples, config wants test_samples = 4" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
     def test_rerun_identical_checkpoint_and_csv(self, tiny):
         tmp, cfg = tiny
         train_ds, test_ds = tmp / "train.ds", tmp / "test.ds"

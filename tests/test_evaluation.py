@@ -128,6 +128,24 @@ def test_non_finite_rate_raises_naming_method_snr_and_sample(monkeypatch):
         evaluate(ds, [-5.0, 5.0], ["ZF", "NNBF-P"], {"NNBF-P": _small_model()})
 
 
+def test_rate_above_the_sinr_ceiling_raises(monkeypatch):
+    import beamopt.evaluation as evaluation
+
+    real_forward = evaluation.forward_graph
+
+    def unnormalized_on_sample_3(h, params, cfg, training):
+        wr, wi, p = real_forward(h, params, cfg, training)
+        wr.data[3] *= 1e3                          # a normalization bug inflates the SINR
+        wi.data[3] *= 1e3
+        return wr, wi, p
+
+    monkeypatch.setattr(evaluation, "forward_graph", unnormalized_on_sample_3)
+    ds = gen_dataset(TinyCfg(), count=6, seed=11)
+    with pytest.raises(evaluation.RateBoundError,
+                       match=r"NNBF-P at -30\.0 dB: rate .* on sample 3 exceeds the bound"):
+        evaluate(ds, [-30.0], ["ZF", "MMSE", "NNBF-P"], {"NNBF-P": _small_model()})
+
+
 @pytest.mark.parametrize("grid", [[5.0], [-5.0, 0.0, 5.0, 10.0, 15.0]])
 def test_forward_runs_once_per_batch_whatever_the_grid(monkeypatch, grid):
     import beamopt.evaluation as evaluation

@@ -123,6 +123,33 @@ class TestTrain:
         assert err.value.epoch == 0
         assert "sample" in str(err.value)
 
+    def test_non_finite_gradient_aborts_before_the_step(self, monkeypatch):
+        ds, cfg, params = small_setup(n_samples=8, seed=16)
+        before = params.flat.copy()
+        real_backward = ad.Tape.backward
+
+        def nan_in_one_leaf_grad(tape, output):
+            real_backward(tape, output)
+            params.tensors["bf1.b"].grad[0] = np.nan
+
+        monkeypatch.setattr(ad.Tape, "backward", nan_in_one_leaf_grad)
+        tc = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=17, snr_sampling="fixed")
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite gradient norm at epoch 0, batch 0") as err:
+            train(cfg, params, ds, tc)
+        assert (err.value.epoch, err.value.batch, err.value.sample_index) == (0, 0, None)
+        np.testing.assert_array_equal(params.flat, before)
+
+    def test_no_improving_epoch_returns_final_params(self, monkeypatch):
+        import beamopt.trainer as trainer_module
+        ds, cfg, params = small_setup(n_samples=8, seed=18)
+        monkeypatch.setattr(trainer_module, "_validation_loss", lambda *args: float("nan"))
+        tc = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=19, snr_sampling="fixed")
+        best, report = train(cfg, params, ds, tc)
+        assert report.best_epoch == -1
+        assert not np.shares_memory(best.flat, params.flat)
+        np.testing.assert_array_equal(best.flat, params.flat)
+
     def test_training_consumes_no_baseline_code(self):
         import beamopt.trainer as trainer_module
         source = open(trainer_module.__file__).read()

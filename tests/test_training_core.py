@@ -1,8 +1,9 @@
 """The training-step core against loop references: im2col conv1d, the flat
-Adam, the flat parameter layout, and the allocation bounds of a step and a
-checkpoint write."""
+Adam, the flat parameter layout, and the allocation bounds of a step, a
+backward pass, a training run and a checkpoint write and load."""
 
 import tracemalloc
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -11,7 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamopt import autodiff as ad
-from beamopt.models import ModelConfig, init_params, save_checkpoint
+from beamopt import metrics
+from beamopt.channel import ChannelDataset
+from beamopt.models import (ModelConfig, forward_graph, init_params, load_checkpoint,
+                            save_checkpoint)
+from beamopt.trainer import TrainConfig, train
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -184,3 +189,49 @@ def test_save_checkpoint_allocates_less_than_one_payload(tmp_path):
     payload = sum(a.nbytes for a in params.flat_arrays().values())
     peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", cfg, params))
     assert peak < payload, f"save_checkpoint peak {peak} B, payload {payload} B"
+
+
+def test_load_checkpoint_allocates_about_one_payload(tmp_path):
+    cfg, params = small_model()
+    payload = sum(a.nbytes for a in params.flat_arrays().values())
+    save_checkpoint(tmp_path / "m.ckpt", cfg, params)
+    peak = traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt"))
+    assert peak < 1.25 * payload, f"load_checkpoint peak {peak} B, payload {payload} B"
+
+
+def random_channels(rng, count, cfg):
+    shape = (count, cfg.k_sc, cfg.m_tx, cfg.n_ue)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def test_backward_frees_activations_and_leaves_grads_on_leaves_only(monkeypatch):
+    cfg, params = small_model()
+    h = random_channels(np.random.default_rng(5), 4, cfg)
+    activations = []
+    real_gelu = ad.gelu
+
+    def recording_gelu(a):
+        out = real_gelu(a)
+        activations.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(ad, "gelu", recording_gelu)
+    with ad.Tape() as tape:
+        wr, wi, p = forward_graph(h, params, cfg, training=True)
+        loss = metrics.neg_sum_rate_graph(wr, wi, h, p, np.ones((4, cfg.n_ue)))
+    assert len(activations) == 5 and all(ref() is not None for ref in activations)
+    tape.backward(loss)
+    assert [ref() for ref in activations] == [None] * 5
+    assert [t.grad for t in (loss, wr, wi, p)] == [None] * 4
+    assert all(t.grad is not None for t in params.tensors.values())
+
+
+def test_one_epoch_of_training_allocates_under_four_and_a_quarter_parameter_vectors():
+    cfg, params = small_model()
+    rng = np.random.default_rng(6)
+    ds = ChannelDataset(h=random_channels(rng, 10, cfg), ue_snr_offset_db=np.zeros((10, cfg.n_ue)),
+                        profile="TDL-A", delay_spread_ns=30.0, jitter_db=0.0, seed=0)
+    tc = TrainConfig(epochs=1, batch_size=8, seed=7, val_fraction=0.2, snr_sampling="fixed")
+    vector = params.flat.nbytes
+    peak = traced_peak(lambda: train(cfg, params, ds, tc))
+    assert peak < 4.25 * vector, f"train peak {peak / vector:.2f} parameter vectors"
