@@ -8,8 +8,10 @@ each leaf (a tensor no op on the tape produced). A tape is consumed by
 its backward pass, which frees its records as it goes.
 
 The layer set covers the backbone and heads needed here: conv1d (cross
-correlation), batch norm, exact-erf GELU, fully connected, softmax, and
-group flatten, plus the elementwise/reduction ops to compose losses.
+correlation), batch norm, exact GELU, fully connected, softmax, and group
+flatten, plus the elementwise/reduction ops to compose losses. The exact
+GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc rationals
+that scipy.special.erf evaluates, so importing this package needs numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -255,10 +256,87 @@ def getitem(a, key) -> Tensor:
     return _make(a.data[key], [(a, pull)])
 
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else 1 - erfc(|x|) with
+# erfc(x) = exp(-x^2) P(x) / Q(x) below 8 and exp(-x^2) R(x) / S(x) from 8 on,
+# and erfc = 0 once x^2 > MAXLOG. U, Q and S have an implied leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2
+_ERF_BLOCK = 1 << 15
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule c0 x^n + ... + cn, in Cephes polevl's operation order."""
+    out = x * coefs[0]
+    for c in coefs[1:-1]:
+        out += c
+        out *= x
+    out += coefs[-1]
+    return out
+
+
+def _p1evl(x: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule x^n + c0 x^(n-1) + ... + c(n-1), as Cephes p1evl."""
+    out = x + coefs[0]
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc_above_one(a: np.ndarray) -> np.ndarray:
+    """Cephes erfc on values a > 1, +inf included."""
+    a = np.minimum(a, 27.0)             # 27^2 > MAXLOG, and a^2 cannot overflow
+    sq = a * a
+    y = np.exp(-sq)
+    p, q = _polevl(a, _ERFC_P), _p1evl(a, _ERFC_Q)
+    far = np.flatnonzero(a >= 8.0)
+    if far.size:
+        p[far], q[far] = _polevl(a[far], _ERFC_R), _p1evl(a[far], _ERFC_S)
+    y *= p
+    y /= q
+    y[sq > _MAXLOG] = 0.0
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf(x) elementwise, within 1 ulp of scipy.special.erf: NaN stays NaN and
+    -0.0 keeps its sign. Runs in blocks of _ERF_BLOCK values so each pass stays
+    in cache; only the |x| > 1 values of a block take the erfc path."""
+    x = np.asarray(x, dtype=np.float64, order="C")
+    out = np.empty_like(x)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, _ERF_BLOCK):
+        xb, ob = flat_x[lo:lo + _ERF_BLOCK], flat_out[lo:lo + _ERF_BLOCK]
+        big = np.flatnonzero(np.abs(xb) > 1.0)     # NaN is not big
+        if big.size:
+            xb = xb.copy()
+            tail = xb[big]
+            xb[big] = 0.0
+        z = xb * xb
+        np.multiply(xb, _polevl(z, _ERF_T), out=ob)
+        ob /= _p1evl(z, _ERF_U)
+        if big.size:
+            ob[big] = np.copysign(1.0 - _erfc_above_one(np.abs(tail)), tail)
+    return out
+
+
 def gelu(a) -> Tensor:
     """Exact GELU x * Phi(x) with the standard normal CDF via erf."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _SQRT1_2))
+    cdf = 0.5 * (1.0 + _erf(a.data * _SQRT1_2))
 
     def pull(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,7 +255,11 @@ _HEADER = struct.Struct("<4sIIIIQqBdd")  # magic, version, M, N, K, count, seed,
 
 
 def save_dataset(ds: ChannelDataset, path) -> None:
-    """Write the self-describing little-endian binary dataset format."""
+    """Write the self-describing little-endian binary dataset format.
+
+    The channel payload is h itself: complex128 already interleaves the
+    real and imaginary float64 of every entry, so it is written uncopied.
+    """
     s, k, m, n = ds.h.shape
     profile_id = _PROFILE_IDS.get(ds.profile)
     if profile_id is None:
@@ -261,11 +268,19 @@ def save_dataset(ds: ChannelDataset, path) -> None:
                           ds.seed, profile_id, ds.delay_spread_ns, ds.jitter_db)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(ds.ue_snr_offset_db.astype("<f8").tobytes())
-        interleaved = np.empty((s, k, m, n, 2), dtype="<f8")
-        interleaved[..., 0] = ds.h.real
-        interleaved[..., 1] = ds.h.imag
-        f.write(interleaved.tobytes())
+        for arr in (np.asarray(ds.ue_snr_offset_db, dtype="<f8", order="C"),
+                    np.asarray(ds.h, dtype="<c16", order="C")):
+            f.write(memoryview(arr.reshape(-1)))
+
+
+def _read_exact(f, arr: np.ndarray, path) -> np.ndarray:
+    """Fill the C-contiguous float64/complex128 `arr` from little-endian bytes at f."""
+    view = arr.reshape(-1).view(np.uint8)
+    if f.readinto(view) != view.size:
+        raise CorruptDatasetError(f"{path}: short read")
+    if sys.byteorder == "big":
+        arr.byteswap(inplace=True)
+    return arr
 
 
 def load_dataset(path) -> ChannelDataset:
@@ -273,35 +288,40 @@ def load_dataset(path) -> ChannelDataset:
 
     A NaN or Inf channel entry or SNR offset, and a delay spread or jitter
     that no config allows (non-finite, spread <= 0, jitter < 0), is corruption.
+    The payload is read straight into the returned arrays.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise CorruptDatasetError(f"{path}: file shorter than header")
-    magic, version, m, n, k, s, seed, profile_id, spread, jitter = _HEADER.unpack_from(raw)
-    if magic != DATASET_MAGIC:
-        raise CorruptDatasetError(f"{path}: bad magic {magic!r}")
-    if version != DATASET_VERSION:
-        raise DatasetVersionError(f"{path}: format version {version}, expected {DATASET_VERSION}")
-    if profile_id not in _PROFILE_NAMES:
-        raise CorruptDatasetError(f"{path}: unknown profile id {profile_id}")
-    if min(m, n, k, s) < 1 or m < n:
-        raise DatasetShapeError(f"{path}: implausible header dims M={m} N={n} K={k} count={s}")
-    if not (0.0 < spread < np.inf and 0.0 <= jitter < np.inf):
-        raise CorruptDatasetError(f"{path}: implausible delay spread {spread!r} ns or "
-                                  f"jitter {jitter!r} dB")
-    expected = _HEADER.size + 8 * (s * n + s * k * m * n * 2)
-    if len(raw) != expected:
-        raise CorruptDatasetError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    offsets = np.frombuffer(raw, dtype="<f8", count=s * n, offset=_HEADER.size).reshape(s, n)
-    flat = np.frombuffer(raw, dtype="<f8", count=s * k * m * n * 2,
-                         offset=_HEADER.size + 8 * s * n).reshape(s, k, m, n, 2)
-    finite = np.isfinite(flat).reshape(s, -1).all(axis=1) & np.isfinite(offsets).all(axis=1)
-    if not finite.all():
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CorruptDatasetError(f"{path}: file shorter than header")
+        magic, version, m, n, k, s, seed, profile_id, spread, jitter = _HEADER.unpack(head)
+        if magic != DATASET_MAGIC:
+            raise CorruptDatasetError(f"{path}: bad magic {magic!r}")
+        if version != DATASET_VERSION:
+            raise DatasetVersionError(f"{path}: format version {version}, expected {DATASET_VERSION}")
+        if profile_id not in _PROFILE_NAMES:
+            raise CorruptDatasetError(f"{path}: unknown profile id {profile_id}")
+        if min(m, n, k, s) < 1 or m < n:
+            raise DatasetShapeError(f"{path}: implausible header dims M={m} N={n} K={k} count={s}")
+        if not (0.0 < spread < np.inf and 0.0 <= jitter < np.inf):
+            raise CorruptDatasetError(f"{path}: implausible delay spread {spread!r} ns or "
+                                      f"jitter {jitter!r} dB")
+        size = os.fstat(f.fileno()).st_size
+        expected = _HEADER.size + 8 * (s * n + s * k * m * n * 2)
+        if size != expected:
+            raise CorruptDatasetError(f"{path}: payload is {size} bytes, expected {expected}")
+        offsets = _read_exact(f, np.empty((s, n)), path)
+        h = _read_exact(f, np.empty((s, k, m, n), dtype=np.complex128), path)
+    # a sum of squares is finite when every entry is, unless it overflows;
+    # only then does the exact per-sample scan run
+    parts = h.reshape(-1).view(np.float64)
+    if not math.isfinite(np.vdot(parts, parts) + np.vdot(offsets, offsets)):
+        finite = (np.isfinite(parts.reshape(s, -1)).all(axis=1)
+                  & np.isfinite(offsets).all(axis=1))
         bad = np.flatnonzero(~finite)
-        raise CorruptDatasetError(f"{path}: non-finite channel entry or SNR offset in sample "
-                                  f"{int(bad[0])} ({bad.size} samples)")
-    h = flat[..., 0] + 1j * flat[..., 1]
-    return ChannelDataset(h=h, ue_snr_offset_db=offsets.copy(),
+        if bad.size:
+            raise CorruptDatasetError(f"{path}: non-finite channel entry or SNR offset in sample "
+                                      f"{int(bad[0])} ({bad.size} samples)")
+    return ChannelDataset(h=h, ue_snr_offset_db=offsets,
                           profile=_PROFILE_NAMES[profile_id], delay_spread_ns=spread,
                           jitter_db=jitter, seed=seed)

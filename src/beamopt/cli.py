@@ -132,7 +132,8 @@ def cmd_eval(args) -> int:
     skipped = [m for m in cfg.methods if m not in methods]
     if skipped:
         print(f"skipping {skipped}: no checkpoint supplied", file=sys.stderr)
-    rows = evaluation.evaluate(ds, cfg.snr_grid_db, methods, nn_models, experiment=cfg.id)
+    rows = evaluation.evaluate(ds, cfg.snr_grid_db, methods, nn_models, experiment=cfg.id,
+                               log=lambda line: print(line, file=sys.stderr))
     results.write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0

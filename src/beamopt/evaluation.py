@@ -10,8 +10,9 @@ metrics.per_sample_sum_rates.
 
 Samples whose channel Gram is singular for zero-forcing are dropped for
 *all* methods to keep the comparison paired (with continuous channel draws
-this is a non-event). Any other non-finite rate raises NonFiniteRateError,
-and a rate above metrics.sum_rate_bound raises RateBoundError.
+this is a non-event); evaluate's `log` names them. Any other non-finite
+rate raises NonFiniteRateError, and a rate above metrics.sum_rate_bound
+raises RateBoundError.
 """
 
 from __future__ import annotations
@@ -59,11 +60,14 @@ def _neural_beams(h: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
 
 def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
-             nn_models: dict | None = None, experiment: str = "") -> list[ResultRow]:
+             nn_models: dict | None = None, experiment: str = "",
+             log=None) -> list[ResultRow]:
     """Mean/std spectral efficiency per (method, nominal SNR) on paired draws.
 
     nn_models maps 'NNBF'/'NNBF-P' to (ModelConfig, ModelParams) pairs for
     any requested neural methods. ZF and MMSE split the budget N equally.
+    `log`, if given, is called with a line naming the count and indices of
+    the ZF-singular samples dropped from every row.
     """
     nn_models = nn_models or {}
     for method in methods:
@@ -77,6 +81,10 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
 
     zf_w, singular = inverse_directions(h)
     keep = ~singular.any(axis=1)
+    dropped = np.flatnonzero(~keep)
+    if log is not None and dropped.size:
+        log(f"dropped {dropped.size} ZF-singular samples from every method: "
+            f"{', '.join(map(str, dropped))}")
     beams = {m: _neural_beams(h, *nn_models[m]) for m in methods if m in NEURAL_METHODS}
     if "ZF" in methods:
         beams["ZF"] = (zf_w.real, zf_w.imag, equal)

@@ -295,7 +295,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     extras = set(shapes) - set(loaded)
     if extras:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(extras)}")
-    bad = next((name for name, arr in loaded.items() if not np.isfinite(arr).all()), None)
+    # a sum of squares is finite when every entry is, unless it overflows;
+    # only then does the exact scan run
+    bad = next((name for name, arr in loaded.items()
+                if not (math.isfinite(np.vdot(arr, arr)) or np.isfinite(arr).all())), None)
     if bad is not None:
         raise CheckpointError(f"{path}: non-finite value in tensor {bad!r}")
     return cfg, params

@@ -1,9 +1,13 @@
 import io
 import math
+import warnings
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as scipy_special
 
 from beamopt import autodiff as ad
 
@@ -147,6 +151,73 @@ class TestGelu:
         rng = np.random.default_rng(7)
         for _ in range(20):
             assert_grad_close(lambda t: ad.tsum(ad.gelu(t)), rng.standard_normal(8) * 2)
+
+
+def erf_ulps_from_scipy(x) -> np.ndarray:
+    """Per-value ulp distance of ad._erf from scipy.special.erf, computed with
+    every floating-point warning raised as an error; NaN must map to NaN and
+    every other value must keep scipy's sign bit."""
+    x = np.asarray(x, dtype=np.float64)
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = ad._erf(x)
+    want = scipy_special.erf(x)
+    assert got.shape == x.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    return np.abs(got[~nan].view(np.int64) - want[~nan].view(np.int64))
+
+
+def _around(*points):
+    """Each point, its float neighbours and its negation."""
+    near = [np.nextafter(p, d) for p in points for d in (-np.inf, np.inf)]
+    values = np.array(list(points) + near)
+    return np.concatenate([values, -values])
+
+
+class TestErf:
+    """The numpy Cephes port against scipy.special.erf, which evaluates the same rationals."""
+
+    def test_dense_grid(self):
+        grid = np.linspace(-30.0, 30.0, 600_001)       # spans many _ERF_BLOCK blocks
+        ulps = erf_ulps_from_scipy(grid)
+        assert ulps.max() <= 1
+        assert (ulps == 0).mean() > 0.9
+
+    def test_branch_edges_and_specials(self):
+        tiny, subnormal = np.finfo(float).tiny, np.finfo(float).smallest_subnormal
+        x = np.concatenate([
+            _around(1.0, 8.0, math.sqrt(ad._MAXLOG), 27.0, 1e-8, tiny),
+            [0.0, -0.0, subnormal, -subnormal, tiny / 3, -tiny / 3, 1e300, -1e300,
+             np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan]])
+        assert erf_ulps_from_scipy(x).max() <= 1
+        zeros = ad._erf(np.array([0.0, -0.0]))
+        assert zeros.tolist() == [0.0, 0.0] and np.signbit(zeros).tolist() == [False, True]
+        np.testing.assert_array_equal(ad._erf(np.array([1e300, -1e300, np.inf, -np.inf])),
+                                      [1.0, -1.0, 1.0, -1.0])
+
+    def test_erfc_branches_against_scipy_erfc(self):
+        # erf is exactly +-1 from |x| ~ 6 on, so the R/S rational and the MAXLOG
+        # cut-off show only in erfc itself
+        root = math.sqrt(ad._MAXLOG)
+        x = np.concatenate([np.linspace(1.0, 30.0, 290_001)[1:],
+                            _around(8.0, root, 27.0)[:9], [1e300, np.inf]])
+        got, want = ad._erfc_above_one(x), scipy_special.erfc(x)
+        assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= 4)
+        assert np.all(got[x > root] == 0.0) and np.all(got[x <= root] > 0.0)
+
+    def test_shape_and_layout_preserved(self):
+        x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        np.testing.assert_array_equal(ad._erf(x[:, ::2].transpose(2, 0, 1)),
+                                      scipy_special.erf(x[:, ::2].transpose(2, 0, 1)))
+        assert ad._erf(np.array(0.5)).shape == ()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_property_within_one_ulp(self, values):
+        assert np.all(erf_ulps_from_scipy(values) <= 1)
 
 
 class TestSoftmax:

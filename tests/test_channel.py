@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,51 @@ class TestDataset:
         np.testing.assert_array_equal(back.ue_snr_offset_db, ds.ue_snr_offset_db)
         assert back.fingerprint() == ds.fingerprint()
         assert (back.profile, back.delay_spread_ns, back.seed) == ("TDL-A", 30.0, 42)
+
+    def test_file_layout_header_offsets_then_interleaved_re_im(self, tmp_path):
+        ds = gen_dataset(SimpleCfg(jitter_db=6.0), count=3, seed=4)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        header = struct.pack("<4sIIIIQqBdd", b"BFDS", 1, 2, 2, 8, 3, 4, 0, 30.0, 6.0)
+        pairs = np.stack([ds.h.real, ds.h.imag], axis=-1).astype("<f8")
+        assert path.read_bytes() == (header + ds.ue_snr_offset_db.astype("<f8").tobytes()
+                                     + pairs.tobytes())
+
+    def test_signed_zeros_round_trip(self, tmp_path):
+        ds = gen_dataset(SimpleCfg(), count=2, seed=6)
+        ds.h[0, 0, 0, :] = [complex(-0.0, 1.0), complex(1.0, -0.0)]
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.h.tobytes() == ds.h.tobytes()
+        assert np.signbit(back.h[0, 0, 0].real).tolist() == [True, False]
+        assert np.signbit(back.h[0, 0, 0].imag).tolist() == [False, True]
+
+    def test_save_copies_nothing_and_load_holds_one_file_size(self, tmp_path):
+        ds = gen_dataset(SimpleCfg(m_tx=4, n_ue=4, k_sc=48), count=64, seed=7)
+        path = tmp_path / "ds.bin"
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        save_peak = traced_peak(lambda: save_dataset(ds, path))
+        size = path.stat().st_size
+        load_peak = traced_peak(lambda: load_dataset(path))
+        assert save_peak <= 0.1 * size, f"save_dataset peak {save_peak} B, file {size} B"
+        assert load_peak <= 1.1 * size, f"load_dataset peak {load_peak} B, file {size} B"
+
+    def test_huge_finite_entries_load(self, tmp_path):
+        ds = gen_dataset(SimpleCfg(), count=3, seed=8)
+        ds.h[1] *= 1e200                              # the sum of squares overflows
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        np.testing.assert_array_equal(load_dataset(path).h, ds.h)
 
     def test_truncated_file_rejected(self, tmp_path):
         cfg = SimpleCfg()

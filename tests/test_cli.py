@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from beamopt import autodiff, evaluation, models, verify
+from beamopt import autodiff, channel, evaluation, models, results, verify
 from beamopt.cli import main
 
 TINY_CONFIG = """
@@ -239,6 +239,20 @@ class TestTrainEval:
         assert "non-finite channel entry or SNR offset in sample 3" in capsys.readouterr().err
         assert not (tmp / "r.csv").exists()
 
+    def test_zf_singular_sample_named_on_stderr_and_left_out(self, tiny, capsys):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace("ZF, MMSE, NNBF-P", "ZF, MMSE"))
+        test_ds, csv_out = tmp / "test.ds", tmp / "r.csv"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        ds = channel.load_dataset(test_ds)
+        ds.h[1, :, :, 1] = ds.h[1, :, :, 0]          # two UEs share one channel: singular Gram
+        channel.save_dataset(ds, test_ds)
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--out", csv_out) == 0
+        assert "dropped 1 ZF-singular samples from every method: 1" in capsys.readouterr().err
+        rows = results.read_results_csv(csv_out)
+        assert len(rows) == 4 and all(r.n == 3 for r in rows)
+
     def test_diverged_training_exit_4(self, tiny, monkeypatch):
         tmp, cfg = tiny
         train_ds = tmp / "train.ds"
@@ -315,6 +329,13 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "verify" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, beamopt.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_desk_scale_flag(self, tmp_path):
         import importlib.resources

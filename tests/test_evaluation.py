@@ -20,8 +20,9 @@ class SimpleCfg:
 def test_baselines_only_rows_cover_grid():
     ds = gen_dataset(SimpleCfg(), count=12, seed=0)
     grid = [-5.0, 5.0, 15.0]
-    rows = evaluate(ds, grid, ["ZF", "MMSE"], experiment="exp-t")
-    assert len(rows) == 6
+    lines = []
+    rows = evaluate(ds, grid, ["ZF", "MMSE"], experiment="exp-t", log=lines.append)
+    assert len(rows) == 6 and lines == []                 # nothing dropped, nothing logged
     assert {(r.method, r.snr_db) for r in rows} == {(m, s) for m in ("ZF", "MMSE") for s in grid}
     assert all(r.n == 12 and r.experiment == "exp-t" for r in rows)
 
@@ -100,8 +101,10 @@ def test_zf_singular_sample_dropped_for_every_method():
     ds = gen_dataset(TinyCfg(), count=5, seed=8)
     ds.h[2, :, :, 1] = ds.h[2, :, :, 0]           # two UEs share one channel: rank-deficient Gram
     methods = ["ZF", "MMSE", "NNBF-P"]
-    rows = evaluate(ds, [0.0, 10.0], methods, {"NNBF-P": _small_model()})
+    lines = []
+    rows = evaluate(ds, [0.0, 10.0], methods, {"NNBF-P": _small_model()}, log=lines.append)
     assert [r.n for r in rows] == [4] * 6
+    assert lines == ["dropped 1 ZF-singular samples from every method: 2"]
 
     kept = ChannelDataset(h=np.delete(ds.h, 2, axis=0),
                           ue_snr_offset_db=np.delete(ds.ue_snr_offset_db, 2, axis=0),

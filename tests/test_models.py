@@ -265,6 +265,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"non-finite value in tensor '{name}'"):
             load_checkpoint(path)
 
+    def test_huge_finite_tensor_loads(self, tmp_path):
+        cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
+        params = init_params(cfg, np.random.default_rng(30))
+        params.tensors["bf0.w"].data[:] = 1e200       # the sum of squares overflows
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, cfg, params)
+        _, back = load_checkpoint(path)
+        np.testing.assert_array_equal(back.flat, params.flat)
+
     def test_version_1_rejected(self, tmp_path):
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
         path = tmp_path / "model.ckpt"
