@@ -9,7 +9,9 @@ its backward pass, which frees its records as it goes.
 
 The layer set covers the backbone and heads needed here: conv1d (cross
 correlation), batch norm, exact GELU, fully connected, softmax, and group
-flatten, plus the elementwise/reduction ops to compose losses. The exact
+flatten, plus the elementwise/reduction ops to compose losses. The backbone
+runs conv_bn_gelu, the three block layers fused into one op with one pull;
+conv1d, batchnorm1d and gelu are its tested references. The exact
 GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc rationals
 that scipy.special.erf evaluates, so importing this package needs numpy only.
 """
@@ -166,6 +168,23 @@ def _make(out_data, pulls) -> Tensor:
             out.requires_grad = True
             tape._append(out, live)
     return out
+
+
+make_op = _make     # public for ops defined outside this module (metrics.sum_rates)
+
+
+def shared_pull(fn):
+    """Wrap fn(g) so that an op's per-input vjps share one call per upstream
+    gradient: an op whose gradients come from common reductions computes
+    them once, and only if some input's pull runs."""
+    last = [None, None]
+
+    def once(g):
+        if last[0] is not g:
+            last[0], last[1] = g, fn(g)
+        return last[1]
+
+    return once
 
 
 def add(a, b) -> Tensor:
@@ -471,15 +490,110 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training: bool,
     return _make(out_data, pulls)
 
 
+def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
+                 stride: int = 1, padding: int = 0, eps: float = 1e-5,
+                 momentum: float = 0.1) -> Tensor:
+    """gelu(batchnorm1d(conv1d(x, w))) as one op on channels-last activations:
+    x (R, L, C_in), w (C_out, C_in, ksz) -> (R, L_out, C_out).
+
+    The im2col GEMM's (R*L_out, C_out) output is what batch norm normalizes,
+    each channel over its rows, with statistics from GEMV column sums; modes,
+    running stats and eps are batchnorm1d's. The one pull shares the
+    reductions sum(gz) and sum(gz * xhat), gz being the gradient at the GELU
+    input, among dx, dw, dgamma and dbeta. The op keeps cols, xhat, the GELU
+    input z and its cdf for the pull.
+    """
+    x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
+    if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
+        raise ValueError(f"conv_bn_gelu shape mismatch: x {x.data.shape}, w {w.data.shape}")
+    rows, length, c_in = x.data.shape
+    c_out, _, ksz = w.data.shape
+    if gamma.data.shape != (c_out,) or beta.data.shape != (c_out,):
+        raise ValueError(f"conv_bn_gelu shape mismatch: w {w.data.shape}, gamma {gamma.data.shape}")
+    padded_len = length + 2 * padding
+    if padded_len < ksz:
+        raise ValueError(f"kernel size {ksz} exceeds padded length {padded_len}")
+    l_out = (padded_len - ksz) // stride + 1
+    n = rows * l_out
+    if training and n < 2:
+        raise ValueError("train-mode batch norm needs more than one element per channel")
+
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    # im2col: row (r, l) holds the window xp[r, l*stride : l*stride + ksz, :] as (k, c)
+    cols = np.empty((rows, l_out, ksz, c_in))
+    for k in range(ksz):
+        cols[:, :, k] = xp[:, k:k + stride * (l_out - 1) + 1:stride]
+    cols = cols.reshape(n, ksz * c_in)
+    w2 = w.data.transpose(0, 2, 1).reshape(c_out, ksz * c_in)
+    xhat = cols @ w2.T                   # the conv output, normalized in place
+    if training:
+        ones = np.ones(n)
+        mean = (ones @ xhat) / n
+        xhat -= mean
+        var = (ones @ (xhat * xhat)) / n
+        state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
+        state.var[:] = (1.0 - momentum) * state.var + momentum * var * n / (n - 1)
+    else:
+        xhat -= state.mean
+        var = state.var
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat *= ivar
+    z = xhat * gamma.data
+    z += beta.data
+    cdf = _erf(z * _SQRT1_2)
+    cdf += 1.0
+    cdf *= 0.5
+
+    @shared_pull
+    def grads(g):
+        """(dy at the conv output, dgamma, dbeta) for output gradient g."""
+        gz = z * z
+        gz *= -0.5
+        np.exp(gz, out=gz)
+        gz *= _INV_SQRT_2PI
+        gz *= z
+        gz += cdf
+        gz *= g.reshape(n, c_out)
+        ones = np.ones(n)
+        dbeta = ones @ gz
+        gz_xhat = gz * xhat
+        dgamma = ones @ gz_xhat
+        if training:
+            gz *= n
+            gz -= dbeta
+            np.multiply(xhat, dgamma, out=gz_xhat)
+            gz -= gz_xhat
+            gz *= gamma.data * ivar / n
+        else:
+            gz *= gamma.data * ivar
+        return gz, dgamma, dbeta
+
+    def pull_x(g):
+        dcols = (grads(g)[0] @ w2).reshape(rows, l_out, ksz, c_in)
+        dxp = np.zeros((rows, padded_len, c_in))
+        for k in range(ksz):
+            dxp[:, k:k + stride * (l_out - 1) + 1:stride] += dcols[:, :, k]
+        return dxp[:, padding:padding + length] if padding else dxp
+
+    def pull_w(g):
+        dw2 = (grads(g)[0].T @ cols).reshape(c_out, ksz, c_in)
+        return np.ascontiguousarray(dw2.transpose(0, 2, 1))
+
+    return _make((z * cdf).reshape(rows, l_out, c_out),
+                 [(x, pull_x), (w, pull_w),
+                  (gamma, lambda g: grads(g)[1]), (beta, lambda g: grads(g)[2])])
+
+
 def flatten_groups(x, group: int) -> Tensor:
-    """Regroup (B*group, C, L) into (B, group*C*L), concatenating per-group features."""
+    """Regroup channels-last (B*group, L, C) into (B, group*C*L), concatenating
+    per-group features, each group's in (C, L) order."""
     x = as_tensor(x)
-    bg, channels, length = x.data.shape
+    bg, length, channels = x.data.shape
     if bg % group != 0:
         raise ValueError(f"leading dim {bg} is not divisible by group {group}")
     batch = bg // group
-    return _make(x.data.reshape(batch, group * channels * length),
-                 [(x, lambda g: g.reshape(bg, channels, length))])
+    return _make(x.data.transpose(0, 2, 1).reshape(batch, group * channels * length),
+                 [(x, lambda g: g.reshape(bg, channels, length).transpose(0, 2, 1))])
 
 
 def flat_buffer(tensors) -> np.ndarray:

@@ -152,7 +152,7 @@ def cmd_verify(_args) -> int:
     failed = [c for c in checks if not c.passed]
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        print(f"{c.name:<{width}}  {status}  {c.detail}")
+        print(f"{c.name:<{width}}  {status}  {1e3 * c.seconds:8.1f} ms  {c.detail}")
     if failed:
         print(f"{len(failed)} of {len(checks)} checks failed: "
               + ", ".join(c.name for c in failed))

@@ -4,9 +4,9 @@ matrices and per-UE noise variances for each (sample, nominal SNR) pair.
 Noise variances derive from the offsets stored in the dataset, so repeated
 runs are bit-identical and need no extra randomness. Work that does not
 depend on SNR runs once per dataset: the zero-forcing solve over the whole
-(S, K) stack of slices and each network's forward pass. MMSE solves the
-stack once per SNR. Every method's per-sample rates come from
-metrics.per_sample_sum_rates.
+(S, K) stack of slices, each network's forward pass and the signal and
+interference terms (metrics.terms) of ZF and the networks. MMSE solves the
+stack and takes its terms once per SNR; every rate is metrics.rates_from.
 
 Samples whose channel Gram is singular for zero-forcing are dropped for
 *all* methods to keep the comparison paired (with continuous channel draws
@@ -51,12 +51,13 @@ class ResultRow:
     n: int
 
 
-def _neural_beams(h: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                  batch: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inference forward over the dataset: (wr, wi, p) for every sample."""
+def _neural_terms(h: np.ndarray, cfg: ModelConfig, params: ModelParams,
+                  batch: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Inference forward over the dataset: metrics.terms of the network's design."""
     outs = [forward_graph(h[start:start + batch], params, cfg, training=False)
             for start in range(0, len(h), batch)]
-    return tuple(np.concatenate([out[i].data for out in outs]) for i in range(3))
+    wr, wi, p = (np.concatenate([out[i].data for out in outs]) for i in range(3))
+    return metrics.terms(wr, wi, h, p)
 
 
 def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
@@ -85,9 +86,9 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
     if log is not None and dropped.size:
         log(f"dropped {dropped.size} ZF-singular samples from every method: "
             f"{', '.join(map(str, dropped))}")
-    beams = {m: _neural_beams(h, *nn_models[m]) for m in methods if m in NEURAL_METHODS}
+    terms = {m: _neural_terms(h, *nn_models[m]) for m in methods if m in NEURAL_METHODS}
     if "ZF" in methods:
-        beams["ZF"] = (zf_w.real, zf_w.imag, equal)
+        terms["ZF"] = metrics.terms(zf_w.real, zf_w.imag, h, equal)
 
     rows: list[ResultRow] = []
     for snr_db in snr_grid_db:
@@ -95,10 +96,9 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
         ceiling = metrics.sum_rate_bound(h_norm2, sigma2) * (1.0 + BOUND_RTOL)
         if "MMSE" in methods:
             w, _ = inverse_directions(h, sigma2.mean(axis=1)[:, None])
-            beams["MMSE"] = (w.real, w.imag, equal)
+            terms["MMSE"] = metrics.terms(w.real, w.imag, h, equal)
         for method in methods:
-            wr, wi, p = beams[method]
-            rates = metrics.per_sample_sum_rates(wr, wi, h, p, sigma2)
+            rates = metrics.rates_from(*terms[method], sigma2)
             bad = np.flatnonzero(keep & ~np.isfinite(rates))
             if bad.size:
                 raise NonFiniteRateError(

@@ -6,11 +6,12 @@ Rates are the plain sum over UEs of log2(1 + SINR), in bits/s/Hz,
 averaged over subcarriers. Per-UE noise variances generalize the single
 sigma^2 of the narrowband formulation.
 
-Three functions compute the same objective, one per consumer:
-sinr_per_ue + weighted_sum_rate is the single-sample test oracle,
-per_sample_sum_rates the batched numpy path of validation and eval, and
-neg_sum_rate_graph the autodiff loss the trainer backpropagates through.
-sum_rate_bound is the ceiling every feasible design's rate stays under.
+The objective has one oracle and one batched forward. sinr_per_ue +
+weighted_sum_rate is the single-sample test oracle. terms + rates_from is
+the batched forward: per_sample_sum_rates for validation, evaluate (which
+computes the SNR-free terms once per dataset) and sum_rates, the autodiff op
+whose closed-form pull the training loss neg_sum_rate_graph backpropagates
+through. sum_rate_bound is the ceiling every feasible design's rate stays under.
 """
 
 from __future__ import annotations
@@ -89,50 +90,81 @@ def weighted_sum_rate(gamma: np.ndarray) -> float:
     return float((np.log1p(gamma) / _LN2).sum(axis=1).mean())
 
 
+def _beam_gains(wr: np.ndarray, wi: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """e[b, k, n, i] = h[b, k, :, n]^T w[b, k, :, i], complex (B, K, N, N)."""
+    return np.einsum("bkmn,bkmi->bkni", h, wr + 1j * wi)
+
+
+def _terms_of(e: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    weighted = np.abs(e) ** 2 * p[:, None, None, :]
+    signal = np.einsum("bknn->bkn", weighted).copy()     # frees weighted on return
+    return signal, weighted.sum(axis=3) - signal
+
+
+def terms(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
+          p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Received signal and interference powers (B, K, N) of a batched design:
+    beams wr + j wi and channels h (B, K, M, N), powers p (B, N)."""
+    return _terms_of(_beam_gains(wr, wi, h), p)
+
+
+def rates_from(signal: np.ndarray, interference: np.ndarray,
+               sigma2: np.ndarray) -> np.ndarray:
+    """Per-sample sum-rates (B,) from terms() and per-UE noise variances (B, N)."""
+    gamma = signal / (interference + sigma2[:, None, :])
+    return (np.log1p(gamma) / _LN2).sum(axis=2).mean(axis=1)
+
+
+def per_sample_sum_rates(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
+                         p: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """Batched numpy sum-rates, one per sample."""
+    return rates_from(*terms(wr, wi, h, p), sigma2)
+
+
+def sum_rates(wr, wi, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
+    """per_sample_sum_rates as one autodiff op over wr, wi (B, K, M, N) and
+    p (B, N), with a closed-form pull.
+
+    With e = h^T w, g = |e|^2, S + I the received power and D = I + sigma^2,
+    a rate term log(1 + S/D) = log(S + D) - log D has
+    d/dg[n, i] = p_i / (S + D)_n, less p_i / D_n for i != n, and
+    d/dp_i = sum_n g[n, i] times the same bracket; dg reaches the beams as
+    dW = dWr + j dWi = 2 conj(h) @ (dg * e).
+    """
+    wr, wi, p = ad.as_tensor(wr), ad.as_tensor(wi), ad.as_tensor(p)
+    e = _beam_gains(wr.data, wi.data, h)
+    signal, interference = _terms_of(e, p.data)
+    k_sc, n_ue = h.shape[1], h.shape[3]
+
+    @ad.shared_pull
+    def grads(g):
+        noise_int = interference + sigma2[:, None, :]
+        inv_total = 1.0 / (signal + noise_int)
+        # bracket[b, k, n, i]: 1/(S + D) on the diagonal, -S/(D (S + D)) off it
+        bracket = np.repeat((-(signal / noise_int) * inv_total)[..., None], n_ue, axis=3)
+        diag = np.arange(n_ue)
+        bracket[..., diag, diag] = inv_total
+        bracket *= (g / (k_sc * _LN2))[:, None, None, None]
+        dp = np.einsum("bkni,bkni->bi", np.abs(e) ** 2, bracket)
+        bracket *= p.data[:, None, None, :]
+        dw = 2.0 * (h.conj() @ (bracket * e))
+        return dw.real, dw.imag, dp
+
+    return ad.make_op(rates_from(signal, interference, sigma2),
+                      [(wr, lambda g: grads(g)[0]), (wi, lambda g: grads(g)[1]),
+                       (p, lambda g: grads(g)[2])])
+
+
 def neg_sum_rate_graph(wr: "ad.Tensor", wi: "ad.Tensor", h: np.ndarray,
                        p: "ad.Tensor", sigma2: np.ndarray) -> "ad.Tensor":
-    """Batched loss built from autodiff ops; mirrors the numpy reference.
+    """The training loss, the scalar batch-mean negative sum-rate.
 
     wr, wi: real/imag beam directions, (B, K, M, N) tensors (unit columns).
     h: constant complex channel batch (B, K, M, N).
     p: per-UE powers, (B, N) tensor.
     sigma2: per-UE noise variances, (B, N).
-    Returns the scalar batch-mean negative sum-rate.
     """
-    b, k_sc, m_tx, n_ue = h.shape
-    hr = np.ascontiguousarray(h.real)
-    hi = np.ascontiguousarray(h.imag)
-
-    # (B,K,M,N,1) channel against (B,K,M,1,N) beams -> gains (B,K,N,N): [.., n, i]
-    hr_e, hi_e = hr[..., None], hi[..., None]
-    wr_e = ad.reshape(wr, (b, k_sc, m_tx, 1, n_ue))
-    wi_e = ad.reshape(wi, (b, k_sc, m_tx, 1, n_ue))
-    e_re = ad.tsum(wr_e * hr_e - wi_e * hi_e, axis=2)
-    e_im = ad.tsum(wr_e * hi_e + wi_e * hr_e, axis=2)
-    gains = ad.square(e_re) + ad.square(e_im)                      # (B, K, N, N)
-
-    eye = np.eye(n_ue)
-    p_e = ad.reshape(p, (b, 1, 1, n_ue))
-    weighted = gains * p_e
-    signal = ad.tsum(weighted * eye[None, None], axis=3)           # (B, K, N)
-    interference = ad.tsum(weighted * (1.0 - eye)[None, None], axis=3)
-    gamma = signal / (interference + sigma2[:, None, :])
-
-    rates = ad.log1p(gamma) * (1.0 / _LN2)
-    per_sample = ad.tsum(rates, axis=(1, 2)) * (1.0 / k_sc)        # (B,)
-    return -ad.tmean(per_sample)
-
-
-def per_sample_sum_rates(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
-                         p: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """Batched numpy sum-rates, one per sample (for validation/eval)."""
-    w = wr + 1j * wi
-    gains = np.abs(np.einsum("bkmn,bkmi->bkni", h, w)) ** 2
-    weighted = gains * p[:, None, None, :]
-    signal = np.einsum("bknn->bkn", weighted)
-    interference = weighted.sum(axis=3) - signal
-    gamma = signal / (interference + sigma2[:, None, :])
-    return (np.log1p(gamma) / _LN2).sum(axis=2).mean(axis=1)
+    return -ad.tmean(sum_rates(wr, wi, h, p, sigma2))
 
 
 def sum_rate_bound(h_norm2: np.ndarray, sigma2: np.ndarray) -> np.ndarray:

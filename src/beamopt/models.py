@@ -2,6 +2,10 @@
 blocks feeding separate fully connected heads for beam directions and
 (optionally) per-UE power allocation.
 
+Each basic block is one fused autodiff op (ad.conv_bn_gelu) on channels-last
+activations, (B*N*M, L, C); the group flatten puts the features back in
+(n, m), C, L order, the order the FC weights and checkpoints use.
+
 Output constraints are architectural, not learned: beam columns are
 divided by their norm (plus a 1e-12 floor) and the power head ends in a
 softmax scaled by the power budget P_max = N, so any parameter values
@@ -188,22 +192,23 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
 
 def basic_block(x: Tensor, conv_w: Tensor, gamma: Tensor, beta: Tensor,
                 state: BatchNormState, downsample: bool, training: bool) -> Tensor:
-    """conv1d -> batch norm -> GELU; downsampling blocks use stride 2."""
-    y = ad.conv1d(x, conv_w, stride=2 if downsample else 1, padding=PADDING)
-    y = ad.batchnorm1d(y, gamma, beta, state, training=training,
-                       eps=BN_EPS, momentum=BN_MOMENTUM)
-    return ad.gelu(y)
+    """conv1d -> batch norm -> GELU as one op on channels-last (rows, L, C)
+    activations; downsampling blocks use stride 2."""
+    return ad.conv_bn_gelu(x, conv_w, gamma, beta, state, training=training,
+                           stride=2 if downsample else 1, padding=PADDING,
+                           eps=BN_EPS, momentum=BN_MOMENTUM)
 
 
 def channel_to_input(h: np.ndarray) -> np.ndarray:
-    """Rearrange a complex channel batch (B, K, M, N) to the (B*N*M, 2, K) net input.
+    """Rearrange a complex channel batch (B, K, M, N) to the channels-last
+    (B*N*M, K, 2) net input.
 
-    Antenna pairs are ordered (n, m) lexicographically; depth carries I/Q.
+    Antenna pairs are ordered (n, m) lexicographically; the last axis carries I/Q.
     """
     b, k_sc, m_tx, n_ue = h.shape
     stacked = np.stack([h.real, h.imag], axis=-1)        # (B, K, M, N, 2)
-    arranged = stacked.transpose(0, 3, 2, 4, 1)          # (B, N, M, 2, K)
-    return np.ascontiguousarray(arranged.reshape(b * n_ue * m_tx, 2, k_sc))
+    arranged = stacked.transpose(0, 3, 2, 1, 4)          # (B, N, M, K, 2)
+    return np.ascontiguousarray(arranged.reshape(b * n_ue * m_tx, k_sc, 2))
 
 
 def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
@@ -223,7 +228,8 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
         x = basic_block(x, params.tensors[f"bb{i}.conv.w"],
                         params.tensors[f"bb{i}.bn.gamma"], params.tensors[f"bb{i}.bn.beta"],
                         params.bn_states[f"bb{i}.bn"], downsample=down, training=training)
-    feat = ad.flatten_groups(x, group=n_ue * m_tx)       # (B, 8NMK)
+    # (B, 8NMK) in (n, m), C, L order, the order the FC weights were drawn for
+    feat = ad.flatten_groups(x, group=n_ue * m_tx)
 
     def head(prefix: str, widths) -> Tensor:
         z = feat

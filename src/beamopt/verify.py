@@ -5,8 +5,9 @@ well under a minute; the CLI exits non-zero if any check fails.
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0       # wall time, set by run_checks
 
 
 def _rand_channel(rng, k, m, n):
@@ -210,6 +212,43 @@ def check_grad_batchnorm() -> CheckResult:
     return CheckResult("grad_batchnorm", ok, detail)
 
 
+def check_grad_basic_block() -> CheckResult:
+    """All four VJPs of the fused conv -> batch norm -> GELU op, stride 2."""
+    rng = np.random.default_rng(27)
+    mixer = rng.standard_normal((2, 4, 3))
+
+    def build(t):
+        x, w = ad.reshape(t[:32], (2, 8, 2)), ad.reshape(t[32:50], (3, 2, 3))
+        y = ad.conv_bn_gelu(x, w, t[50:53], t[53:56], ad.BatchNormState.fresh(3),
+                            training=True, stride=2, padding=1)
+        return ad.tsum(y * mixer)
+
+    x0 = np.concatenate([rng.standard_normal(50), rng.uniform(0.5, 1.5, 3),
+                         rng.standard_normal(3)])
+    ok, detail = _grad_check(build, x0, 1e-5)
+    return CheckResult("grad_basic_block", ok, detail)
+
+
+def check_grad_sum_rates() -> CheckResult:
+    """The closed-form pull of metrics.sum_rates against FD, beams and powers."""
+    rng = np.random.default_rng(28)
+    b, k, m, n = 2, 3, 3, 2
+    h = _rand_channel(rng, b * k, m, n).reshape(b, k, m, n)
+    sigma2 = rng.uniform(0.3, 2.0, (b, n))
+    mixer = rng.standard_normal(b)
+    size = b * k * m * n
+
+    def build(t):
+        wr = ad.reshape(t[:size], (b, k, m, n))
+        wi = ad.reshape(t[size:2 * size], (b, k, m, n))
+        p = ad.reshape(t[2 * size:], (b, n))
+        return ad.tsum(metrics.sum_rates(wr, wi, h, p, sigma2) * mixer)
+
+    x0 = np.concatenate([rng.standard_normal(2 * size), rng.uniform(0.2, 1.5, b * n)])
+    ok, detail = _grad_check(build, x0, 1e-5)
+    return CheckResult("grad_sum_rates", ok, detail)
+
+
 def check_grad_full_loss() -> CheckResult:
     rng = np.random.default_rng(22)
     cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=4)
@@ -322,6 +361,8 @@ ALL_CHECKS = (
     check_grad_softmax,
     check_grad_conv,
     check_grad_batchnorm,
+    check_grad_basic_block,
+    check_grad_sum_rates,
     check_grad_full_loss,
     check_constraints,
     check_softmax_rows,
@@ -331,4 +372,10 @@ ALL_CHECKS = (
 
 
 def run_checks() -> list[CheckResult]:
-    return [check() for check in ALL_CHECKS]
+    """Every check's result, with its wall time."""
+    results = []
+    for check in ALL_CHECKS:
+        t0 = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - t0))
+    return results

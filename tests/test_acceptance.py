@@ -198,7 +198,7 @@ def test_criterion_06_gradient_suite():
         (lambda t: ad.tsum(ad.batchnorm1d(
             ad.reshape(t, (2, 3, 4)), ad.Tensor(gamma), ad.Tensor(beta),
             ad.BatchNormState.fresh(3), training=True) * mix_bn), rng.standard_normal(24)),
-        (lambda t: ad.tsum(ad.square(ad.flatten_groups(ad.reshape(t, (4, 2, 3)), group=2))),
+        (lambda t: ad.tsum(ad.square(ad.flatten_groups(ad.reshape(t, (4, 3, 2)), group=2))),
          rng.standard_normal(24)),
     ]
     for build, x0 in layers:

@@ -407,21 +407,22 @@ class TestBatchNorm:
 
 class TestFlattenGroups:
     def test_plain_reshape_when_group_one(self):
-        x = np.arange(12.0).reshape(2, 2, 3)
+        x = np.arange(12.0).reshape(2, 3, 2)            # (B, L, C)
         out = ad.flatten_groups(ad.Tensor(x), group=1)
-        np.testing.assert_array_equal(out.data, x.reshape(2, 6))
+        np.testing.assert_array_equal(out.data, x.transpose(0, 2, 1).reshape(2, 6))
 
     def test_feature_width(self):
         b, group, c, length = 2, 4, 32, 12
-        x = np.zeros((b * group, c, length))
+        x = np.zeros((b * group, length, c))
         out = ad.flatten_groups(ad.Tensor(x), group=group)
         assert out.data.shape == (b, group * c * length)
 
     def test_round_trip_lossless(self):
         rng = np.random.default_rng(19)
-        x = rng.standard_normal((6, 3, 4))
+        x = rng.standard_normal((6, 4, 3))              # (B*group, L, C)
         flat = ad.flatten_groups(ad.Tensor(x), group=3)
-        np.testing.assert_array_equal(flat.data.reshape(6, 3, 4), x)
+        # each group's features in (C, L) order
+        np.testing.assert_array_equal(flat.data.reshape(6, 3, 4).transpose(0, 2, 1), x)
 
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -429,7 +430,7 @@ class TestFlattenGroups:
 
     def test_gradient(self):
         rng = np.random.default_rng(20)
-        x0 = rng.standard_normal((4, 2, 3))
+        x0 = rng.standard_normal((4, 3, 2))
         mixer = rng.standard_normal((2, 12))
         assert_grad_close(lambda t: ad.tsum(ad.flatten_groups(t, group=2) * mixer), x0)
 

@@ -321,6 +321,13 @@ class TestVerify:
         results = verify.run_checks()
         assert all(r.passed for r in results)
         assert len({r.name for r in results}) == len(results)
+        assert {"grad_basic_block", "grad_sum_rates"} <= {r.name for r in results}
+
+    def test_each_check_reports_its_wall_time(self, capsys):
+        assert run("verify") == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if " PASS " in l]
+        assert len(lines) == len(verify.ALL_CHECKS)
+        assert all(float(l.split()[2]) >= 0.0 and l.split()[3] == "ms" for l in lines)
 
 
 class TestEntryPoint:

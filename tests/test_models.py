@@ -86,30 +86,30 @@ class TestChannelToInput:
         rng = np.random.default_rng(3)
         h = rand_batch(rng, 2, 4, 3, 2)
         x = channel_to_input(h)
-        assert x.shape == (2 * 2 * 3, 2, 4)
+        assert x.shape == (2 * 2 * 3, 4, 2)
         # pair index (n, m) lexicographic within each batch element
         b, n, m, k = 1, 1, 2, 3
         row = b * (2 * 3) + n * 3 + m
-        assert x[row, 0, k] == h[b, k, m, n].real
-        assert x[row, 1, k] == h[b, k, m, n].imag
+        assert x[row, k, 0] == h[b, k, m, n].real
+        assert x[row, k, 1] == h[b, k, m, n].imag
 
 
 class TestBasicBlock:
     def test_channel_expansion_keeps_length(self):
         rng = np.random.default_rng(4)
-        x = ad.Tensor(rng.standard_normal((6, 2, 48)))
+        x = ad.Tensor(rng.standard_normal((6, 48, 2)))
         w = ad.Tensor(rng.standard_normal((16, 2, 3)) * 0.1)
         out = basic_block(x, w, ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16)),
                           ad.BatchNormState.fresh(16), downsample=False, training=True)
-        assert out.data.shape == (6, 16, 48)
+        assert out.data.shape == (6, 48, 16)
 
     def test_downsample_halves_length(self):
         rng = np.random.default_rng(5)
-        x = ad.Tensor(rng.standard_normal((6, 16, 48)))
+        x = ad.Tensor(rng.standard_normal((6, 48, 16)))
         w = ad.Tensor(rng.standard_normal((32, 16, 3)) * 0.1)
         out = basic_block(x, w, ad.Tensor(np.ones(32)), ad.Tensor(np.zeros(32)),
                           ad.BatchNormState.fresh(32), downsample=True, training=True)
-        assert out.data.shape == (6, 32, 24)
+        assert out.data.shape == (6, 24, 32)
 
     def test_matches_layerwise_oracle(self):
         rng = np.random.default_rng(6)
@@ -117,8 +117,9 @@ class TestBasicBlock:
         w = rng.standard_normal((16, 2, 3)) * 0.3
         gamma = rng.uniform(0.5, 1.5, 16)
         beta = rng.standard_normal(16) * 0.2
-        out = basic_block(ad.Tensor(x), ad.Tensor(w), ad.Tensor(gamma), ad.Tensor(beta),
-                          ad.BatchNormState.fresh(16), downsample=False, training=True).data
+        out = basic_block(ad.Tensor(x.transpose(0, 2, 1)), ad.Tensor(w), ad.Tensor(gamma),
+                          ad.Tensor(beta), ad.BatchNormState.fresh(16), downsample=False,
+                          training=True).data.transpose(0, 2, 1)
 
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         conv = np.zeros((4, 16, 8))

@@ -208,14 +208,16 @@ def test_backward_frees_activations_and_leaves_grads_on_leaves_only(monkeypatch)
     cfg, params = small_model()
     h = random_channels(np.random.default_rng(5), 4, cfg)
     activations = []
-    real_gelu = ad.gelu
 
-    def recording_gelu(a):
-        out = real_gelu(a)
-        activations.append(weakref.ref(out.data))
-        return out
+    def recording(op):
+        def record(*args, **kwargs):
+            out = op(*args, **kwargs)
+            activations.append(weakref.ref(out.data))
+            return out
+        return record
 
-    monkeypatch.setattr(ad, "gelu", recording_gelu)
+    for name in ("gelu", "conv_bn_gelu"):            # 2 head GELUs, 3 backbone blocks
+        monkeypatch.setattr(ad, name, recording(getattr(ad, name)))
     with ad.Tape() as tape:
         wr, wi, p = forward_graph(h, params, cfg, training=True)
         loss = metrics.neg_sum_rate_graph(wr, wi, h, p, np.ones((4, cfg.n_ue)))
