@@ -18,10 +18,16 @@ that scipy.special.erf evaluates, so importing this package needs numpy only.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import io
 import math
+import os
+import shutil
 import struct
 import sys
+import tempfile
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -625,13 +631,66 @@ def flat_buffer(tensors) -> np.ndarray:
     return flat
 
 
+# Adam._update as one loop per tensor, in the same operation order. IEEE 754
+# rounds each +, *, / and sqrt correctly, so with no FMA contraction
+# (-ffp-contract=off) the loop writes the same bits as the numpy passes.
+_ADAM_C = r"""
+#include <math.h>
+#include <stddef.h>
+void adam_update(double *restrict p, const double *restrict g, double *restrict m,
+                 double *restrict v, size_t n, double b1, double c1, double b2, double c2,
+                 double bc1, double bc2, double lr, double eps)
+{
+    for (size_t i = 0; i < n; i++) {
+        double gi = g ? g[i] : 0.0;
+        m[i] = m[i] * b1 + gi * c1;
+        v[i] = v[i] * b2 + gi * c2 * gi;
+        p[i] -= m[i] / bc1 * lr / (sqrt(v[i] / bc2) + eps);
+    }
+}
+"""
+_ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+
+
+@functools.cache
+def _adam_kernel():
+    """The compiled `adam_update`, or None where it cannot be built.
+
+    Built once per process, on the first Adam, with the system `cc` into a
+    temporary directory that is deleted once the library is loaded. Without
+    a `cc` on PATH Adam silently runs its numpy passes; a compiler or loader
+    that fails says why in a RuntimeWarning first.
+    """
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    import subprocess                     # not loaded by `import beamopt`
+    with tempfile.TemporaryDirectory(prefix="beamopt-adam-") as tmp:
+        lib = os.path.join(tmp, "adam.so")
+        try:
+            proc = subprocess.run([cc, *_ADAM_CFLAGS, "-o", lib, "-x", "c", "-"], input=_ADAM_C,
+                                  capture_output=True, text=True, timeout=60)
+            if proc.returncode != 0:
+                raise OSError(proc.stderr.strip() or f"{cc} exited {proc.returncode}")
+            fn = ctypes.CDLL(lib).adam_update
+        except (OSError, subprocess.SubprocessError) as exc:
+            warnings.warn(f"Adam runs its numpy passes: compiled kernel failed: {exc}",
+                          RuntimeWarning, stacklevel=3)
+            return None
+    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
+    fn.restype = None
+    return fn
+
+
 class Adam:
     """Bias-corrected Adam over named parameter tensors laid out in one flat vector.
 
     The moments are flat vectors aligned with `flat_buffer(params)`. A step
     reads each tensor's gradient where the tape left it and updates the
-    parameters in place, one block of `BLOCK` entries at a time, so it makes
-    no parameter-sized temporary and its passes over memory stay in cache.
+    parameters in place, with one call of the compiled `adam_update` per
+    tensor, or, without it, one block of `BLOCK` entries at a time in numpy
+    (`_update`), with the same bits. Either way it makes no parameter-sized
+    temporary.
     """
 
     BLOCK = 1 << 15
@@ -647,6 +706,12 @@ class Adam:
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = np.empty((2, min(size, self.BLOCK)))
+        self._kernel = _adam_kernel()
+
+    @property
+    def kernel(self) -> str:
+        """Which loop runs the step: "c" or "numpy"."""
+        return "numpy" if self._kernel is None else "c"
 
     def zero_grad(self):
         for p in self.params.values():
@@ -658,15 +723,32 @@ class Adam:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         flat = flat_buffer(self.params.values())
+        if flat.size != self._m.size:
+            raise ValueError(f"{flat.size} parameters, moments for {self._m.size}")
         offset = 0
         for p in self.params.values():
             size = p.data.size
             g = None if p.grad is None else p.grad.reshape(-1)
-            for lo in range(0, size, self.BLOCK):
-                seg = slice(offset + lo, offset + min(lo + self.BLOCK, size))
-                self._update(flat[seg], 0.0 if g is None else g[lo:lo + self.BLOCK],
-                             self._m[seg], self._v[seg], bc1, bc2)
+            if self._kernel is not None:
+                self._update_compiled(flat, g, offset, size, bc1, bc2)
+            else:
+                for lo in range(0, size, self.BLOCK):
+                    seg = slice(offset + lo, offset + min(lo + self.BLOCK, size))
+                    self._update(flat[seg], 0.0 if g is None else g[lo:lo + self.BLOCK],
+                                 self._m[seg], self._v[seg], bc1, bc2)
             offset += size
+
+    def _update_compiled(self, flat, g, offset, size, bc1, bc2):
+        """`_update` on entries offset .. offset + size in one call of the compiled loop."""
+        if g is not None:
+            g = np.ascontiguousarray(g, dtype=np.float64)      # copies a strided gradient only
+            if g.size != size:
+                raise ValueError(f"gradient of {g.size} entries for {size} parameters")
+        at = 8 * offset
+        self._kernel(flat.ctypes.data + at, None if g is None else g.ctypes.data,
+                     self._m.ctypes.data + at, self._v.ctypes.data + at, size,
+                     self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
+                     bc1, bc2, self.lr, self.eps)
 
     def _update(self, p, g, m, v, bc1, bc2):
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates,

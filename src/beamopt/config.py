@@ -37,7 +37,7 @@ class ExperimentConfig:
     id: str
     profile: str
     delay_spread_ns: float
-    modulation: str              # carried through to results; does not alter computation
+    modulation: str              # a label: validated, reaches no number and no output
     m_tx: int
     n_ue: int
     k_sc: int

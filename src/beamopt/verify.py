@@ -345,7 +345,29 @@ def check_adam_bowl() -> CheckResult:
         tape.backward(loss)
         opt.step()
     val = abs(float(theta.data[0]))
-    return CheckResult("adam_quadratic_bowl", val < 1e-2, f"|theta| {val:.2e}")
+    return CheckResult("adam_quadratic_bowl", val < 1e-2, f"|theta| {val:.2e}, {opt.kernel} kernel")
+
+
+def check_adam_kernels() -> CheckResult:
+    """The compiled Adam kernel writes the numpy kernel's bytes over 3 steps."""
+    states = []
+    for kernel in ("c", "numpy"):
+        rng = np.random.default_rng(17)
+        params = OrderedDict((f"t{i}", ad.Tensor(rng.standard_normal(shape), requires_grad=True))
+                             for i, shape in enumerate(((5, 3), (7,), (2, 4, 3))))
+        opt = ad.Adam(params, lr=0.01)
+        if kernel == "numpy":
+            opt._kernel = None
+        elif opt.kernel != "c":
+            return CheckResult("adam_kernels", True, "numpy kernel only: no C kernel was built")
+        for _ in range(3):
+            for p in params.values():
+                p.grad = rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-8, 3)
+            opt.step()
+        states.append([a.tobytes() for a in (ad.flat_buffer(params.values()), opt._m, opt._v)])
+    return CheckResult("adam_kernels", states[0] == states[1],
+                       f"c vs numpy, 3 steps: parameters and moments "
+                       f"{'equal' if states[0] == states[1] else 'differ'} byte for byte")
 
 
 ALL_CHECKS = (
@@ -367,6 +389,7 @@ ALL_CHECKS = (
     check_constraints,
     check_softmax_rows,
     check_adam_bowl,
+    check_adam_kernels,
     check_rate_bound,
 )
 

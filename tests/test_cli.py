@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamopt
 from beamopt import autodiff, channel, evaluation, models, results, verify
 from beamopt.cli import main
 
@@ -343,6 +346,35 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_adam_kernel_is_built_lazily_and_leaves_no_files(self, tiny):
+        """`train` without a compiler on PATH writes the compiled kernel's checkpoint;
+        neither run leaves a file in TMPDIR, and importing builds nothing."""
+        tmp, cfg = tiny
+        assert run("generate", "--config", cfg, "--out", tmp / "train.ds") == 0
+        src = str(Path(beamopt.__file__).resolve().parents[1])
+        no_cc = tmp / "bin-without-cc"
+        no_cc.mkdir()
+        checkpoints = {}
+        for kernel, path in (("c", os.environ.get("PATH", os.defpath)), ("numpy", str(no_cc))):
+            tmpdir = tmp / f"tmpdir-{kernel}"
+            tmpdir.mkdir()
+            env = dict(os.environ, PATH=path, TMPDIR=str(tmpdir), PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "beamopt.cli", "train", "--config", str(cfg), "--dataset",
+                 str(tmp / "train.ds"), "--ckpt", str(tmp / f"{kernel}.ckpt")],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0 and "RuntimeWarning" not in proc.stderr, proc.stderr
+            assert list(tmpdir.iterdir()) == []
+            checkpoints[kernel] = (tmp / f"{kernel}.ckpt").read_bytes()
+            if kernel == "c":
+                code = ("import beamopt.cli, beamopt.autodiff as ad; "
+                        "print(ad._adam_kernel.cache_info().currsize)")
+                proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                      text=True, timeout=60, check=True)
+                assert proc.stdout.strip() == "0"
+        assert checkpoints["c"] == checkpoints["numpy"]
 
     def test_desk_scale_flag(self, tmp_path):
         import importlib.resources

@@ -1,7 +1,9 @@
 """The training-step core against loop references: im2col conv1d, the flat
-Adam, the flat parameter layout, and the allocation bounds of a step, a
-backward pass, a training run and a checkpoint write and load."""
+Adam on both of its kernels, the flat parameter layout, and the allocation
+bounds of a step, a backward pass, a training run and a checkpoint write
+and load."""
 
+import shutil
 import tracemalloc
 import weakref
 from collections import OrderedDict
@@ -19,6 +21,18 @@ from beamopt.models import (ModelConfig, forward_graph, init_params, load_checkp
 from beamopt.trainer import TrainConfig, train
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+NO_CC = pytest.mark.skipif(shutil.which("cc") is None,
+                           reason="no C compiler (cc) on PATH: Adam has only its numpy kernel")
+KERNELS = (pytest.param("c", marks=NO_CC), "numpy")
+
+
+def adam_on(kernel, params, adam=ad.Adam, **kwargs):
+    """An Adam that runs `kernel`: "c", which must have built, or "numpy"."""
+    opt = adam(params, **kwargs)
+    if kernel == "numpy":
+        opt._kernel = None
+    assert opt.kernel == kernel
+    return opt
 
 
 def conv1d_reference(x, w, g, stride, padding):
@@ -89,16 +103,17 @@ def test_conv1d_matches_per_tap_reference(case):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
 @PROPERTY
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 40)), min_size=1, max_size=5),
        st.integers(0, 2 ** 32 - 1), st.sampled_from((7, ad.Adam.BLOCK)))
-def test_flat_adam_bit_identical_to_per_tensor_reference(shapes, seed, block):
+def test_flat_adam_bit_identical_to_per_tensor_reference(kernel, shapes, seed, block):
     rng = np.random.default_rng(seed)
     values = [rng.standard_normal(shape) for shape in shapes]
     flat = OrderedDict((f"t{i}", ad.Tensor(v.copy(), requires_grad=True)) for i, v in enumerate(values))
     ref = OrderedDict((f"t{i}", ad.Tensor(v.copy(), requires_grad=True)) for i, v in enumerate(values))
     blocked_adam = type("BlockedAdam", (ad.Adam,), {"BLOCK": block})   # 7 splits tensors
-    opt, ref_opt = blocked_adam(flat, lr=0.01), AdamReference(ref, lr=0.01)
+    opt, ref_opt = adam_on(kernel, flat, blocked_adam, lr=0.01), AdamReference(ref, lr=0.01)
     for step in range(3):
         for i, shape in enumerate(shapes):
             g = None if (i + step) % 4 == 3 else rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
@@ -107,6 +122,49 @@ def test_flat_adam_bit_identical_to_per_tensor_reference(shapes, seed, block):
         ref_opt.step()
         for name in flat:
             assert flat[name].data.tobytes() == ref[name].data.tobytes()
+
+
+SUBNORMALS = np.array([5e-324, -5e-324, 2.2e-308, -1e-310, 1e-320])
+
+
+@NO_CC
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 30)), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32 - 1), st.lists(st.floats(1e-5, 0.1), min_size=5, max_size=5))
+def test_compiled_adam_writes_the_numpy_kernels_bytes(shapes, seed, lrs):
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    for v in values:                                   # subnormal and signed-zero parameters
+        v[rng.random(v.shape) < 0.2] = rng.choice([*SUBNORMALS, -0.0])
+    sides = [OrderedDict((f"t{i}", ad.Tensor(v.copy(), requires_grad=True))
+                         for i, v in enumerate(values)) for _ in range(2)]
+    opts = [adam_on(kernel, side, lr=lrs[0]) for kernel, side in zip(("c", "numpy"), sides)]
+    for step, lr in enumerate(lrs):
+        for i, (rows, cols) in enumerate(shapes):
+            g = None
+            if (i + step) % 4 != 3:
+                g = rng.standard_normal((cols, rows)).T        # strided when rows, cols > 1
+                g *= 10.0 ** rng.uniform(-8, 2, g.shape)
+                g[rng.random(g.shape) < 0.2] = rng.choice(SUBNORMALS)
+            for side in sides:
+                side[f"t{i}"].grad = g
+        for opt in opts:
+            opt.lr = lr                                # as the trainer's lr_decay does
+            opt.step()
+        for name in sides[0]:
+            assert sides[0][name].data.tobytes() == sides[1][name].data.tobytes()
+        assert opts[0]._m.tobytes() == opts[1]._m.tobytes()
+        assert opts[0]._v.tobytes() == opts[1]._v.tobytes()
+
+
+def test_failing_compiler_warns_and_leaves_the_numpy_kernel(tmp_path, monkeypatch):
+    cc = tmp_path / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: out of licences' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="out of licences") as record:
+        assert ad._adam_kernel.__wrapped__() is None       # the uncached build
+    assert len(record) == 1
 
 
 def small_model():
@@ -173,10 +231,11 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_adam_step_allocates_less_than_one_parameter_vector():
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_adam_step_allocates_less_than_one_parameter_vector(kernel):
     _, params = small_model()
     rng = np.random.default_rng(4)
-    opt = ad.Adam(params.tensors, lr=1e-3)
+    opt = adam_on(kernel, params.tensors, lr=1e-3)
     for t in params.tensors.values():
         t.grad = rng.standard_normal(t.data.shape)
     opt.step()
