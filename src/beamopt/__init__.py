@@ -14,7 +14,6 @@ from .channel import (ChannelDataset, TdlProfile, draw_ue_snrs, gen_channel, gen
                       gen_taps, load_dataset, save_dataset, snr_db_to_noise_var, taps_to_freq)
 from .config import ExperimentConfig, apply_desk_scale, parse_config, serialize_config
 from .evaluation import ResultRow, evaluate
-from .linalg import SingularMatrixError, solve_array
 from .metrics import BeamformerSet, sinr_per_ue, weighted_sum_rate
 from .models import (ModelConfig, ModelParams, forward_graph, init_params, load_checkpoint,
                      save_checkpoint)

@@ -232,11 +232,6 @@ def sqrt(a) -> Tensor:
     return _make(root, [(a, lambda g: g * 0.5 / root)])
 
 
-def log1p(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log1p(a.data), [(a, lambda g: g / (1.0 + a.data))])
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor, lu_solve, solve_array, solve_batched
+from .linalg import PIVOT_RTOL, solve_batched
 
 
 class SingularChannelError(ValueError):
@@ -68,17 +68,17 @@ def zf_beamformer(h_k) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing directions and equal powers (budget N) for one subcarrier.
 
     Returns (w_tilde (M, N) unit columns, p (N,)). The unnormalized beams
-    satisfy h_j^T w_i = delta_ij; a singular Gram raises SingularChannelError.
+    satisfy h_j^T w_i = delta_ij. A Gram whose condition number reaches
+    1 / PIVOT_RTOL is singular to working precision: SingularChannelError.
     """
     h = _as_channel(h_k)
     m_tx, n_ue = h.shape
     if n_ue > m_tx:
         raise ValueError(f"zero-forcing needs N <= M, got {m_tx}x{n_ue}")
     gram = h.T @ h.conj()                     # G G^H with G = H^T
-    try:
-        w = h.conj() @ solve_array(gram, np.eye(n_ue))
-    except SingularMatrixError as exc:
-        raise SingularChannelError(f"channel Gram is singular (pivot {exc.pivot_index})") from exc
+    if np.linalg.cond(gram) * PIVOT_RTOL >= 1:
+        raise SingularChannelError("channel Gram is singular to working precision")
+    w = h.conj() @ np.linalg.solve(gram, np.eye(n_ue))
     return _normalize_columns(w), equal_power(n_ue, float(n_ue))
 
 
@@ -93,7 +93,7 @@ def mmse_beamformer(h_k, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
     gram = h.T @ h.conj() + sigma2 * np.eye(n_ue)
-    w = h.conj() @ solve_array(gram, np.eye(n_ue))
+    w = h.conj() @ np.linalg.solve(gram, np.eye(n_ue))
     return _normalize_columns(w), equal_power(n_ue, float(n_ue))
 
 
@@ -120,25 +120,24 @@ def optimal_structure_bf(h_k, lam: VirtualUplinkPowers, p: np.ndarray,
         raise ValueError("noise variance must be positive")
     a = h.conj()
     cov = np.eye(m_tx) + (a * lam_arr[None, :]) @ a.conj().T / sigma2
-    w = solve_array(cov, a)                   # Hermitian positive definite
+    w = np.linalg.solve(cov, a)               # Hermitian positive definite
     return _normalize_columns(w), np.asarray(p, dtype=np.float64)
 
 
 def virtual_uplink_sinrs(h_k, lam: np.ndarray, sigma2: float) -> np.ndarray:
-    """Uplink SINRs under MMSE receive filters for the given uplink powers."""
+    """Uplink SINRs under MMSE receive filters for the given uplink powers.
+
+    One (N, M, M) stack solve: slice k holds the interference-plus-noise
+    covariance sigma^2 I + sum_{i!=k} lam_i a_i a_i^H seen by UE k.
+    """
     h = _as_channel(h_k)
     m_tx, n_ue = h.shape
     a = h.conj()
-    sinrs = np.empty(n_ue)
-    for k in range(n_ue):
-        others = [i for i in range(n_ue) if i != k]
-        cov = sigma2 * np.eye(m_tx)
-        if others:
-            ao = a[:, others]
-            cov = cov + (ao * lam[others][None, :]) @ ao.conj().T
-        lu, perm = lu_factor(cov)
-        sinrs[k] = lam[k] * np.real(a[:, k].conj() @ lu_solve(lu, perm, a[:, k]))
-    return sinrs
+    lam = np.asarray(lam, dtype=np.float64)
+    others = lam * (1.0 - np.eye(n_ue))                     # [k, i] = lam_i for i != k
+    cov = sigma2 * np.eye(m_tx) + (a * others[:, None, :]) @ a.conj().T
+    x = np.linalg.solve(cov, a.T[..., None])[..., 0]       # (N, M): row k solves cov_k x = a_k
+    return lam * np.real(np.sum(a.T.conj() * x, axis=1))
 
 
 def solve_virtual_uplink_powers(h_k, target_sinrs: np.ndarray, sigma2: float,

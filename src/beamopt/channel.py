@@ -192,13 +192,11 @@ def _profile_phase(profile: TdlProfile, delay_spread_ns: float, k_sc: int,
     return phase
 
 
-def draw_ue_snrs(nominal_snr_db: float, jitter_db: float, dist: str,
-                 n_ue: int, rng: np.random.Generator) -> np.ndarray:
+def draw_ue_snrs(nominal_snr_db: float, jitter_db: float, n_ue: int,
+                 rng: np.random.Generator) -> np.ndarray:
     """Per-UE SNRs: nominal + Gaussian offset (sigma = jitter/2), clipped to +/- jitter."""
     if n_ue < 1:
         raise ValueError("need at least one UE")
-    if dist != "gaussian":
-        raise ValueError(f"unsupported jitter distribution {dist!r}")
     if jitter_db == 0:
         return np.full(n_ue, nominal_snr_db)
     delta = rng.standard_normal(n_ue) * (jitter_db / 2.0)
@@ -230,7 +228,7 @@ def gen_channel(cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     z = rng.standard_normal((cfg.m_tx, cfg.n_ue, 2, profile.delays.size))
     gains = (z[:, :, 0] + 1j * z[:, :, 1]) * np.sqrt(profile.powers / 2.0)
     h = np.matmul(phase, gains[..., None])[..., 0]      # (M, N, K)
-    return h.transpose(2, 0, 1), draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
+    return h.transpose(2, 0, 1), draw_ue_snrs(0.0, cfg.jitter_db, cfg.n_ue, rng)
 
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:

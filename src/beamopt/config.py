@@ -16,12 +16,10 @@ from .trainer import SNR_RANGE_DB, TrainConfig, validation_size
 SCHEMA_VERSION = 1
 
 KNOWN_METHODS = ("ZF", "MMSE", "NNBF", "NNBF-P")
-MODULATIONS = ("QPSK", "16QAM")
 
 KNOWN_KEYS = {
-    "experiment": ("schema_version", "id", "profile", "delay_spread_ns", "modulation", "m_tx",
-                   "n_ue", "k_sc", "resource_blocks", "subcarrier_spacing_hz", "snr_grid_db",
-                   "jitter_db", "methods", "allow_snr_outside_range"),
+    "experiment": ("schema_version", "id", "profile", "delay_spread_ns", "m_tx", "n_ue",
+                   "k_sc", "subcarrier_spacing_hz", "snr_grid_db", "jitter_db", "methods"),
     "dataset": ("train_samples", "test_samples", "seed"),
     "train": ("epochs", "batch_size", "lr", "lr_decay", "seed", "val_fraction",
               "early_stop_patience", "snr_sampling", "fixed_snr_db"),
@@ -37,7 +35,6 @@ class ExperimentConfig:
     id: str
     profile: str
     delay_spread_ns: float
-    modulation: str              # a label: validated, reaches no number and no output
     m_tx: int
     n_ue: int
     k_sc: int
@@ -49,7 +46,6 @@ class ExperimentConfig:
     seed: int
     train: TrainConfig
     scs_hz: float = 30e3
-    allow_snr_outside_range: bool = False
 
     def __post_init__(self):
         if not self.id:
@@ -58,8 +54,6 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.profile: unknown profile {self.profile!r}")
         if self.delay_spread_ns <= 0:
             raise ConfigError("experiment.delay_spread_ns: must be positive")
-        if self.modulation not in MODULATIONS:
-            raise ConfigError(f"experiment.modulation: expected one of {MODULATIONS}")
         if self.n_ue < 1 or self.m_tx < self.n_ue:
             raise ConfigError(f"experiment.m_tx/n_ue: need M >= N >= 1, got {self.m_tx}x{self.n_ue}")
         if self.k_sc < 1:
@@ -68,12 +62,10 @@ class ExperimentConfig:
             raise ConfigError("experiment.subcarrier_spacing_hz: must be positive")
         if not self.snr_grid_db:
             raise ConfigError("experiment.snr_grid_db: must list at least one SNR")
-        if not self.allow_snr_outside_range:
-            lo, hi = SNR_RANGE_DB
-            bad = [s for s in self.snr_grid_db if not lo <= s <= hi]
-            if bad:
-                raise ConfigError(f"experiment.snr_grid_db: {bad} outside [{lo}, {hi}] "
-                                  "(set allow_snr_outside_range to override)")
+        lo, hi = SNR_RANGE_DB
+        bad = [s for s in self.snr_grid_db if not lo <= s <= hi]
+        if bad:
+            raise ConfigError(f"experiment.snr_grid_db: {bad} outside [{lo}, {hi}]")
         if self.jitter_db < 0:
             raise ConfigError("experiment.jitter_db: must be non-negative")
         if not self.methods:
@@ -102,15 +94,6 @@ def _get(parser, section: str, key: str, cast, fallback=None):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_float_list(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
@@ -121,7 +104,7 @@ def _parse_methods(raw: str) -> tuple:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -139,13 +122,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"experiment.schema_version: got {version}, expected {SCHEMA_VERSION}")
 
-    if parser.has_option("experiment", "k_sc"):
-        k_sc = _get(parser, "experiment", "k_sc", int)
-    elif parser.has_option("experiment", "resource_blocks"):
-        k_sc = 12 * _get(parser, "experiment", "resource_blocks", int)
-    else:
-        raise ConfigError("experiment.k_sc: set k_sc or resource_blocks")
-
     try:
         train = TrainConfig(
             epochs=_get(parser, "train", "epochs", int),
@@ -162,10 +138,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             id=_get(parser, "experiment", "id", str),
             profile=_get(parser, "experiment", "profile", str),
             delay_spread_ns=_get(parser, "experiment", "delay_spread_ns", float),
-            modulation=_get(parser, "experiment", "modulation", str).upper(),
             m_tx=_get(parser, "experiment", "m_tx", int),
             n_ue=_get(parser, "experiment", "n_ue", int),
-            k_sc=k_sc,
+            k_sc=_get(parser, "experiment", "k_sc", int),
             scs_hz=_get(parser, "experiment", "subcarrier_spacing_hz", float, fallback=30e3),
             snr_grid_db=_get(parser, "experiment", "snr_grid_db", _parse_float_list),
             jitter_db=_get(parser, "experiment", "jitter_db", float),
@@ -174,8 +149,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
             test_samples=_get(parser, "dataset", "test_samples", int),
             seed=_get(parser, "dataset", "seed", int),
             train=train,
-            allow_snr_outside_range=_get(parser, "experiment", "allow_snr_outside_range",
-                                         _parse_bool, fallback=False),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -192,13 +165,12 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["experiment"] = {
         "schema_version": str(SCHEMA_VERSION),
         "id": cfg.id,
         "profile": cfg.profile,
         "delay_spread_ns": repr(cfg.delay_spread_ns),
-        "modulation": cfg.modulation,
         "m_tx": str(cfg.m_tx),
         "n_ue": str(cfg.n_ue),
         "k_sc": str(cfg.k_sc),
@@ -206,7 +178,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         "snr_grid_db": ", ".join(repr(s) for s in cfg.snr_grid_db),
         "jitter_db": repr(cfg.jitter_db),
         "methods": ", ".join(cfg.methods),
-        "allow_snr_outside_range": str(cfg.allow_snr_outside_range).lower(),
     }
     parser["dataset"] = {
         "train_samples": str(cfg.train_samples),

@@ -1,92 +1,35 @@
-"""LU-based complex linear solves on plain complex128 ndarrays.
+"""The batched complex LU solve on plain complex128 ndarrays.
 
-solve_array (lu_factor + lu_solve) solves one matrix and raises on a
-singular pivot; solve_batched runs the same elimination over a stack and
-returns a singular mask instead. The single-matrix path is the reference
-the batched kernel is tested against. Matrix inversion is never formed
-explicitly; it is expressed as an LU solve against the identity or
-against a right-hand side.
+solve_batched eliminates a whole stack of matrices at once and returns a
+singular mask instead of raising. Its reference in the tests and in
+verify is LAPACK (np.linalg.solve), an independent implementation.
+Matrix inversion is never formed explicitly; it is expressed as an LU
+solve against the identity or against a right-hand side.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# A pivot below this fraction of the largest entry magnitude in its row
+# A pivot below this fraction of the largest entry magnitude of its matrix
 # counts as singular-to-working-precision.
 PIVOT_RTOL = 1e-12
-
-
-class SingularMatrixError(ValueError):
-    """Raised when LU elimination meets a singular-to-working-precision pivot."""
-
-    def __init__(self, pivot_index: int):
-        self.pivot_index = pivot_index
-        super().__init__(f"matrix is singular to working precision at pivot {pivot_index}")
-
-
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial (row) pivoting: P A = L U.
-
-    Returns the combined LU matrix (unit lower triangle implicit) and the
-    row permutation. Raises SingularMatrixError when a pivot falls below
-    PIVOT_RTOL times the largest entry magnitude of the original matrix.
-    """
-    n = a.shape[0]
-    lu = np.array(a, dtype=np.complex128)
-    perm = np.arange(n)
-    # Scale-aware singularity threshold, fixed before elimination starts.
-    threshold = PIVOT_RTOL * max(np.max(np.abs(lu)), 1e-300)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if np.abs(lu[piv, k]) < threshold:
-            raise SingularMatrixError(k)
-        if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back-substitution against a factored system; b may have many columns."""
-    n = lu.shape[0]
-    x = np.array(b[perm], dtype=np.complex128)
-    for k in range(1, n):          # forward: L y = P b
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):  # backward: U x = y
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
-
-
-def solve_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for one matrix by LU with partial pivoting.
-
-    Requires A square and B row-compatible. For condition numbers up to
-    ~1e8 the relative residual ||AX - B||_F / ||B||_F stays below 1e-10.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
-    lu, perm = lu_factor(a)
-    return lu_solve(lu, perm, b)
 
 
 def solve_batched(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B for a stack of square matrices (..., n, n).
 
-    The elimination is lu_factor's, vectorized across the stack: the same
-    pivot choices, the same per-matrix PIVOT_RTOL threshold. Returns X
-    (..., n, c) and a boolean singular mask (...,); the rows of X for a
-    singular matrix are unspecified.
+    LU with partial (row) pivoting, vectorized across the stack. A matrix
+    is singular when a pivot falls below PIVOT_RTOL times its largest entry
+    magnitude. Returns X (..., n, c) and a boolean singular mask (...,);
+    the rows of X for a singular matrix are unspecified.
     """
     a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"matrices must be square, got shape {a.shape}")
     lead, n = a.shape[:-2], a.shape[-1]
+    if np.ndim(b) < 2 or np.shape(b)[-2] != n:
+        raise ValueError(f"right-hand side shaped {np.shape(b)}, expected {n} rows")
     lu = a.reshape(-1, n, n).copy()
     x = np.broadcast_to(b, a.shape[:-1] + np.shape(b)[-1:]).reshape(len(lu), n, -1)
     x = x.astype(np.complex128)

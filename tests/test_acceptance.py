@@ -307,7 +307,6 @@ schema_version = 1
 id = determinism
 profile = TDL-C
 delay_spread_ns = 100
-modulation = QPSK
 m_tx = 2
 n_ue = 2
 k_sc = 8

@@ -109,11 +109,12 @@ class TestElementwiseOps:
         x0 = rng.uniform(0.5, 2.0, 6)
         assert_grad_close(lambda t: ad.tsum(ad.square(t) * t + ad.sqrt(t)), x0)   # x^3 + x^0.5
 
-    def test_log_and_log1p(self):
+    def test_constant_operands_of_add_and_sub(self):
         rng = np.random.default_rng(2)
         x0 = rng.uniform(0.5, 3.0, 5)
-        # log(x) as log1p(x - 1): the engine has only log1p
-        assert_grad_close(lambda t: ad.tsum(ad.log1p(t - 1.0) + ad.log1p(t)), x0)
+        # constants on either side, lifted to non-grad tensors: (1 - x)^2 (x + 2) - (0.5 + x)
+        assert_grad_close(lambda t: ad.tsum(ad.square(ad.sub(1.0, t)) * (t + 2.0)
+                                            - ad.add(0.5, t)), x0)
 
     def test_mean_reductions(self):
         rng = np.random.default_rng(4)

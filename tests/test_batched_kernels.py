@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamopt.baselines import inverse_directions, mmse_beamformer, zf_beamformer
-from beamopt.linalg import SingularMatrixError, lu_factor, solve_array, solve_batched
+from beamopt.baselines import (inverse_directions, mmse_beamformer, virtual_uplink_sinrs,
+                               zf_beamformer)
+from beamopt.linalg import solve_batched
 from beamopt.metrics import (BeamformerSet, per_sample_sum_rates, sinr_per_ue,
                              weighted_sum_rate)
 
@@ -28,7 +29,8 @@ def channel_stacks(draw):
 
 @st.composite
 def square_stacks(draw):
-    """(B, n, n) stack in which some matrices repeat a row exactly (singular)."""
+    """(B, n, n) stack in which some matrices repeat a row exactly (singular),
+    a right-hand side, and the mask of the matrices made singular."""
     n = draw(st.integers(1, 6))
     deficient = draw(st.lists(st.booleans(), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -39,7 +41,7 @@ def square_stacks(draw):
         else:
             src, dst = rng.choice(n, 2, replace=False)
             a[i, dst] = a[i, src]
-    return a, crandn(rng, (n, draw(st.integers(1, 3))))
+    return a, crandn(rng, (n, draw(st.integers(1, 3)))), np.array(deficient)
 
 
 def well_conditioned(h, limit=1e6):
@@ -50,17 +52,12 @@ def well_conditioned(h, limit=1e6):
 @PROPERTY
 @given(square_stacks())
 def test_solve_batched_matches_single_solve(case):
-    a, b = case
+    a, b, deficient = case
     x, singular = solve_batched(a, b)
-    assert x.shape == a.shape[:1] + b.shape and singular.shape == a.shape[:1]
-    for i in range(a.shape[0]):
-        try:
-            lu_factor(a[i])
-        except SingularMatrixError:
-            assert singular[i]
-            continue
-        assert not singular[i]
-        ref = solve_array(a[i], b)
+    assert x.shape == a.shape[:1] + b.shape
+    np.testing.assert_array_equal(singular, deficient)
+    for i in np.flatnonzero(~deficient):
+        ref = np.linalg.solve(a[i], b)
         assert np.max(np.abs(x[i] - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1.0)
 
 
@@ -101,6 +98,21 @@ def test_batched_classical_rates_match_reference(h, method, seed):
     for i in range(s):
         ref = weighted_sum_rate(sinr_per_ue(h[i], BeamformerSet(w[i], p[i], float(n)), sigma2[i]))
         assert rates[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY
+@given(channel_stacks(), st.floats(0.05, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_virtual_uplink_sinrs_match_per_ue_solves(h, sigma2, seed):
+    h = h[0, 0]
+    m, n = h.shape
+    lam = np.random.default_rng(seed).uniform(0.0, 3.0, n)
+    a = h.conj()
+    ref = np.empty(n)
+    for k in range(n):                                          # one solve per UE
+        others = [i for i in range(n) if i != k]
+        cov = sigma2 * np.eye(m) + (a[:, others] * lam[others]) @ a[:, others].conj().T
+        ref[k] = lam[k] * np.real(a[:, k].conj() @ np.linalg.solve(cov, a[:, k]))
+    np.testing.assert_allclose(virtual_uplink_sinrs(h, lam, sigma2), ref, rtol=1e-10, atol=1e-12)
 
 
 def test_singular_slices_get_nan_directions():

@@ -116,12 +116,12 @@ class TestTapsToFreq:
 
 class TestDrawUeSnrs:
     def test_zero_jitter(self):
-        out = draw_ue_snrs(5.0, 0.0, "gaussian", 4, np.random.default_rng(4))
+        out = draw_ue_snrs(5.0, 0.0, 4, np.random.default_rng(4))
         np.testing.assert_array_equal(out, np.full(4, 5.0))
 
     def test_moments_match_rule(self):
         rng = np.random.default_rng(5)
-        draws = np.concatenate([draw_ue_snrs(5.0, 20.0, "gaussian", 10, rng)
+        draws = np.concatenate([draw_ue_snrs(5.0, 20.0, 10, rng)
                                 for _ in range(10_000)])
         assert draws.mean() == pytest.approx(5.0, abs=0.3)
         # sigma = jitter/2 = 10 dB, mildly shrunk by the +/-20 dB clipping
@@ -129,13 +129,9 @@ class TestDrawUeSnrs:
 
     def test_clipping_bounds(self):
         rng = np.random.default_rng(6)
-        draws = np.concatenate([draw_ue_snrs(5.0, 20.0, "gaussian", 10, rng)
+        draws = np.concatenate([draw_ue_snrs(5.0, 20.0, 10, rng)
                                 for _ in range(10_000)])
         assert draws.min() >= -15.0 and draws.max() <= 25.0
-
-    def test_unknown_distribution(self):
-        with pytest.raises(ValueError, match="distribution"):
-            draw_ue_snrs(5.0, 20.0, "uniform", 4, np.random.default_rng(7))
 
 
 class TestGenChannel:
@@ -310,7 +306,7 @@ class TestDataset:
                 for n in range(cfg.n_ue):
                     h[:, m, n] = taps_to_freq(gen_taps(prof, cfg.delay_spread_ns, rng),
                                               cfg.k_sc, cfg.scs_hz)
-            offsets = draw_ue_snrs(0.0, cfg.jitter_db, "gaussian", cfg.n_ue, rng)
+            offsets = draw_ue_snrs(0.0, cfg.jitter_db, cfg.n_ue, rng)
             sample_h, sample_offsets = gen_channel(cfg, sample_rng(7, i))
             np.testing.assert_array_equal(sample_h, h)
             np.testing.assert_array_equal(sample_offsets, offsets)

@@ -16,7 +16,6 @@ schema_version = 1
 id = tiny
 profile = TDL-A
 delay_spread_ns = 30
-modulation = QPSK
 m_tx = 2
 n_ue = 2
 k_sc = 8
@@ -77,6 +76,16 @@ class TestGenerate:
         cfg.write_text(TINY_CONFIG.replace("m_tx = 2", "m_tx = 1"))
         assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
         assert "m_tx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["modulation = QPSK", "resource_blocks = 4",
+                                      "allow_snr_outside_range = false"])
+    def test_retired_key_exit_2(self, tiny, capsys, line):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace("k_sc = 8", f"k_sc = 8\n{line}"))
+        assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
+        key = line.split(" =")[0]
+        assert f"config error: experiment.{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp / "x.ds").exists()
 
     def test_zero_sample_count_exit_2(self, tiny, capsys):
         tmp, cfg = tiny

@@ -1,17 +1,21 @@
-"""Round trips through the two binary formats on drawn contents: a dataset
-comes back bit for bit, signed zeros and subnormals included, and a
-checkpoint of any valid architecture re-saves to the same bytes."""
+"""Round trips through the three file formats on drawn contents: a dataset
+comes back bit for bit, signed zeros and subnormals included, a
+checkpoint of any valid architecture re-saves to the same bytes, and any
+valid experiment config parses back from its serialized text."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beamopt.channel import ChannelDataset, load_dataset, save_dataset
+from beamopt.channel import _TDL_TABLES, ChannelDataset, load_dataset, save_dataset
+from beamopt.config import KNOWN_METHODS, ExperimentConfig, parse_config_text, serialize_config
 from beamopt.models import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from beamopt.trainer import SNR_RANGE_DB, TrainConfig
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+POSITIVE = st.floats(5e-324, 1e300)
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7976931348623157e308])
 
 
@@ -73,3 +77,38 @@ def test_checkpoint_round_trip_resaves_the_same_bytes(tmp_path_factory, cfg, see
     save_checkpoint(root / "b.ckpt", cfg2, params2)
     assert (root / "b.ckpt").read_bytes() == (root / "a.ckpt").read_bytes()
     assert params2.flat.tobytes() == flat.tobytes()
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid config. An INI value is one line without surrounding whitespace."""
+    n = draw(st.integers(1, 8))
+    snr = st.floats(*SNR_RANGE_DB)
+    train = TrainConfig(epochs=draw(st.integers(1, 10 ** 6)),
+                        batch_size=draw(st.integers(1, 4096)),
+                        lr=draw(st.floats(0.0, 1e3)),
+                        lr_decay=draw(st.floats(5e-324, 1.0)),
+                        seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
+                        val_fraction=draw(st.floats(5e-324, 0.5)),
+                        early_stop_patience=draw(st.integers(0, 1000)),
+                        snr_sampling=draw(st.sampled_from(("uniform", "fixed"))),
+                        fixed_snr_db=draw(snr))
+    chars = st.one_of(st.sampled_from("%$#;=:[]{} "),          # INI syntax, interpolation
+                      st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
+    ident = draw(st.text(chars, min_size=1).map(str.strip).filter(bool))
+    return ExperimentConfig(id=ident, profile=draw(st.sampled_from(sorted(_TDL_TABLES))),
+                            delay_spread_ns=draw(POSITIVE), m_tx=draw(st.integers(n, 64)),
+                            n_ue=n, k_sc=draw(st.integers(1, 4096)), scs_hz=draw(POSITIVE),
+                            snr_grid_db=tuple(draw(st.lists(snr, min_size=1, max_size=20))),
+                            jitter_db=draw(st.floats(0.0, 1e300)),
+                            methods=tuple(draw(st.lists(st.sampled_from(KNOWN_METHODS),
+                                                        min_size=1, max_size=6))),
+                            train_samples=draw(st.integers(2, 10 ** 6)),
+                            test_samples=draw(st.integers(1, 10 ** 6)),
+                            seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)), train=train)
+
+
+@PROPERTY
+@given(experiment_configs())
+def test_config_round_trip_is_identity(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
