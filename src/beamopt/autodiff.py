@@ -18,21 +18,17 @@ that scipy.special.erf evaluates, so importing this package needs numpy only.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import io
 import math
-import os
-import shutil
 import struct
 import sys
-import tempfile
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import kernels
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -626,66 +622,15 @@ def flat_buffer(tensors) -> np.ndarray:
     return flat
 
 
-# Adam._update as one loop per tensor, in the same operation order. IEEE 754
-# rounds each +, *, / and sqrt correctly, so with no FMA contraction
-# (-ffp-contract=off) the loop writes the same bits as the numpy passes.
-_ADAM_C = r"""
-#include <math.h>
-#include <stddef.h>
-void adam_update(double *restrict p, const double *restrict g, double *restrict m,
-                 double *restrict v, size_t n, double b1, double c1, double b2, double c2,
-                 double bc1, double bc2, double lr, double eps)
-{
-    for (size_t i = 0; i < n; i++) {
-        double gi = g ? g[i] : 0.0;
-        m[i] = m[i] * b1 + gi * c1;
-        v[i] = v[i] * b2 + gi * c2 * gi;
-        p[i] -= m[i] / bc1 * lr / (sqrt(v[i] / bc2) + eps);
-    }
-}
-"""
-_ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-
-
-@functools.cache
-def _adam_kernel():
-    """The compiled `adam_update`, or None where it cannot be built.
-
-    Built once per process, on the first Adam, with the system `cc` into a
-    temporary directory that is deleted once the library is loaded. Without
-    a `cc` on PATH Adam silently runs its numpy passes; a compiler or loader
-    that fails says why in a RuntimeWarning first.
-    """
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    import subprocess                     # not loaded by `import beamopt`
-    with tempfile.TemporaryDirectory(prefix="beamopt-adam-") as tmp:
-        lib = os.path.join(tmp, "adam.so")
-        try:
-            proc = subprocess.run([cc, *_ADAM_CFLAGS, "-o", lib, "-x", "c", "-"], input=_ADAM_C,
-                                  capture_output=True, text=True, timeout=60)
-            if proc.returncode != 0:
-                raise OSError(proc.stderr.strip() or f"{cc} exited {proc.returncode}")
-            fn = ctypes.CDLL(lib).adam_update
-        except (OSError, subprocess.SubprocessError) as exc:
-            warnings.warn(f"Adam runs its numpy passes: compiled kernel failed: {exc}",
-                          RuntimeWarning, stacklevel=3)
-            return None
-    fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 8
-    fn.restype = None
-    return fn
-
-
 class Adam:
     """Bias-corrected Adam over named parameter tensors laid out in one flat vector.
 
     The moments are flat vectors aligned with `flat_buffer(params)`. A step
     reads each tensor's gradient where the tape left it and updates the
-    parameters in place, with one call of the compiled `adam_update` per
-    tensor, or, without it, one block of `BLOCK` entries at a time in numpy
-    (`_update`), with the same bits. Either way it makes no parameter-sized
-    temporary.
+    parameters in place, with one call of the compiled `adam_update`
+    (kernels.c) per tensor, or, without it, one block of `BLOCK` entries at a
+    time in numpy (`_update`), with the same bits. Either way it makes no
+    parameter-sized temporary.
     """
 
     BLOCK = 1 << 15
@@ -701,7 +646,7 @@ class Adam:
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = np.empty((2, min(size, self.BLOCK)))
-        self._kernel = _adam_kernel()
+        self._kernel = kernels.build().adam
 
     @property
     def kernel(self) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .channel import _TDL_TABLES
@@ -52,22 +53,25 @@ class ExperimentConfig:
             raise ConfigError("experiment.id: must be non-empty")
         if self.profile not in _TDL_TABLES:
             raise ConfigError(f"experiment.profile: unknown profile {self.profile!r}")
-        if self.delay_spread_ns <= 0:
-            raise ConfigError("experiment.delay_spread_ns: must be positive")
+        if not (math.isfinite(self.delay_spread_ns) and self.delay_spread_ns > 0):
+            raise ConfigError(f"experiment.delay_spread_ns: must be finite and positive, "
+                              f"got {self.delay_spread_ns!r}")
         if self.n_ue < 1 or self.m_tx < self.n_ue:
             raise ConfigError(f"experiment.m_tx/n_ue: need M >= N >= 1, got {self.m_tx}x{self.n_ue}")
         if self.k_sc < 1:
             raise ConfigError("experiment.k_sc: must be at least 1")
-        if self.scs_hz <= 0:
-            raise ConfigError("experiment.subcarrier_spacing_hz: must be positive")
+        if not (math.isfinite(self.scs_hz) and self.scs_hz > 0):
+            raise ConfigError(f"experiment.subcarrier_spacing_hz: must be finite and positive, "
+                              f"got {self.scs_hz!r}")
         if not self.snr_grid_db:
             raise ConfigError("experiment.snr_grid_db: must list at least one SNR")
         lo, hi = SNR_RANGE_DB
         bad = [s for s in self.snr_grid_db if not lo <= s <= hi]
         if bad:
             raise ConfigError(f"experiment.snr_grid_db: {bad} outside [{lo}, {hi}]")
-        if self.jitter_db < 0:
-            raise ConfigError("experiment.jitter_db: must be non-negative")
+        if not (math.isfinite(self.jitter_db) and self.jitter_db >= 0):
+            raise ConfigError(f"experiment.jitter_db: must be finite and non-negative, "
+                              f"got {self.jitter_db!r}")
         if not self.methods:
             raise ConfigError("experiment.methods: must list at least one method")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import BatchNormState, Tensor
 
 NORM_FLOOR = 1e-12
@@ -177,14 +178,14 @@ def _new_params(cfg: ModelConfig) -> ModelParams:
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma.
 
-    Draws go straight into the flat vector, in param_spec order.
+    Draws go straight into the flat vector, in param_spec order, scaled in the
+    same pass: the bits of `rng.standard_normal(out=w); w *= sqrt(2 / fan_in)`.
     """
     params = _new_params(cfg)
     for name, shape, init in param_spec(cfg):
         if init == "normal":
-            data = params.tensors[name].data
-            rng.standard_normal(out=data)
-            data *= np.sqrt(2.0 / math.prod(shape[1:]))
+            kernels.standard_normal(rng, params.tensors[name].data,
+                                    np.sqrt(2.0 / math.prod(shape[1:])))
         elif init != "bn":
             params.tensors[name].data[...] = 1.0 if init == "ones" else 0.0
     return params

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import baselines, metrics
+from . import baselines, kernels, metrics
 from .models import ModelConfig, forward_graph, init_params
 
 
@@ -370,6 +370,22 @@ def check_adam_kernels() -> CheckResult:
                        f"{'equal' if states[0] == states[1] else 'differ'} byte for byte")
 
 
+
+def check_normal_kernels() -> CheckResult:
+    """The compiled normal fill writes numpy's draws and leaves numpy's generator state."""
+    n, scale = 1 << 16, 0.37
+    rngs = [np.random.default_rng(23) for _ in range(2)]
+    outs = [np.empty(n) for _ in range(2)]
+    if kernels.standard_normal(rngs[0], outs[0], scale) != "c":
+        return CheckResult("normal_kernels", True, "numpy only: no C kernel was built")
+    rngs[1].standard_normal(out=outs[1])
+    outs[1] *= scale
+    same = (outs[0].tobytes() == outs[1].tobytes()
+            and rngs[0].bit_generator.state == rngs[1].bit_generator.state)
+    return CheckResult("normal_kernels", same,
+                       f"c vs numpy, {n} draws: values and generator state "
+                       f"{'equal' if same else 'differ'} byte for byte")
+
 ALL_CHECKS = (
     check_zf_nulling,
     check_batched_classical,
@@ -390,6 +406,7 @@ ALL_CHECKS = (
     check_softmax_rows,
     check_adam_bowl,
     check_adam_kernels,
+    check_normal_kernels,
     check_rate_bound,
 )
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,16 @@ class TestGenerate:
         assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
         key = line.split(" =")[0]
         assert f"config error: experiment.{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp / "x.ds").exists()
+
+    @pytest.mark.parametrize("old, new", [("delay_spread_ns = 30", "delay_spread_ns = nan"),
+                                          ("jitter_db = 6", "jitter_db = inf")])
+    def test_non_finite_experiment_value_exit_2(self, tiny, capsys, old, new):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace(old, new))
+        assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
+        key = old.split(" =")[0]
+        assert f"config error: experiment.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp / "x.ds").exists()
 
     def test_zero_sample_count_exit_2(self, tiny, capsys):
@@ -356,15 +367,21 @@ class TestEntryPoint:
                               check=True)
         assert proc.stdout.strip() == "[]"
 
-    def test_adam_kernel_is_built_lazily_and_leaves_no_files(self, tiny):
-        """`train` without a compiler on PATH writes the compiled kernel's checkpoint;
-        neither run leaves a file in TMPDIR, and importing builds nothing."""
+    def test_kernels_are_built_lazily_and_leave_no_files(self, tiny):
+        """`train` without a compiler on PATH writes the compiled kernels' checkpoint, and
+        `init_params` their bytes; neither run leaves a file in TMPDIR, and importing
+        builds nothing."""
         tmp, cfg = tiny
         assert run("generate", "--config", cfg, "--out", tmp / "train.ds") == 0
         src = str(Path(beamopt.__file__).resolve().parents[1])
         no_cc = tmp / "bin-without-cc"
         no_cc.mkdir()
-        checkpoints = {}
+        init = ("import hashlib, numpy as np, beamopt.cli, beamopt.kernels as k; "
+                "print(k.build.cache_info().currsize); "
+                "from beamopt.models import ModelConfig, init_params; "
+                "p = init_params(ModelConfig(m_tx=4, n_ue=2, k_sc=48), np.random.default_rng(9)); "
+                "print(hashlib.sha256(p.flat.tobytes()).hexdigest(), k.build().normal is not None)")
+        checkpoints, inits = {}, {}
         for kernel, path in (("c", os.environ.get("PATH", os.defpath)), ("numpy", str(no_cc))):
             tmpdir = tmp / f"tmpdir-{kernel}"
             tmpdir.mkdir()
@@ -375,15 +392,16 @@ class TestEntryPoint:
                  str(tmp / "train.ds"), "--ckpt", str(tmp / f"{kernel}.ckpt")],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0 and "RuntimeWarning" not in proc.stderr, proc.stderr
-            assert list(tmpdir.iterdir()) == []
             checkpoints[kernel] = (tmp / f"{kernel}.ckpt").read_bytes()
-            if kernel == "c":
-                code = ("import beamopt.cli, beamopt.autodiff as ad; "
-                        "print(ad._adam_kernel.cache_info().currsize)")
-                proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                      text=True, timeout=60, check=True)
-                assert proc.stdout.strip() == "0"
+            proc = subprocess.run([sys.executable, "-c", init], env=env, capture_output=True,
+                                  text=True, timeout=60, check=True)
+            built, digest, compiled = proc.stdout.split()
+            assert built == "0"                        # `import beamopt.cli` built nothing
+            assert compiled == str(kernel == "c") or shutil.which("cc") is None
+            inits[kernel] = digest
+            assert list(tmpdir.iterdir()) == []
         assert checkpoints["c"] == checkpoints["numpy"]
+        assert inits["c"] == inits["numpy"]
 
     def test_desk_scale_flag(self, tmp_path):
         import importlib.resources

@@ -82,6 +82,17 @@ def test_invalid_train_values_name_the_key(key, line):
         parse_config_text(text + line + "\n")
 
 
+@pytest.mark.parametrize("key, old", [("delay_spread_ns", "delay_spread_ns = 30"),
+                                      ("jitter_db", "jitter_db = 0"),
+                                      ("subcarrier_spacing_hz", None)])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_experiment_values_rejected(key, old, value):
+    text = (MINIMAL.replace(old, f"{key} = {value}") if old
+            else MINIMAL.replace("k_sc = 8", f"k_sc = 8\n{key} = {value}"))
+    with pytest.raises(ConfigError, match=rf"^experiment\.{key}: must be finite"):
+        parse_config_text(text)
+
+
 @pytest.mark.parametrize("section, anchor, line", [
     ("experiment", "id = t1", "m_txx = 4"),
     ("experiment", "id = t1", "snr_grid = 0, 5"),
