@@ -7,13 +7,15 @@ reverse, accumulating gradients by sum over fan-out into the `.grad` of
 each leaf (a tensor no op on the tape produced). A tape is consumed by
 its backward pass, which frees its records as it goes.
 
-The layer set covers the backbone and heads needed here: conv1d (cross
-correlation), batch norm, exact GELU, fully connected, softmax, and group
-flatten, plus the elementwise/reduction ops to compose losses. The backbone
-runs conv_bn_gelu, the three block layers fused into one op with one pull;
-conv1d, batchnorm1d and gelu are its tested references. The exact
-GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc rationals
-that scipy.special.erf evaluates, so importing this package needs numpy only.
+The engine ships the ops the model runs, one op per model stage:
+conv_bn_gelu (conv1d -> batch norm -> GELU fused into one op with one pull)
+per backbone block, the group flatten, fully connected layers with exact
+GELU and softmax for the heads, and mul and tmean for scaling and the batch
+mean. Ops specific to the model and the loss (models.unit_beams,
+metrics.sum_rates) are built on make_op. conv1d and batchnorm1d stay as the
+tested references of conv_bn_gelu. The exact GELU takes erf from `_erf`, a
+numpy port of the Cephes erf/erfc rationals that scipy.special.erf
+evaluates, so importing this package needs numpy only.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    # keep numpy from consuming Tensor operands: an ndarray or scalar on the
-    # left works only through a reflected operator below (division)
+    # keep numpy from consuming Tensor operands: the Tensor goes on the left
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
@@ -58,26 +59,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # operator sugar; constants are lifted to non-grad tensors
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 class Tape:
@@ -172,7 +158,7 @@ def _make(out_data, pulls) -> Tensor:
     return out
 
 
-make_op = _make     # public for ops defined outside this module (metrics.sum_rates)
+make_op = _make     # public for ops defined outside this module (unit_beams, sum_rates)
 
 
 def shared_pull(fn):
@@ -189,56 +175,11 @@ def shared_pull(fn):
     return once
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data + b.data,
-                 [(a, lambda g: _unbroadcast(g, a.data.shape)),
-                  (b, lambda g: _unbroadcast(g, b.data.shape))])
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data - b.data,
-                 [(a, lambda g: _unbroadcast(g, a.data.shape)),
-                  (b, lambda g: _unbroadcast(-g, b.data.shape))])
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data * b.data,
                  [(a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape))])
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data / b.data,
-                 [(a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-                  (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))])
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(a.data * a.data, [(a, lambda g: g * 2.0 * a.data)])
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    root = np.sqrt(a.data)
-    return _make(root, [(a, lambda g: g * 0.5 / root)])
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def pull(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
-
-    return _make(out_data, [(a, pull)])
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -253,23 +194,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(gg, a.data.shape).copy() / count
 
     return _make(out_data, [(a, pull)])
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _make(a.data.reshape(shape), [(a, lambda g: g.reshape(a.data.shape))])
-
-
-def getitem(a, key) -> Tensor:
-    """Basic slicing/integer indexing; the gradient scatters back into zeros."""
-    a = as_tensor(a)
-
-    def pull(g):
-        full = np.zeros_like(a.data)
-        full[key] = g
-        return full
-
-    return _make(a.data[key], [(a, pull)])
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else 1 - erfc(|x|) with

@@ -39,6 +39,7 @@ class RateBoundError(RuntimeError):
 
 
 BOUND_RTOL = 1e-12
+FORWARD_BATCH = 64          # samples per inference forward pass
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,13 @@ class ResultRow:
     n: int
 
 
-def _neural_terms(h: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                  batch: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def _neural_terms(h: np.ndarray, cfg: ModelConfig,
+                  params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Inference forward over the dataset: metrics.terms of the network's design."""
-    outs = [forward_graph(h[start:start + batch], params, cfg, training=False)
-            for start in range(0, len(h), batch)]
-    wr, wi, p = (np.concatenate([out[i].data for out in outs]) for i in range(3))
-    return metrics.terms(wr, wi, h, p)
+    outs = [forward_graph(h[start:start + FORWARD_BATCH], params, cfg, training=False)
+            for start in range(0, len(h), FORWARD_BATCH)]
+    w, p = (np.concatenate([out[i].data for out in outs]) for i in range(2))
+    return metrics.terms(metrics.as_complex(w), h, p)
 
 
 def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
@@ -88,7 +89,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
             f"{', '.join(map(str, dropped))}")
     terms = {m: _neural_terms(h, *nn_models[m]) for m in methods if m in NEURAL_METHODS}
     if "ZF" in methods:
-        terms["ZF"] = metrics.terms(zf_w.real, zf_w.imag, h, equal)
+        terms["ZF"] = metrics.terms(zf_w, h, equal)
 
     rows: list[ResultRow] = []
     for snr_db in snr_grid_db:
@@ -96,7 +97,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
         ceiling = metrics.sum_rate_bound(h_norm2, sigma2) * (1.0 + BOUND_RTOL)
         if "MMSE" in methods:
             w, _ = inverse_directions(h, sigma2.mean(axis=1)[:, None])
-            terms["MMSE"] = metrics.terms(w.real, w.imag, h, equal)
+            terms["MMSE"] = metrics.terms(w, h, equal)
         for method in methods:
             rates = metrics.rates_from(*terms[method], sigma2)
             bad = np.flatnonzero(keep & ~np.isfinite(rates))

@@ -12,6 +12,10 @@ the batched forward: per_sample_sum_rates for validation, evaluate (which
 computes the SNR-free terms once per dataset) and sum_rates, the autodiff op
 whose closed-form pull the training loss neg_sum_rate_graph backpropagates
 through. sum_rate_bound is the ceiling every feasible design's rate stays under.
+
+The numpy functions take complex beams w (B, K, M, N); the autodiff op takes
+the network's float64 (B, K, M, N, 2) tensor with re/im on the last axis,
+which as_complex views as complex.
 """
 
 from __future__ import annotations
@@ -90,9 +94,14 @@ def weighted_sum_rate(gamma: np.ndarray) -> float:
     return float((np.log1p(gamma) / _LN2).sum(axis=1).mean())
 
 
-def _beam_gains(wr: np.ndarray, wi: np.ndarray, h: np.ndarray) -> np.ndarray:
+def as_complex(w: np.ndarray) -> np.ndarray:
+    """The complex (...) view of a float64 (..., 2) array with re/im on the last axis."""
+    return w.view(np.complex128)[..., 0]
+
+
+def _beam_gains(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     """e[b, k, n, i] = h[b, k, :, n]^T w[b, k, :, i], complex (B, K, N, N)."""
-    return np.einsum("bkmn,bkmi->bkni", h, wr + 1j * wi)
+    return np.einsum("bkmn,bkmi->bkni", h, w)
 
 
 def _terms_of(e: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,11 +110,10 @@ def _terms_of(e: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return signal, weighted.sum(axis=3) - signal
 
 
-def terms(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
-          p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def terms(w: np.ndarray, h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Received signal and interference powers (B, K, N) of a batched design:
-    beams wr + j wi and channels h (B, K, M, N), powers p (B, N)."""
-    return _terms_of(_beam_gains(wr, wi, h), p)
+    complex beams w and channels h (B, K, M, N), powers p (B, N)."""
+    return _terms_of(_beam_gains(w, h), p)
 
 
 def rates_from(signal: np.ndarray, interference: np.ndarray,
@@ -115,24 +123,24 @@ def rates_from(signal: np.ndarray, interference: np.ndarray,
     return (np.log1p(gamma) / _LN2).sum(axis=2).mean(axis=1)
 
 
-def per_sample_sum_rates(wr: np.ndarray, wi: np.ndarray, h: np.ndarray,
-                         p: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """Batched numpy sum-rates, one per sample."""
-    return rates_from(*terms(wr, wi, h, p), sigma2)
+def per_sample_sum_rates(w: np.ndarray, h: np.ndarray, p: np.ndarray,
+                         sigma2: np.ndarray) -> np.ndarray:
+    """Batched numpy sum-rates of complex beams w, one per sample."""
+    return rates_from(*terms(w, h, p), sigma2)
 
 
-def sum_rates(wr, wi, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
-    """per_sample_sum_rates as one autodiff op over wr, wi (B, K, M, N) and
-    p (B, N), with a closed-form pull.
+def sum_rates(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
+    """per_sample_sum_rates as one autodiff op over beams w (B, K, M, N, 2),
+    re/im on the last axis, and powers p (B, N), with a closed-form pull.
 
     With e = h^T w, g = |e|^2, S + I the received power and D = I + sigma^2,
     a rate term log(1 + S/D) = log(S + D) - log D has
     d/dg[n, i] = p_i / (S + D)_n, less p_i / D_n for i != n, and
     d/dp_i = sum_n g[n, i] times the same bracket; dg reaches the beams as
-    dW = dWr + j dWi = 2 conj(h) @ (dg * e).
+    dW = dWr + j dWi = 2 conj(h) @ (dg * e), returned in w's re/im layout.
     """
-    wr, wi, p = ad.as_tensor(wr), ad.as_tensor(wi), ad.as_tensor(p)
-    e = _beam_gains(wr.data, wi.data, h)
+    w, p = ad.as_tensor(w), ad.as_tensor(p)
+    e = _beam_gains(as_complex(w.data), h)
     signal, interference = _terms_of(e, p.data)
     k_sc, n_ue = h.shape[1], h.shape[3]
 
@@ -148,23 +156,22 @@ def sum_rates(wr, wi, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
         dp = np.einsum("bkni,bkni->bi", np.abs(e) ** 2, bracket)
         bracket *= p.data[:, None, None, :]
         dw = 2.0 * (h.conj() @ (bracket * e))
-        return dw.real, dw.imag, dp
+        return dw.view(np.float64).reshape(w.data.shape), dp
 
     return ad.make_op(rates_from(signal, interference, sigma2),
-                      [(wr, lambda g: grads(g)[0]), (wi, lambda g: grads(g)[1]),
-                       (p, lambda g: grads(g)[2])])
+                      [(w, lambda g: grads(g)[0]), (p, lambda g: grads(g)[1])])
 
 
-def neg_sum_rate_graph(wr: "ad.Tensor", wi: "ad.Tensor", h: np.ndarray,
-                       p: "ad.Tensor", sigma2: np.ndarray) -> "ad.Tensor":
+def neg_sum_rate_graph(w: "ad.Tensor", h: np.ndarray, p: "ad.Tensor",
+                       sigma2: np.ndarray) -> "ad.Tensor":
     """The training loss, the scalar batch-mean negative sum-rate.
 
-    wr, wi: real/imag beam directions, (B, K, M, N) tensors (unit columns).
+    w: beam directions, (B, K, M, N, 2) tensor with re/im last (unit columns).
     h: constant complex channel batch (B, K, M, N).
     p: per-UE powers, (B, N) tensor.
     sigma2: per-UE noise variances, (B, N).
     """
-    return -ad.tmean(sum_rates(wr, wi, h, p, sigma2))
+    return -ad.tmean(sum_rates(w, h, p, sigma2))
 
 
 def sum_rate_bound(h_norm2: np.ndarray, sigma2: np.ndarray) -> np.ndarray:

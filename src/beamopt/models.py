@@ -6,10 +6,10 @@ Each basic block is one fused autodiff op (ad.conv_bn_gelu) on channels-last
 activations, (B*N*M, L, C); the group flatten puts the features back in
 (n, m), C, L order, the order the FC weights and checkpoints use.
 
-Output constraints are architectural, not learned: beam columns are
-divided by their norm (plus a 1e-12 floor) and the power head ends in a
-softmax scaled by the power budget P_max = N, so any parameter values
-produce a feasible design.
+Output constraints are architectural, not learned: unit_beams divides each
+beam column by its norm (plus a 1e-12 floor) in one op, and the power head
+ends in a softmax scaled by the power budget P_max = N, so any parameter
+values produce a feasible design.
 """
 
 from __future__ import annotations
@@ -212,13 +212,34 @@ def channel_to_input(h: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arranged.reshape(b * n_ue * m_tx, k_sc, 2))
 
 
+def unit_beams(raw, shape: tuple) -> Tensor:
+    """The beam head's (B, 2KMN) output as unit-norm beams, one op.
+
+    shape is (B, K, M, N). The output is (B, K, M, N, 2) with re/im on the
+    last axis, complex128's memory layout (metrics.as_complex views it):
+    each column x over M is scaled by s = 1 / (||x|| + NORM_FLOOR). The pull
+    of y = x s is g s - x s^2 <g, x> / ||x||, the inner product over M and re/im.
+    """
+    raw = ad.as_tensor(raw)
+    x = raw.data.reshape(*shape, 2)
+    re, im = x[..., 0], x[..., 1]
+    norm = np.sqrt((re * re + im * im).sum(axis=2, keepdims=True))[..., None]
+    scale = 1.0 / (norm + NORM_FLOOR)
+
+    def pull(g):
+        dot = (g * x).sum(axis=(2, 4), keepdims=True)
+        return (g * scale - x * (scale * scale * dot / norm)).reshape(raw.data.shape)
+
+    return ad.make_op(x * scale, [(raw, pull)])
+
+
 def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
-                  training: bool) -> tuple[Tensor, Tensor, Tensor]:
+                  training: bool) -> tuple[Tensor, Tensor]:
     """Network forward pass on a channel batch.
 
-    Returns (wr, wi, p): unit-norm beam direction components shaped
-    (B, K, M, N) and per-UE powers (B, N) summing to N. Record on
-    an active Tape to train; run without one for inference.
+    Returns (w, p): unit-norm beam directions shaped (B, K, M, N, 2), re/im
+    on the last axis, and per-UE powers (B, N) summing to N. Record on an
+    active Tape to train; run without one for inference.
     """
     b, k_sc, m_tx, n_ue = h.shape
     if (m_tx, n_ue, k_sc) != (cfg.m_tx, cfg.n_ue, cfg.k_sc):
@@ -239,16 +260,12 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
         j = len(widths)
         return ad.linear(z, params.tensors[f"{prefix}{j}.w"], params.tensors[f"{prefix}{j}.b"])
 
-    raw = ad.reshape(head("bf", cfg.fc_widths_bf), (b, k_sc, m_tx, n_ue, 2))
-    wr_raw, wi_raw = raw[..., 0], raw[..., 1]
-    norm = ad.sqrt(ad.tsum(ad.square(wr_raw) + ad.square(wi_raw), axis=2, keepdims=True))
-    scale = 1.0 / (norm + NORM_FLOOR)
-    wr, wi = wr_raw * scale, wi_raw * scale
+    w = unit_beams(head("bf", cfg.fc_widths_bf), (b, k_sc, m_tx, n_ue))
     if cfg.joint_power:
         p = ad.softmax(head("pw", cfg.fc_widths_pw), axis=1) * float(n_ue)
     else:
         p = Tensor(np.ones((b, n_ue)))
-    return wr, wi, p
+    return w, p
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:

@@ -140,12 +140,13 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
             h = dataset.h[batch_idx]
             sigma2 = _noise_vars(dataset.ue_snr_offset_db[batch_idx], nominal)
             with ad.Tape() as tape:
-                wr, wi, p = forward_graph(h, params, cfg, training=True)
-                loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2)
+                w, p = forward_graph(h, params, cfg, training=True)
+                loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                rates = metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, sigma2)
-                bad = int(np.flatnonzero(~np.isfinite(rates))[0]) if np.any(~np.isfinite(rates)) else 0
+                # sum_rates' forward is per_sample_sum_rates', so some rate is non-finite
+                rates = metrics.per_sample_sum_rates(metrics.as_complex(w.data), h, p.data, sigma2)
+                bad = int(np.flatnonzero(~np.isfinite(rates))[0])
                 raise TrainingDiverged(epoch, b_start // tc.batch_size, int(batch_idx[bad]))
             tape.backward(loss)
             if not math.isfinite(_grad_norm(params)):
@@ -183,6 +184,6 @@ def _grad_norm(params: ModelParams) -> float:
 
 def _validation_loss(cfg, params, dataset, val_idx, val_sigma2) -> float:
     h = dataset.h[val_idx]
-    wr, wi, p = forward_graph(h, params, cfg, training=False)
-    rates = metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, val_sigma2)
+    w, p = forward_graph(h, params, cfg, training=False)
+    rates = metrics.per_sample_sum_rates(metrics.as_complex(w.data), h, p.data, val_sigma2)
     return float(-rates.mean())

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, kernels, metrics
-from .models import ModelConfig, forward_graph, init_params
+from .models import ModelConfig, forward_graph, init_params, unit_beams
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,21 @@ def _fd_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return g
 
 
-def _grad_check(build, x0: np.ndarray, rel_tol: float) -> tuple[bool, str]:
-    """Compare tape gradients of build(x)->scalar Tensor against central FD."""
-    t = ad.Tensor(x0.copy(), requires_grad=True)
+def _grad_check(build, inputs, rel_tol: float) -> tuple[bool, str]:
+    """Compare tape gradients of build(*tensors)->scalar Tensor against central
+    FD, over every entry of every input array."""
+    leaves = [ad.Tensor(x.copy(), requires_grad=True) for x in inputs]
     with ad.Tape() as tape:
-        out = build(t)
+        out = build(*leaves)
     tape.backward(out)
-    analytic = t.grad.reshape(x0.shape)
+    analytic = np.concatenate([t.grad.ravel() for t in leaves])
 
-    def scalar(x):
-        return build(ad.Tensor(x)).item()
+    def scalar(flat):
+        parts = np.split(flat, np.cumsum([x.size for x in inputs])[:-1])
+        return build(*(ad.Tensor(part.reshape(x.shape))
+                       for part, x in zip(parts, inputs))).item()
 
-    numeric = _fd_grad(scalar, x0)
+    numeric = _fd_grad(scalar, np.concatenate([x.ravel() for x in inputs]))
     denom = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-12)
     rel = float(np.max(np.abs(analytic - numeric)) / denom)
     return rel <= rel_tol, f"max rel err {rel:.2e}"
@@ -163,7 +166,7 @@ def check_metrics_oracle() -> CheckResult:
 
 def check_grad_gelu() -> CheckResult:
     rng = np.random.default_rng(17)
-    ok, detail = _grad_check(lambda t: ad.tsum(ad.gelu(t)), rng.standard_normal(16), 1e-5)
+    ok, detail = _grad_check(lambda t: ad.tmean(ad.gelu(t)), [rng.standard_normal(16)], 1e-5)
     return CheckResult("grad_gelu", ok, detail)
 
 
@@ -171,28 +174,32 @@ def check_grad_linear() -> CheckResult:
     rng = np.random.default_rng(18)
     w = rng.standard_normal((3, 5))
     b = rng.standard_normal(3)
-    ok, detail = _grad_check(
-        lambda t: ad.tsum(ad.square(ad.linear(ad.reshape(t, (4, 5)), ad.Tensor(w), ad.Tensor(b)))),
-        rng.standard_normal(20), 1e-5)
+
+    def build(t):
+        y = ad.linear(t, ad.Tensor(w), ad.Tensor(b))
+        return ad.tmean(y * y)
+
+    ok, detail = _grad_check(build, [rng.standard_normal((4, 5))], 1e-5)
     return CheckResult("grad_linear", ok, detail)
 
 
 def check_grad_softmax() -> CheckResult:
     rng = np.random.default_rng(19)
     mixer = rng.standard_normal((4, 6))
-    ok, detail = _grad_check(
-        lambda t: ad.tsum(ad.softmax(ad.reshape(t, (4, 6)), axis=1) * mixer),
-        rng.standard_normal(24), 1e-5)
+    ok, detail = _grad_check(lambda t: ad.tmean(ad.softmax(t, axis=1) * mixer),
+                             [rng.standard_normal((4, 6))], 1e-5)
     return CheckResult("grad_softmax", ok, detail)
 
 
 def check_grad_conv() -> CheckResult:
     rng = np.random.default_rng(20)
     w = rng.standard_normal((3, 2, 3))
-    ok, detail = _grad_check(
-        lambda t: ad.tsum(ad.square(ad.conv1d(ad.reshape(t, (2, 2, 8)), ad.Tensor(w),
-                                              stride=2, padding=1))),
-        rng.standard_normal(32), 1e-5)
+
+    def build(t):
+        y = ad.conv1d(t, ad.Tensor(w), stride=2, padding=1)
+        return ad.tmean(y * y)
+
+    ok, detail = _grad_check(build, [rng.standard_normal((2, 2, 8))], 1e-5)
     return CheckResult("grad_conv1d", ok, detail)
 
 
@@ -204,11 +211,10 @@ def check_grad_batchnorm() -> CheckResult:
 
     def build(t):
         state = ad.BatchNormState.fresh(3)
-        y = ad.batchnorm1d(ad.reshape(t, (2, 3, 4)), ad.Tensor(gamma), ad.Tensor(beta),
-                           state, training=True)
-        return ad.tsum(y * mixer)
+        y = ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta), state, training=True)
+        return ad.tmean(y * mixer)
 
-    ok, detail = _grad_check(build, rng.standard_normal(24), 1e-5)
+    ok, detail = _grad_check(build, [rng.standard_normal((2, 3, 4))], 1e-5)
     return CheckResult("grad_batchnorm", ok, detail)
 
 
@@ -217,15 +223,15 @@ def check_grad_basic_block() -> CheckResult:
     rng = np.random.default_rng(27)
     mixer = rng.standard_normal((2, 4, 3))
 
-    def build(t):
-        x, w = ad.reshape(t[:32], (2, 8, 2)), ad.reshape(t[32:50], (3, 2, 3))
-        y = ad.conv_bn_gelu(x, w, t[50:53], t[53:56], ad.BatchNormState.fresh(3),
+    def build(x, w, gamma, beta):
+        y = ad.conv_bn_gelu(x, w, gamma, beta, ad.BatchNormState.fresh(3),
                             training=True, stride=2, padding=1)
-        return ad.tsum(y * mixer)
+        return ad.tmean(y * mixer)
 
-    x0 = np.concatenate([rng.standard_normal(50), rng.uniform(0.5, 1.5, 3),
-                         rng.standard_normal(3)])
-    ok, detail = _grad_check(build, x0, 1e-5)
+    xw = rng.standard_normal(50)
+    inputs = [xw[:32].reshape(2, 8, 2), xw[32:].reshape(3, 2, 3), rng.uniform(0.5, 1.5, 3),
+              rng.standard_normal(3)]
+    ok, detail = _grad_check(build, inputs, 1e-5)
     return CheckResult("grad_basic_block", ok, detail)
 
 
@@ -236,17 +242,22 @@ def check_grad_sum_rates() -> CheckResult:
     h = _rand_channel(rng, b * k, m, n).reshape(b, k, m, n)
     sigma2 = rng.uniform(0.3, 2.0, (b, n))
     mixer = rng.standard_normal(b)
-    size = b * k * m * n
-
-    def build(t):
-        wr = ad.reshape(t[:size], (b, k, m, n))
-        wi = ad.reshape(t[size:2 * size], (b, k, m, n))
-        p = ad.reshape(t[2 * size:], (b, n))
-        return ad.tsum(metrics.sum_rates(wr, wi, h, p, sigma2) * mixer)
-
-    x0 = np.concatenate([rng.standard_normal(2 * size), rng.uniform(0.2, 1.5, b * n)])
-    ok, detail = _grad_check(build, x0, 1e-5)
+    wr, wi = rng.standard_normal((2, b, k, m, n))
+    p = rng.uniform(0.2, 1.5, (b, n))
+    ok, detail = _grad_check(
+        lambda w, p: ad.tmean(metrics.sum_rates(w, h, p, sigma2) * mixer),
+        [np.stack([wr, wi], axis=-1), p], 1e-5)
     return CheckResult("grad_sum_rates", ok, detail)
+
+
+def check_grad_unit_beams() -> CheckResult:
+    """The closed-form pull of models.unit_beams against FD."""
+    rng = np.random.default_rng(29)
+    b, k, m, n = 2, 2, 3, 2
+    mixer = rng.standard_normal((b, k, m, n, 2))
+    ok, detail = _grad_check(lambda t: ad.tmean(unit_beams(t, (b, k, m, n)) * mixer),
+                             [rng.standard_normal((b, 2 * k * m * n))], 1e-5)
+    return CheckResult("grad_unit_beams", ok, detail)
 
 
 def check_grad_full_loss() -> CheckResult:
@@ -263,14 +274,15 @@ def check_grad_full_loss() -> CheckResult:
     def loss_with(data) -> float:
         target.data = data.reshape(target.data.shape)
         states = {k: v.copy() for k, v in params.bn_states.items()}
-        wr, wi, p = forward_graph(h, params, cfg, training=True)
+        w, p = forward_graph(h, params, cfg, training=True)
         for k in params.bn_states:
             params.bn_states[k] = states[k]
-        return metrics.per_sample_sum_rates(wr.data, wi.data, h, p.data, sigma2).mean() * -1.0
+        return -metrics.per_sample_sum_rates(metrics.as_complex(w.data), h, p.data,
+                                             sigma2).mean()
 
     with ad.Tape() as tape:
-        wr, wi, p = forward_graph(h, params, cfg, training=True)
-        loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2)
+        w, p = forward_graph(h, params, cfg, training=True)
+        loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
     tape.backward(loss)
     analytic = target.grad.copy()
     flat_idx = np.argsort(np.abs(analytic.ravel()))[-24:]   # spot-check largest entries
@@ -294,8 +306,8 @@ def check_constraints() -> CheckResult:
     for _ in range(20):
         params = init_params(cfg, rng)
         h = _rand_channel(rng, 8, 2, 2)[None]
-        wr, wi, p = forward_graph(h, params, cfg, training=False)
-        norms = np.linalg.norm(wr.data + 1j * wi.data, axis=2)
+        w, p = forward_graph(h, params, cfg, training=False)
+        norms = np.linalg.norm(metrics.as_complex(w.data), axis=2)
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
         worst_pow = max(worst_pow, float(np.max(np.abs(p.data.sum(axis=1) - cfg.n_ue))))
     ok = worst_norm <= 1e-9 and worst_pow <= 1e-12
@@ -324,11 +336,11 @@ def check_rate_bound() -> CheckResult:
     designs = [(baselines.inverse_directions(h)[0], np.ones((6, 3))),
                (baselines.inverse_directions(h, sigma2.mean(axis=1)[:, None])[0], np.ones((6, 3))),
                (w_rand, 3.0 * rng.dirichlet(np.ones(3), 6))]
-    worst = max(float(np.max(metrics.per_sample_sum_rates(w.real, w.imag, h, p, sigma2) / bound))
+    worst = max(float(np.max(metrics.per_sample_sum_rates(w, h, p, sigma2) / bound))
                 for w, p in designs)
     h1, s1 = h[..., :1], sigma2[:, :1]
     w_mf = h1.conj() / np.linalg.norm(h1, axis=2, keepdims=True)
-    attained = metrics.per_sample_sum_rates(w_mf.real, w_mf.imag, h1, np.ones((6, 1)), s1)
+    attained = metrics.per_sample_sum_rates(w_mf, h1, np.ones((6, 1)), s1)
     bound1 = metrics.sum_rate_bound((np.abs(h1) ** 2).sum(axis=2), s1)
     gap = float(np.max(np.abs(attained / bound1 - 1.0)))
     return CheckResult("rate_bound", worst <= 1.0 + 1e-12 and gap <= 1e-12,
@@ -341,7 +353,7 @@ def check_adam_bowl() -> CheckResult:
     for _ in range(500):
         opt.zero_grad()
         with ad.Tape() as tape:
-            loss = ad.tsum(ad.square(theta))
+            loss = ad.tmean(theta * theta)
         tape.backward(loss)
         opt.step()
     val = abs(float(theta.data[0]))
@@ -401,6 +413,7 @@ ALL_CHECKS = (
     check_grad_batchnorm,
     check_grad_basic_block,
     check_grad_sum_rates,
+    check_grad_unit_beams,
     check_grad_full_loss,
     check_constraints,
     check_softmax_rows,

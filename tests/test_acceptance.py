@@ -186,20 +186,21 @@ def test_criterion_06_gradient_suite():
     mix_bn = rng.standard_normal((2, 3, 4))
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.standard_normal(3)
+
+    def mean_square(y):
+        return ad.tmean(y * y)
+
     layers = [
-        (lambda t: ad.tsum(ad.gelu(t)), rng.standard_normal(12)),
-        (lambda t: ad.tsum(ad.square(ad.linear(ad.reshape(t, (3, 6)), ad.Tensor(lin_w),
-                                               ad.Tensor(lin_b)))), rng.standard_normal(18)),
-        (lambda t: ad.tsum(ad.softmax(ad.reshape(t, (3, 5)), axis=1) * mix_sm),
-         rng.standard_normal(15)),
-        (lambda t: ad.tsum(ad.square(ad.conv1d(ad.reshape(t, (2, 2, 8)), ad.Tensor(conv_w),
-                                               stride=2, padding=1))),
-         rng.standard_normal(32)),
-        (lambda t: ad.tsum(ad.batchnorm1d(
-            ad.reshape(t, (2, 3, 4)), ad.Tensor(gamma), ad.Tensor(beta),
-            ad.BatchNormState.fresh(3), training=True) * mix_bn), rng.standard_normal(24)),
-        (lambda t: ad.tsum(ad.square(ad.flatten_groups(ad.reshape(t, (4, 3, 2)), group=2))),
-         rng.standard_normal(24)),
+        (lambda t: ad.tmean(ad.gelu(t)), rng.standard_normal(12)),
+        (lambda t: mean_square(ad.linear(t, ad.Tensor(lin_w), ad.Tensor(lin_b))),
+         rng.standard_normal((3, 6))),
+        (lambda t: ad.tmean(ad.softmax(t, axis=1) * mix_sm), rng.standard_normal((3, 5))),
+        (lambda t: mean_square(ad.conv1d(t, ad.Tensor(conv_w), stride=2, padding=1)),
+         rng.standard_normal((2, 2, 8))),
+        (lambda t: ad.tmean(ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
+                                           ad.BatchNormState.fresh(3), training=True) * mix_bn),
+         rng.standard_normal((2, 3, 4))),
+        (lambda t: mean_square(ad.flatten_groups(t, group=2)), rng.standard_normal((4, 3, 2))),
     ]
     for build, x0 in layers:
         worst_layer = max(worst_layer, layer_check(build, x0))
@@ -211,8 +212,8 @@ def test_criterion_06_gradient_suite():
     sigma2 = rng.uniform(0.4, 1.2, (1, 2))
 
     with ad.Tape() as tape:
-        wr, wi, p = forward_graph(h, params, cfg, training=True)
-        loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2)
+        w, p = forward_graph(h, params, cfg, training=True)
+        loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
     tape.backward(loss)
 
     worst_full = 0.0
@@ -222,10 +223,11 @@ def test_criterion_06_gradient_suite():
         def loss_of(flat, tensor=tensor, x0=x0):
             tensor.data = flat.reshape(x0.shape)
             states = {k: v.copy() for k, v in params.bn_states.items()}
-            wr_, wi_, p_ = forward_graph(h, params, cfg, training=True)
+            w_, p_ = forward_graph(h, params, cfg, training=True)
             for k in params.bn_states:
                 params.bn_states[k] = states[k]
-            val = -metrics.per_sample_sum_rates(wr_.data, wi_.data, h, p_.data, sigma2).mean()
+            val = -metrics.per_sample_sum_rates(metrics.as_complex(w_.data), h, p_.data,
+                                                sigma2).mean()
             tensor.data = x0
             return val
 
@@ -255,8 +257,8 @@ def test_criterion_07_constraints_by_construction():
         for t in params.tensors.values():
             t.data = t.data + rng.standard_normal(t.data.shape) * 0.3
         h = rand_complex(rng, 1, 8, 2, 2)
-        wr, wi, p = forward_graph(h, params, cfg, training=False)
-        norms = np.linalg.norm(wr.data + 1j * wi.data, axis=2)
+        w, p = forward_graph(h, params, cfg, training=False)
+        norms = np.linalg.norm(metrics.as_complex(w.data), axis=2)
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - 1.0))))
         worst_pow = max(worst_pow, float(np.max(np.abs(p.data.sum(axis=1) - cfg.n_ue))))
     assert worst_norm <= 1e-9

@@ -94,7 +94,7 @@ def test_batched_classical_rates_match_reference(h, method, seed):
     reg = sigma2.mean(axis=1)[:, None] if method == "MMSE" else 0.0
     w, _ = inverse_directions(h, reg)
     p = np.full((s, n), 1.0)
-    rates = per_sample_sum_rates(w.real, w.imag, h, p, sigma2)
+    rates = per_sample_sum_rates(w, h, p, sigma2)
     for i in range(s):
         ref = weighted_sum_rate(sinr_per_ue(h[i], BeamformerSet(w[i], p[i], float(n)), sigma2[i]))
         assert rates[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)

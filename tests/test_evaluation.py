@@ -3,7 +3,7 @@ import pytest
 
 from beamopt.channel import ChannelDataset, gen_dataset, snr_db_to_noise_var
 from beamopt.evaluation import evaluate
-from beamopt.metrics import BeamformerSet, sinr_per_ue, weighted_sum_rate
+from beamopt.metrics import BeamformerSet, as_complex, sinr_per_ue, weighted_sum_rate
 from beamopt.models import ModelConfig, forward_graph, init_params
 
 
@@ -78,8 +78,8 @@ def test_neural_rows_match_manual_forward():
     params = init_params(cfg, np.random.default_rng(6))
     rows = evaluate(ds, [5.0], ["NNBF-P"], {"NNBF-P": (cfg, params)})
 
-    wr, wi, p = forward_graph(ds.h, params, cfg, training=False)
-    w = wr.data + 1j * wi.data
+    w, p = forward_graph(ds.h, params, cfg, training=False)
+    w = as_complex(w.data)
     sigma2 = snr_db_to_noise_var(5.0 + ds.ue_snr_offset_db)
     rates = [weighted_sum_rate(sinr_per_ue(
         ds.h[i], BeamformerSet(w_tilde=w[i], p=p.data[i], p_max=float(cfg.n_ue)), sigma2[i]))
@@ -121,9 +121,9 @@ def test_non_finite_rate_raises_naming_method_snr_and_sample(monkeypatch):
     real_forward = evaluation.forward_graph
 
     def nan_on_sample_3(h, params, cfg, training):
-        wr, wi, p = real_forward(h, params, cfg, training)
-        wr.data[3] = np.nan
-        return wr, wi, p
+        w, p = real_forward(h, params, cfg, training)
+        w.data[3, ..., 0] = np.nan
+        return w, p
 
     monkeypatch.setattr(evaluation, "forward_graph", nan_on_sample_3)
     ds = gen_dataset(TinyCfg(), count=6, seed=9)
@@ -137,10 +137,9 @@ def test_rate_above_the_sinr_ceiling_raises(monkeypatch):
     real_forward = evaluation.forward_graph
 
     def unnormalized_on_sample_3(h, params, cfg, training):
-        wr, wi, p = real_forward(h, params, cfg, training)
-        wr.data[3] *= 1e3                          # a normalization bug inflates the SINR
-        wi.data[3] *= 1e3
-        return wr, wi, p
+        w, p = real_forward(h, params, cfg, training)
+        w.data[3] *= 1e3                           # a normalization bug inflates the SINR
+        return w, p
 
     monkeypatch.setattr(evaluation, "forward_graph", unnormalized_on_sample_3)
     ds = gen_dataset(TinyCfg(), count=6, seed=11)

@@ -1,6 +1,7 @@
-"""The two fused ops of the training step against the ops they replace:
-conv_bn_gelu against conv1d -> batchnorm1d -> gelu, and metrics.sum_rates
-against per_sample_sum_rates and finite differences."""
+"""The fused ops of the training step against the ops they replace:
+conv_bn_gelu against conv1d -> batchnorm1d -> gelu, models.unit_beams against
+the beam normalization in plain numpy and finite differences, and
+metrics.sum_rates against per_sample_sum_rates and finite differences."""
 
 import tracemalloc
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from beamopt import autodiff as ad
 from beamopt import metrics
-from beamopt.models import ModelConfig, channel_to_input, forward_graph, init_params
+from beamopt.models import (NORM_FLOOR, ModelConfig, channel_to_input, forward_graph,
+                            init_params, unit_beams)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -26,19 +28,19 @@ def block_cases(draw):
 
 
 def run_block(fused, x_cl, w, gamma, beta, state, training, stride, mixer_cl):
-    """Output (rows, L, C), the four gradients (dx channels-last) of sum(out * mixer)."""
+    """Output (rows, L, C), the four gradients (dx channels-last) of mean(out * mixer)."""
     leaves = [ad.Tensor(a.copy(), requires_grad=True) for a in (x_cl, w, gamma, beta)]
     x, wt, g, b = leaves
     with ad.Tape() as tape:
         if fused:
             out = ad.conv_bn_gelu(x, wt, g, b, state, training=training, stride=stride,
                                   padding=1)
-            loss = ad.tsum(out * mixer_cl)
+            loss = ad.tmean(out * mixer_cl)
         else:
             x_cf = ad.Tensor(x_cl.transpose(0, 2, 1).copy(), requires_grad=True)
             out = ad.gelu(ad.batchnorm1d(ad.conv1d(x_cf, wt, stride=stride, padding=1),
                                          g, b, state, training=training))
-            loss = ad.tsum(out * mixer_cl.transpose(0, 2, 1))
+            loss = ad.tmean(out * mixer_cl.transpose(0, 2, 1))
             leaves[0] = x_cf
     tape.backward(loss)
     if fused:
@@ -93,53 +95,139 @@ def rate_cases(draw):
     b, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     h = rng.standard_normal((b, k, m, n)) + 1j * rng.standard_normal((b, k, m, n))
-    return (h, rng.standard_normal((b, k, m, n)), rng.standard_normal((b, k, m, n)),
-            rng.uniform(0.1, 2.0, (b, n)), rng.uniform(0.2, 3.0, (b, n)), rng)
+    return (h, rng.standard_normal((b, k, m, n, 2)), rng.uniform(0.1, 2.0, (b, n)),
+            rng.uniform(0.2, 3.0, (b, n)), rng)
 
 
 @PROPERTY
 @given(rate_cases())
 def test_sum_rates_forward_is_bit_equal_to_per_sample_sum_rates(case):
-    h, wr, wi, p, sigma2, _ = case
-    rates = metrics.sum_rates(ad.Tensor(wr), ad.Tensor(wi), h, ad.Tensor(p), sigma2)
-    assert rates.data.tobytes() == metrics.per_sample_sum_rates(wr, wi, h, p, sigma2).tobytes()
+    h, w, p, sigma2, _ = case
+    rates = metrics.sum_rates(ad.Tensor(w), h, ad.Tensor(p), sigma2)
+    expected = metrics.per_sample_sum_rates(metrics.as_complex(w), h, p, sigma2)
+    assert rates.data.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(rate_cases())
 def test_sum_rates_vjp_matches_finite_differences(case):
-    h, wr0, wi0, p0, sigma2, rng = case
+    h, w0, p0, sigma2, rng = case
     mixer = rng.standard_normal(h.shape[0])
-    wr, wi, p = (ad.Tensor(a.copy(), requires_grad=True) for a in (wr0, wi0, p0))
+    w, p = (ad.Tensor(a.copy(), requires_grad=True) for a in (w0, p0))
     with ad.Tape() as tape:
-        loss = ad.tsum(metrics.sum_rates(wr, wi, h, p, sigma2) * mixer)
+        loss = ad.tmean(metrics.sum_rates(w, h, p, sigma2) * mixer)
     tape.backward(loss)
 
     def value(args):
-        return float(metrics.per_sample_sum_rates(*args[:2], h, args[2], sigma2) @ mixer)
+        return float(metrics.per_sample_sum_rates(metrics.as_complex(args[0]), h, args[1],
+                                                  sigma2) @ mixer) / mixer.size
 
-    for which, grad in enumerate((wr.grad, wi.grad, p.grad)):
+    for which, grad in enumerate((w.grad, p.grad)):
+        assert grad.shape == (w0, p0)[which].shape
         numeric = np.empty(grad.size)
         for i in range(grad.size):
-            hi, lo = [wr0.copy(), wi0.copy(), p0.copy()], [wr0.copy(), wi0.copy(), p0.copy()]
+            hi, lo = [w0.copy(), p0.copy()], [w0.copy(), p0.copy()]
             hi[which].flat[i] += 1e-6
             lo[which].flat[i] -= 1e-6
             numeric[i] = (value(hi) - value(lo)) / 2e-6
-        scale = max(np.abs(numeric).max(), 1e-3)
+        scale = max(np.abs(numeric).max(), 1e-3 / mixer.size)
         assert np.abs(grad.ravel() - numeric).max() <= 1e-5 * scale
 
 
-def test_desk_training_step_records_27_ops():
+def test_as_complex_views_the_re_im_axis():
+    w = np.random.default_rng(4).standard_normal((2, 3, 2, 2, 2))
+    z = metrics.as_complex(w)
+    assert z.shape == (2, 3, 2, 2) and np.shares_memory(z, w)
+    np.testing.assert_array_equal(z, w[..., 0] + 1j * w[..., 1])
+
+
+def unit_beams_reference(raw, shape):
+    """The beam normalization unit_beams replaces, in the expression order of the
+    primitive ops it was built from: (B, K, M, N) real and imaginary parts."""
+    x = raw.reshape(*shape, 2)
+    wr_raw, wi_raw = x[..., 0], x[..., 1]
+    norm = np.sqrt((wr_raw * wr_raw + wi_raw * wi_raw).sum(axis=2, keepdims=True))
+    scale = 1.0 / (norm + NORM_FLOOR)
+    return wr_raw * scale, wi_raw * scale
+
+
+@st.composite
+def beam_cases(draw):
+    b, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((b, k, m, n, 2))
+    # each column over M rescaled to a norm log-uniform in [1e-6, 1e3]
+    col = np.sqrt((x * x).sum(axis=(2, 4), keepdims=True))
+    x *= 10.0 ** rng.uniform(-6.0, 3.0, col.shape) / col
+    return x.reshape(b, -1), (b, k, m, n), rng
+
+
+@PROPERTY
+@given(beam_cases())
+def test_unit_beams_forward_is_bit_equal_to_the_primitive_composition(case):
+    raw, shape, _ = case
+    out = unit_beams(ad.Tensor(raw), shape).data
+    assert out.shape == (*shape, 2)
+    wr, wi = unit_beams_reference(raw, shape)
+    assert out[..., 0].tobytes() == wr.tobytes() and out[..., 1].tobytes() == wi.tobytes()
+    col = np.linalg.norm(metrics.as_complex(raw.reshape(*shape, 2)), axis=2)
+    np.testing.assert_allclose(np.linalg.norm(metrics.as_complex(out), axis=2),
+                               col / (col + NORM_FLOOR), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(beam_cases())
+def test_unit_beams_vjp_matches_finite_differences(case):
+    raw0, shape, rng = case
+    mixer = rng.standard_normal((*shape, 2))
+    raw = ad.Tensor(raw0.copy(), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.tmean(unit_beams(raw, shape) * mixer)
+    tape.backward(loss)
+    assert raw.grad.shape == raw0.shape
+
+    def value(x):
+        return float((unit_beams(ad.Tensor(x), shape).data * mixer).mean())
+
+    # the gradient scales as 1 / ||column||: step and error are taken per column
+    x = raw0.reshape(*shape, 2)
+    col = np.broadcast_to(np.sqrt((x * x).sum(axis=(2, 4), keepdims=True)), x.shape).ravel()
+    numeric = np.empty(raw0.size)
+    for i in range(raw0.size):
+        step = 1e-6 * col[i]
+        hi, lo = raw0.copy(), raw0.copy()
+        hi.flat[i] += step
+        lo.flat[i] -= step
+        numeric[i] = (value(hi) - value(lo)) / (2 * step)
+    analytic = raw.grad.reshape(*shape, 2).ravel()
+    scaled_err = np.abs(analytic - numeric) * col
+    assert scaled_err.max() <= 1e-6 * np.abs(mixer).max() / mixer.size
+
+
+def test_unit_beams_maps_a_zero_column_to_finite_zeros():
+    raw = np.random.default_rng(5).standard_normal((2, 3, 4, 2, 2))
+    raw[1, 2, :, 0] = 0.0
+    out = unit_beams(ad.Tensor(raw.reshape(2, -1)), (2, 3, 4, 2)).data
+    assert np.isfinite(out).all()
+    assert not out[1, 2, :, 0].any()
+    norms = np.linalg.norm(metrics.as_complex(out), axis=2)
+    norms[1, 2, 0] += 1.0
+    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def test_desk_training_step_records_16_ops():
     """NNBF-P at the exp01-desk shape (M=N=4, K=8, B=16): 3 blocks, 1 flatten,
-    6 head ops, 12 beam-normalization ops, 2 power ops and 3 loss ops."""
+    6 head ops (linear, GELU, linear per head), 1 unit_beams, 2 power ops
+    (softmax, the budget scale) and 3 loss ops (sum_rates, tmean, negation)."""
     cfg = ModelConfig(m_tx=4, n_ue=4, k_sc=8)
     params = init_params(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     h = rng.standard_normal((16, 8, 4, 4)) + 1j * rng.standard_normal((16, 8, 4, 4))
     with ad.Tape() as tape:
-        wr, wi, p = forward_graph(h, params, cfg, training=True)
-        loss = metrics.neg_sum_rate_graph(wr, wi, h, p, np.ones((16, 4)))
-    assert len(tape._records) == 27
+        w, p = forward_graph(h, params, cfg, training=True)
+        loss = metrics.neg_sum_rate_graph(w, h, p, np.ones((16, 4)))
+    assert len(tape._records) == 16
     tape.backward(loss)
     assert all(t.grad is not None for t in params.tensors.values())
 

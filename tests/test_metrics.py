@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from beamopt import autodiff as ad
-from beamopt.metrics import (BeamformerSet, neg_sum_rate_graph, per_sample_sum_rates,
-                             sinr_per_ue, weighted_sum_rate)
+from beamopt.metrics import (BeamformerSet, neg_sum_rate_graph,
+                             per_sample_sum_rates, sinr_per_ue, weighted_sum_rate)
+from beamopt.models import unit_beams
+
+
+def beam_tensor(w):
+    """Complex beams (..., M, N) as the float64 (..., M, N, 2) tensor sum_rates takes."""
+    return ad.Tensor(np.stack([w.real, w.imag], axis=-1))
 
 
 def rand_instance(rng, k, m, n):
@@ -122,7 +128,7 @@ class TestLoss:
     def test_unit_case(self):
         h = np.ones((1, 1, 1, 1), dtype=complex)
         one = np.ones((1, 1))
-        loss = neg_sum_rate_graph(ad.Tensor(h.real), ad.Tensor(h.imag), h, ad.Tensor(one), one)
+        loss = neg_sum_rate_graph(beam_tensor(h), h, ad.Tensor(one), one)
         assert loss.item() == pytest.approx(-1.0, abs=1e-15)
 
 
@@ -135,8 +141,7 @@ class TestGraphLoss:
         w /= np.linalg.norm(w, axis=2, keepdims=True)
         p = rng.uniform(0.2, 0.8, (b, n))
         sigma2 = rng.uniform(0.5, 2.0, (b, n))
-        loss = neg_sum_rate_graph(ad.Tensor(w.real), ad.Tensor(w.imag), h,
-                                  ad.Tensor(p), sigma2)
+        loss = neg_sum_rate_graph(beam_tensor(w), h, ad.Tensor(p), sigma2)
         per_sample = [
             weighted_sum_rate(sinr_per_ue(
                 h[i], BeamformerSet(w[i], p[i], p_max=p[i].sum() + 1e-6), sigma2[i]))
@@ -152,9 +157,8 @@ class TestGraphLoss:
         w /= np.linalg.norm(w, axis=2, keepdims=True)
         p = rng.uniform(0.2, 0.8, (b, n))
         sigma2 = rng.uniform(0.5, 2.0, (b, n))
-        rates = per_sample_sum_rates(w.real, w.imag, h, p, sigma2)
-        loss = neg_sum_rate_graph(ad.Tensor(w.real), ad.Tensor(w.imag), h,
-                                  ad.Tensor(p), sigma2)
+        rates = per_sample_sum_rates(w, h, p, sigma2)
+        loss = neg_sum_rate_graph(beam_tensor(w), h, ad.Tensor(p), sigma2)
         assert abs(loss.item() + rates.mean()) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -169,15 +173,12 @@ class TestGraphLoss:
             wri = flat.reshape(w0.shape)
             w = wri[..., 0] + 1j * wri[..., 1]
             w = w / np.linalg.norm(w, axis=2, keepdims=True)
-            return -per_sample_sum_rates(w.real, w.imag, h, p0, sigma2).mean()
+            return -per_sample_sum_rates(w, h, p0, sigma2).mean()
 
-        t = ad.Tensor(w0.copy(), requires_grad=True)
+        t = ad.Tensor(w0.reshape(b, -1), requires_grad=True)
         with ad.Tape() as tape:
-            wr_raw, wi_raw = t[..., 0], t[..., 1]
-            norm = ad.sqrt(ad.tsum(ad.square(wr_raw) + ad.square(wi_raw), axis=2,
-                                   keepdims=True))
-            wr, wi = wr_raw / norm, wi_raw / norm
-            loss = neg_sum_rate_graph(wr, wi, h, ad.Tensor(p0), sigma2)
+            w = unit_beams(t, (b, k, m, n))
+            loss = neg_sum_rate_graph(w, h, ad.Tensor(p0), sigma2)
         tape.backward(loss)
 
         flat0 = w0.ravel()

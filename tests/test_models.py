@@ -76,8 +76,8 @@ class TestInitParams:
                               fc_widths_bf=(32,), fc_widths_pw=(32,))
             params = init_params(cfg, rng)
             h = rand_batch(rng, 2, 8, m, n)
-            wr, wi, p = forward_graph(h, params, cfg, training=False)
-            assert np.all(np.isfinite(wr.data)) and np.all(np.isfinite(wi.data))
+            w, p = forward_graph(h, params, cfg, training=False)
+            assert np.all(np.isfinite(w.data))
             assert np.all(np.isfinite(p.data))
 
 
@@ -139,8 +139,8 @@ class TestForward:
         cfg = ModelConfig(m_tx=4, n_ue=4, k_sc=48, fc_widths_bf=(64,), fc_widths_pw=(64,))
         params = init_params(cfg, np.random.default_rng(7))
         h = rand_batch(np.random.default_rng(8), 2, 48, 4, 4)
-        wr, wi, p = forward_graph(h, params, cfg, training=False)
-        assert wr.data.shape == (2, 48, 4, 4)
+        w, p = forward_graph(h, params, cfg, training=False)
+        assert w.data.shape == (2, 48, 4, 4, 2)
         assert p.data.shape == (2, 4)
 
     def test_constraints_for_arbitrary_parameters(self):
@@ -151,8 +151,8 @@ class TestForward:
             for t in params.tensors.values():        # arbitrary, not just init-scaled
                 t.data = t.data + rng.standard_normal(t.data.shape) * 0.5
             h = rand_batch(rng, 3, 8, 2, 2)
-            wr, wi, p = forward_graph(h, params, cfg, training=False)
-            norms = np.linalg.norm(wr.data + 1j * wi.data, axis=2)
+            w, p = forward_graph(h, params, cfg, training=False)
+            norms = np.linalg.norm(metrics.as_complex(w.data), axis=2)
             assert np.max(np.abs(norms - 1.0)) <= 1e-9
             np.testing.assert_allclose(p.data.sum(axis=1), np.full(3, float(cfg.n_ue)),
                                        atol=1e-12)
@@ -162,7 +162,7 @@ class TestForward:
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, joint_power=False)
         params = init_params(cfg, np.random.default_rng(10))
         h = rand_batch(np.random.default_rng(11), 2, 8, 2, 2)
-        _, _, p = forward_graph(h, params, cfg, training=False)
+        _, p = forward_graph(h, params, cfg, training=False)
         np.testing.assert_array_equal(p.data, np.ones((2, 2)))
 
     def test_nnbf_and_nnbf_p_share_directions_for_same_seed(self):
@@ -171,18 +171,17 @@ class TestForward:
         params_p = init_params(cfg_p, np.random.default_rng(12))
         params_e = init_params(cfg_e, np.random.default_rng(12))
         h = rand_batch(np.random.default_rng(13), 2, 8, 2, 2)
-        wr_p, wi_p, _ = forward_graph(h, params_p, cfg_p, training=False)
-        wr_e, wi_e, _ = forward_graph(h, params_e, cfg_e, training=False)
-        np.testing.assert_array_equal(wr_p.data, wr_e.data)
-        np.testing.assert_array_equal(wi_p.data, wi_e.data)
+        w_p, _ = forward_graph(h, params_p, cfg_p, training=False)
+        w_e, _ = forward_graph(h, params_e, cfg_e, training=False)
+        np.testing.assert_array_equal(w_p.data, w_e.data)
 
     def test_duplicate_samples_get_identical_outputs(self):
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
         params = init_params(cfg, np.random.default_rng(14))
         single = rand_batch(np.random.default_rng(15), 1, 8, 2, 2)
         doubled = np.concatenate([single, single], axis=0)
-        wr, wi, p = forward_graph(doubled, params, cfg, training=False)
-        np.testing.assert_array_equal(wr.data[0], wr.data[1])
+        w, p = forward_graph(doubled, params, cfg, training=False)
+        np.testing.assert_array_equal(w.data[0], w.data[1])
         np.testing.assert_array_equal(p.data[0], p.data[1])
 
     def test_shape_mismatch_rejected(self):
@@ -198,8 +197,8 @@ class TestForward:
         h = rand_batch(np.random.default_rng(21), 4, 8, 2, 2)
         sigma2 = np.full((4, 2), 0.5)
         with ad.Tape() as tape:
-            wr, wi, p = forward_graph(h, params, cfg, training=True)
-            loss = metrics.neg_sum_rate_graph(wr, wi, h, p, sigma2)
+            w, p = forward_graph(h, params, cfg, training=True)
+            loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
         tape.backward(loss)
         for name, t in params.tensors.items():
             assert t.grad is not None, f"{name} missing grad"

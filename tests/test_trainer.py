@@ -101,12 +101,12 @@ class TestTrain:
         ds, cfg, params = small_setup(n_samples=4, seed=10)
         sigma2 = snr_db_to_noise_var(5.0 + ds.ue_snr_offset_db)
         with ad.Tape() as tape:
-            wr, wi, p = forward_graph(ds.h, params, cfg, training=True)
-            loss = metrics.neg_sum_rate_graph(wr, wi, ds.h, p, sigma2)
+            w, p = forward_graph(ds.h, params, cfg, training=True)
+            loss = metrics.neg_sum_rate_graph(w, ds.h, p, sigma2)
         rates = [
             metrics.weighted_sum_rate(metrics.sinr_per_ue(
                 ds.h[i],
-                metrics.BeamformerSet(wr.data[i] + 1j * wi.data[i], p.data[i],
+                metrics.BeamformerSet(metrics.as_complex(w.data[i]), p.data[i],
                                       p_max=float(cfg.n_ue)),
                 sigma2[i]))
             for i in range(len(ds))
