@@ -16,6 +16,10 @@ metrics.sum_rates) are built on make_op. conv1d and batchnorm1d stay as the
 tested references of conv_bn_gelu. The exact GELU takes erf from `_erf`, a
 numpy port of the Cephes erf/erfc rationals that scipy.special.erf
 evaluates, so importing this package needs numpy only.
+
+Adam writes each parameter tensor's .data in place, so a tensor that views
+a larger buffer (models.ModelParams.flat) keeps viewing it. The package
+never gives a model parameter a new .data array.
 """
 
 from __future__ import annotations
@@ -182,18 +186,10 @@ def mul(a, b) -> Tensor:
                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape))])
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of every entry, as a 0-d tensor."""
     a = as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.size // out_data.size
-
-    def pull(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy() / count
-
-    return _make(out_data, [(a, pull)])
+    return _make(a.data.mean(), [(a, lambda g: np.broadcast_to(g, a.data.shape) / a.data.size)])
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else 1 - erfc(|x|) with
@@ -517,56 +513,27 @@ def flatten_groups(x, group: int) -> Tensor:
                  [(x, lambda g: g.reshape(bg, channels, length).transpose(0, 2, 1))])
 
 
-def flat_buffer(tensors) -> np.ndarray:
-    """The one contiguous float64 vector holding every tensor's data back to back, in order.
-
-    Tensors that already view such a vector keep it. Otherwise their values
-    are copied into a new vector and each tensor's .data becomes a view of it,
-    so assigning a fresh array to .data detaches a tensor until the next call.
-    """
-    tensors = list(tensors)
-    arrays = [t.data for t in tensors]
-    base = arrays[0].base if arrays else None
-    if (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
-            and base.size == sum(a.size for a in arrays)):
-        address = base.ctypes.data
-        for a in arrays:
-            if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != address:
-                break
-            address += a.nbytes
-        else:
-            return base
-    flat = np.empty(sum(a.size for a in arrays))
-    offset = 0
-    for t, a in zip(tensors, arrays):
-        view = flat[offset:offset + a.size].reshape(a.shape)
-        view[...] = a
-        t.data = view
-        offset += a.size
-    return flat
-
-
 class Adam:
-    """Bias-corrected Adam over named parameter tensors laid out in one flat vector.
+    """Bias-corrected Adam that updates each of `tensors` in place.
 
-    The moments are flat vectors aligned with `flat_buffer(params)`. A step
-    reads each tensor's gradient where the tape left it and updates the
-    parameters in place, with one call of the compiled `adam_update`
-    (kernels.c) per tensor, or, without it, one block of `BLOCK` entries at a
-    time in numpy (`_update`), with the same bits. Either way it makes no
+    The moments are one flat pair of vectors, each tensor's entries at its
+    offset in the order given. A step reads each tensor's gradient where the
+    tape left it and writes the tensor's own .data, with one call of the
+    compiled `adam_update` (kernels.c) per tensor, or, without it, one block
+    of `BLOCK` entries at a time in numpy (`_update`). The update is
+    elementwise, so both write the same bits, and neither makes a
     parameter-sized temporary.
     """
 
     BLOCK = 1 << 15
 
-    def __init__(self, params: "OrderedDict[str, Tensor]", lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
-        self.params = params
+    def __init__(self, tensors, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+        self.tensors = list(tensors)
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.step_count = 0
-        size = flat_buffer(params.values()).size
+        size = sum(t.data.size for t in self.tensors)
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = np.empty((2, min(size, self.BLOCK)))
@@ -578,41 +545,40 @@ class Adam:
         return "numpy" if self._kernel is None else "c"
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        for t in self.tensors:
+            t.grad = None
 
     def step(self):
+        """One update of every tensor; a missing gradient counts as zero."""
+        size = sum(t.data.size for t in self.tensors)
+        if size != self._m.size:
+            raise ValueError(f"{size} parameters, moments for {self._m.size}")
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        flat = flat_buffer(self.params.values())
-        if flat.size != self._m.size:
-            raise ValueError(f"{flat.size} parameters, moments for {self._m.size}")
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
         offset = 0
-        for p in self.params.values():
-            size = p.data.size
-            g = None if p.grad is None else p.grad.reshape(-1)
+        for t in self.tensors:
+            p, size = t.data, t.data.size
+            if not (p.flags.c_contiguous and p.flags.writeable and p.dtype == np.float64):
+                raise ValueError(f"Adam updates in place: a {p.shape} tensor is not a "
+                                 "writeable C-contiguous float64 array")
+            g = None
+            if t.grad is not None:       # copies a strided gradient only
+                g = np.ascontiguousarray(t.grad, dtype=np.float64).reshape(-1)
+                if g.size != size:
+                    raise ValueError(f"gradient of {g.size} entries for {size} parameters")
+            m, v = self._m[offset:offset + size], self._v[offset:offset + size]
             if self._kernel is not None:
-                self._update_compiled(flat, g, offset, size, bc1, bc2)
+                self._kernel(p.ctypes.data, None if g is None else g.ctypes.data,
+                             m.ctypes.data, v.ctypes.data, size,
+                             self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
+                             bc1, bc2, self.lr, self.eps)
             else:
+                p = p.reshape(-1)
                 for lo in range(0, size, self.BLOCK):
-                    seg = slice(offset + lo, offset + min(lo + self.BLOCK, size))
-                    self._update(flat[seg], 0.0 if g is None else g[lo:lo + self.BLOCK],
-                                 self._m[seg], self._v[seg], bc1, bc2)
+                    seg = slice(lo, lo + self.BLOCK)
+                    self._update(p[seg], 0.0 if g is None else g[seg], m[seg], v[seg], bc1, bc2)
             offset += size
-
-    def _update_compiled(self, flat, g, offset, size, bc1, bc2):
-        """`_update` on entries offset .. offset + size in one call of the compiled loop."""
-        if g is not None:
-            g = np.ascontiguousarray(g, dtype=np.float64)      # copies a strided gradient only
-            if g.size != size:
-                raise ValueError(f"gradient of {g.size} entries for {size} parameters")
-        at = 8 * offset
-        self._kernel(flat.ctypes.data + at, None if g is None else g.ctypes.data,
-                     self._m.ctypes.data + at, self._v.ctypes.data + at, size,
-                     self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
-                     bc1, bc2, self.lr, self.eps)
 
     def _update(self, p, g, m, v, bc1, bc2):
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates,

@@ -94,28 +94,26 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Named trainable tensors, each a view into one flat float64 vector, plus
+    """Named trainable tensors that share one flat float64 vector, plus
     batch-norm running-stat buffers.
 
-    `shapes` maps each tensor name to its shape in layout order; `flat`
-    (default: a new uninitialised vector) holds the values back to back.
+    `shapes` maps each tensor name to its shape in layout order. `flat`
+    (default: a new uninitialised vector) holds the values back to back, and
+    each tensor's .data is a view of it. Init, Adam, `copy(out=)` and
+    checkpoint loads write through those views; no code gives a tensor a new
+    .data array, so `flat` always holds the current values.
     """
 
     def __init__(self, shapes: "OrderedDict[str, tuple]", flat: np.ndarray | None = None):
         sizes = [math.prod(shape) for shape in shapes.values()]
-        if flat is None:
-            flat = np.empty(sum(sizes))
+        self.flat = np.empty(sum(sizes)) if flat is None else flat
         self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
         self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
         offset = 0
         for (name, shape), size in zip(shapes.items(), sizes):
-            self.tensors[name] = Tensor(flat[offset:offset + size].reshape(shape), requires_grad=True)
+            self.tensors[name] = Tensor(self.flat[offset:offset + size].reshape(shape),
+                                        requires_grad=True)
             offset += size
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The flat parameter vector (see `autodiff.flat_buffer`)."""
-        return ad.flat_buffer(self.tensors.values())
 
     def copy(self, out: "ModelParams | None" = None) -> "ModelParams":
         """A copy that shares no memory with these parameters; with `out`, one
@@ -218,7 +216,8 @@ def unit_beams(raw, shape: tuple) -> Tensor:
     shape is (B, K, M, N). The output is (B, K, M, N, 2) with re/im on the
     last axis, complex128's memory layout (metrics.as_complex views it):
     each column x over M is scaled by s = 1 / (||x|| + NORM_FLOOR). The pull
-    of y = x s is g s - x s^2 <g, x> / ||x||, the inner product over M and re/im.
+    of y = x s is g s - x s^2 <g, x> / ||x||, the inner product over M and
+    re/im; at an all-zero column it is its limit g s.
     """
     raw = ad.as_tensor(raw)
     x = raw.data.reshape(*shape, 2)
@@ -228,7 +227,8 @@ def unit_beams(raw, shape: tuple) -> Tensor:
 
     def pull(g):
         dot = (g * x).sum(axis=(2, 4), keepdims=True)
-        return (g * scale - x * (scale * scale * dot / norm)).reshape(raw.data.shape)
+        coef = np.divide(scale * scale * dot, norm, out=np.zeros_like(norm), where=norm > 0)
+        return (g * scale - x * coef).reshape(raw.data.shape)
 
     return ad.make_op(x * scale, [(raw, pull)])
 
@@ -306,16 +306,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
 
-    for name, shape, init in param_spec(cfg):
-        if init == "bn":
-            for suffix in (".run_mean", ".run_var"):
-                if shapes.get(name + suffix) != shape:
-                    raise CheckpointError(f"{path}: missing or misshaped buffer {name + suffix!r}")
-        elif name not in shapes:
-            raise CheckpointError(f"{path}: missing parameter {name!r}")
-        elif shapes[name] != shape:
+    for name, arr in loaded.items():
+        kind = "parameter" if name in params.tensors else "buffer"
+        if name not in shapes:
+            raise CheckpointError(f"{path}: missing {kind} {name!r}")
+        if shapes[name] != arr.shape:
             raise CheckpointError(
-                f"{path}: parameter {name!r} shaped {shapes[name]}, expected {shape}")
+                f"{path}: {kind} {name!r} shaped {shapes[name]}, expected {arr.shape}")
     extras = set(shapes) - set(loaded)
     if extras:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(extras)}")

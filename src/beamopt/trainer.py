@@ -122,7 +122,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
     val_nominals = _val_nominals(tc, n_val, val_rng)
     val_sigma2 = snr_db_to_noise_var(val_nominals[:, None] + dataset.ue_snr_offset_db[val_idx])
 
-    opt = ad.Adam(params.tensors, lr=tc.lr)
+    opt = ad.Adam(params.tensors.values(), lr=tc.lr)
     report = TrainReport()
     best_params = None
     since_best = 0

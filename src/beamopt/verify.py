@@ -6,7 +6,6 @@ well under a minute; the CLI exits non-zero if any check fails.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -272,7 +271,7 @@ def check_grad_full_loss() -> CheckResult:
     x0 = target.data.copy()
 
     def loss_with(data) -> float:
-        target.data = data.reshape(target.data.shape)
+        target.data[...] = data.reshape(target.data.shape)
         states = {k: v.copy() for k, v in params.bn_states.items()}
         w, p = forward_graph(h, params, cfg, training=True)
         for k in params.bn_states:
@@ -293,7 +292,7 @@ def check_grad_full_loss() -> CheckResult:
         hi.flat[i] += 1e-6
         lo.flat[i] -= 1e-6
         numeric[j] = (loss_with(hi) - loss_with(lo)) / 2e-6
-    target.data = x0
+    target.data[...] = x0
     denom = max(np.max(np.abs(numeric)), 1e-12)
     rel = float(np.max(np.abs(analytic.ravel()[flat_idx] - numeric)) / denom)
     return CheckResult("grad_full_loss", rel <= 1e-4, f"max rel err {rel:.2e}")
@@ -349,7 +348,7 @@ def check_rate_bound() -> CheckResult:
 
 def check_adam_bowl() -> CheckResult:
     theta = ad.Tensor(np.array([1.0]), requires_grad=True)
-    opt = ad.Adam(OrderedDict(theta=theta), lr=0.05)
+    opt = ad.Adam([theta], lr=0.05)
     for _ in range(500):
         opt.zero_grad()
         with ad.Tape() as tape:
@@ -365,22 +364,21 @@ def check_adam_kernels() -> CheckResult:
     states = []
     for kernel in ("c", "numpy"):
         rng = np.random.default_rng(17)
-        params = OrderedDict((f"t{i}", ad.Tensor(rng.standard_normal(shape), requires_grad=True))
-                             for i, shape in enumerate(((5, 3), (7,), (2, 4, 3))))
-        opt = ad.Adam(params, lr=0.01)
+        tensors = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in ((5, 3), (7,), (2, 4, 3))]
+        opt = ad.Adam(tensors, lr=0.01)
         if kernel == "numpy":
             opt._kernel = None
         elif opt.kernel != "c":
             return CheckResult("adam_kernels", True, "numpy kernel only: no C kernel was built")
         for _ in range(3):
-            for p in params.values():
-                p.grad = rng.standard_normal(p.data.shape) * 10.0 ** rng.integers(-8, 3)
+            for t in tensors:
+                t.grad = rng.standard_normal(t.data.shape) * 10.0 ** rng.integers(-8, 3)
             opt.step()
-        states.append([a.tobytes() for a in (ad.flat_buffer(params.values()), opt._m, opt._v)])
+        states.append([a.tobytes() for a in (*(t.data for t in tensors), opt._m, opt._v)])
     return CheckResult("adam_kernels", states[0] == states[1],
-                       f"c vs numpy, 3 steps: parameters and moments "
+                       f"c vs numpy, 3 steps: each tensor and the moments "
                        f"{'equal' if states[0] == states[1] else 'differ'} byte for byte")
-
 
 
 def check_normal_kernels() -> CheckResult:

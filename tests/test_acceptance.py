@@ -221,14 +221,14 @@ def test_criterion_06_gradient_suite():
         x0 = tensor.data.copy()
 
         def loss_of(flat, tensor=tensor, x0=x0):
-            tensor.data = flat.reshape(x0.shape)
+            tensor.data[...] = flat.reshape(x0.shape)
             states = {k: v.copy() for k, v in params.bn_states.items()}
             w_, p_ = forward_graph(h, params, cfg, training=True)
             for k in params.bn_states:
                 params.bn_states[k] = states[k]
             val = -metrics.per_sample_sum_rates(metrics.as_complex(w_.data), h, p_.data,
                                                 sigma2).mean()
-            tensor.data = x0
+            tensor.data[...] = x0
             return val
 
         analytic = tensor.grad.ravel()
@@ -255,7 +255,7 @@ def test_criterion_07_constraints_by_construction():
     for _ in range(1000):
         params = bo.init_params(cfg, rng)
         for t in params.tensors.values():
-            t.data = t.data + rng.standard_normal(t.data.shape) * 0.3
+            t.data += rng.standard_normal(t.data.shape) * 0.3
         h = rand_complex(rng, 1, 8, 2, 2)
         w, p = forward_graph(h, params, cfg, training=False)
         norms = np.linalg.norm(metrics.as_complex(w.data), axis=2)

@@ -108,12 +108,6 @@ class TestElementwiseOps:
         assert_grad_close(lambda t: ad.tmean(t * ad.Tensor(b0) * t), a0)
         assert_grad_close(lambda t: ad.tmean(ad.Tensor(a0) * t * ad.Tensor(a0)), b0)
 
-    def test_mean_reductions(self):
-        rng = np.random.default_rng(4)
-        x0 = rng.standard_normal((3, 4))
-        mixer = rng.standard_normal(3)
-        assert_grad_close(lambda t: ad.tmean(ad.tmean(t, axis=1) * mixer), x0)
-
 
 class TestGelu:
     def test_zero(self):
@@ -418,7 +412,7 @@ class TestFlattenGroups:
 class TestAdam:
     def test_zero_grad_no_update(self):
         p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = ad.Adam(OrderedDict(p=p), lr=0.1)
+        opt = ad.Adam([p], lr=0.1)
         p.grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
@@ -427,7 +421,7 @@ class TestAdam:
     def test_first_step_normalized_magnitude(self):
         g = np.array([0.3, -4.0])
         p = ad.Tensor(np.zeros(2), requires_grad=True)
-        opt = ad.Adam(OrderedDict(p=p), lr=0.01)
+        opt = ad.Adam([p], lr=0.01)
         p.grad = g.copy()
         opt.step()
         expected = -0.01 * g / (np.abs(g) + 1e-8)
@@ -435,7 +429,7 @@ class TestAdam:
 
     def test_quadratic_bowl_convergence(self):
         theta = ad.Tensor(np.array([1.0]), requires_grad=True)
-        opt = ad.Adam(OrderedDict(theta=theta), lr=0.05)
+        opt = ad.Adam([theta], lr=0.05)
         for _ in range(500):
             opt.zero_grad()
             with ad.Tape() as tape:
@@ -443,6 +437,16 @@ class TestAdam:
             tape.backward(loss)
             opt.step()
         assert abs(theta.data[0]) < 1e-2
+
+    def test_strided_tensor_rejected_not_repacked(self):
+        data = np.arange(6.0).reshape(2, 3)
+        p = ad.Tensor(data.T, requires_grad=True)
+        opt = ad.Adam([p], lr=0.1)
+        p.grad = np.ones((3, 2))
+        with pytest.raises(ValueError, match="not a writeable C-contiguous float64 array"):
+            opt.step()
+        assert np.shares_memory(p.data, data)
+        np.testing.assert_array_equal(data, np.arange(6.0).reshape(2, 3))
 
 
 def encoded(named) -> bytes:

@@ -184,8 +184,8 @@ class TestVirtualUplinkPowers:
             VirtualUplinkPowers(np.array([-0.1]))
 
 
-class TestBeamformSample:
-    def test_builds_full_set(self):
+class TestInverseDirectionsBeamformerSet:
+    def test_builds_valid_beamformer_set(self):
         rng = np.random.default_rng(12)
         h = (rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2)))
         w, singular = inverse_directions(h, 0.5)

@@ -206,14 +206,26 @@ def test_unit_beams_vjp_matches_finite_differences(case):
 
 
 def test_unit_beams_maps_a_zero_column_to_finite_zeros():
-    raw = np.random.default_rng(5).standard_normal((2, 3, 4, 2, 2))
+    """The forward is zero there and the pull is its limit g s, s = 1 / NORM_FLOOR."""
+    rng = np.random.default_rng(5)
+    raw = rng.standard_normal((2, 3, 4, 2, 2))
     raw[1, 2, :, 0] = 0.0
-    out = unit_beams(ad.Tensor(raw.reshape(2, -1)), (2, 3, 4, 2)).data
+    mixer = rng.standard_normal(raw.shape)
+    t = ad.Tensor(raw.reshape(2, -1), requires_grad=True)
+    with ad.Tape() as tape:
+        y = unit_beams(t, (2, 3, 4, 2))
+        loss = ad.tmean(y * mixer)
+    tape.backward(loss)
+    out = y.data
     assert np.isfinite(out).all()
     assert not out[1, 2, :, 0].any()
     norms = np.linalg.norm(metrics.as_complex(out), axis=2)
     norms[1, 2, 0] += 1.0
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    grad = t.grad.reshape(raw.shape)
+    assert np.isfinite(grad).all()
+    g = 1.0 / mixer.size * mixer[1, 2, :, 0]            # the gradient at the zero column
+    np.testing.assert_array_equal(grad[1, 2, :, 0], g * (1.0 / NORM_FLOOR))    # its limit g s
 
 
 def test_desk_training_step_records_16_ops():

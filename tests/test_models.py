@@ -149,7 +149,7 @@ class TestForward:
         for _ in range(50):
             params = init_params(cfg, rng)
             for t in params.tensors.values():        # arbitrary, not just init-scaled
-                t.data = t.data + rng.standard_normal(t.data.shape) * 0.5
+                t.data += rng.standard_normal(t.data.shape) * 0.5
             h = rand_batch(rng, 3, 8, 2, 2)
             w, p = forward_graph(h, params, cfg, training=False)
             norms = np.linalg.norm(metrics.as_complex(w.data), axis=2)

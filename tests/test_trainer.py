@@ -123,6 +123,24 @@ class TestTrain:
         assert err.value.epoch == 0
         assert "sample" in str(err.value)
 
+    def test_zeroed_beam_head_trains_with_finite_gradients(self):
+        """Every beam column is all zero, where the unit_beams pull is its limit."""
+        cfg = ModelConfig(m_tx=4, n_ue=4, k_sc=8)                # the exp01-desk model
+        params = init_params(cfg, np.random.default_rng(1))
+        for name in ("bf1.w", "bf1.b"):
+            params.tensors[name].data[...] = 0.0
+        desk = SimpleCfg()
+        desk.m_tx = desk.n_ue = 4
+        ds = gen_dataset(desk, count=20, seed=2)
+        with ad.Tape() as tape:
+            w, p = forward_graph(ds.h, params, cfg, training=True)
+            loss = metrics.neg_sum_rate_graph(w, ds.h, p, np.ones((20, 4)))
+        tape.backward(loss)
+        assert all(np.isfinite(t.grad).all() for t in params.tensors.values())
+        tc = TrainConfig(epochs=1, batch_size=16, seed=3, val_fraction=0.2)
+        _, report = train(cfg, params, ds, tc)
+        assert np.isfinite(report.train_loss).all()
+
     def test_non_finite_gradient_aborts_before_the_step(self, monkeypatch):
         ds, cfg, params = small_setup(n_samples=8, seed=16)
         before = params.flat.copy()
