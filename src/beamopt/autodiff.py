@@ -9,13 +9,13 @@ its backward pass, which frees its records as it goes.
 
 The engine ships the ops the model runs, one op per model stage:
 conv_bn_gelu (conv1d -> batch norm -> GELU fused into one op with one pull)
-per backbone block, the group flatten, fully connected layers with exact
-GELU and softmax for the heads, and mul and tmean for scaling and the batch
-mean. Ops specific to the model and the loss (models.unit_beams,
-metrics.sum_rates) are built on make_op. conv1d and batchnorm1d stay as the
-tested references of conv_bn_gelu. The exact GELU takes erf from `_erf`, a
-numpy port of the Cephes erf/erfc rationals that scipy.special.erf
-evaluates, so importing this package needs numpy only.
+per backbone block, the group flatten, and fully connected layers with exact
+GELU for the heads. The output stages and the loss (models.unit_beams,
+models.power_split, metrics.neg_sum_rate_graph) are built on make_op.
+conv1d and batchnorm1d stay as the tested references of conv_bn_gelu. The
+exact GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc
+rationals that scipy.special.erf evaluates, so importing this package needs
+numpy only.
 
 Adam writes each parameter tensor's .data in place, so a tensor that views
 a larger buffer (models.ModelParams.flat) keeps viewing it. The package
@@ -47,9 +47,6 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    # keep numpy from consuming Tensor operands: the Tensor goes on the left
-    __array_ufunc__ = None
-
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
@@ -61,13 +58,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are lifted to non-grad tensors
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 class Tape:
@@ -129,40 +119,22 @@ class Tape:
             tensor.grad = g if tensor.grad is None else tensor.grad + g
 
 
-def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 def _make(out_data, pulls) -> Tensor:
     """Build the output tensor, recording pulls for grad-requiring inputs."""
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None:
+    if _TAPE_STACK:
         live = tuple((t, fn) for t, fn in pulls if t.requires_grad)
         if live:
             out.requires_grad = True
-            tape._append(out, live)
+            _TAPE_STACK[-1]._append(out, live)
     return out
 
 
-make_op = _make     # public for ops defined outside this module (unit_beams, sum_rates)
+make_op = _make     # public for ops defined outside this module (unit_beams, power_split, the loss)
 
 
 def shared_pull(fn):
@@ -177,19 +149,6 @@ def shared_pull(fn):
         return last[1]
 
     return once
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data * b.data,
-                 [(a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                  (b, lambda g: _unbroadcast(g * a.data, b.data.shape))])
-
-
-def tmean(a) -> Tensor:
-    """The mean of every entry, as a 0-d tensor."""
-    a = as_tensor(a)
-    return _make(a.data.mean(), [(a, lambda g: np.broadcast_to(g, a.data.shape) / a.data.size)])
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else 1 - erfc(|x|) with
@@ -279,20 +238,6 @@ def gelu(a) -> Tensor:
         return g * (cdf + a.data * pdf)
 
     return _make(a.data * cdf, [(a, pull)])
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; rows sum to 1."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def pull(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return out_data * (g - dot)
-
-    return _make(out_data, [(a, pull)])
 
 
 def linear(x, w, b=None) -> Tensor:

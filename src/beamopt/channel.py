@@ -24,6 +24,7 @@ import numpy as np
 
 DATASET_MAGIC = b"BFDS"
 DATASET_VERSION = 1
+MAX_SEED = 2 ** 63 - 1          # the largest seed the header's int64 holds
 
 # TR 38.901 NLOS tapped-delay-line profiles (normalized delays, powers in
 # dB), sorted by delay at load time. Powers are renormalized to unit total

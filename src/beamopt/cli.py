@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel, evaluation, models, plotting, results, verify
 from .config import ConfigError, ExperimentConfig, apply_desk_scale, parse_config
-from .trainer import TrainingDiverged, train
+from .trainer import BatchTooSmallError, TrainingDiverged, train
 
 EXIT_VERIFY_OR_ERROR = 1
 EXIT_BAD_CONFIG = 2
@@ -67,7 +67,9 @@ def _ckpt_path(base: str, method: str, multi: bool) -> str:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    seed = cfg.seed if args.seed is None else int(args.seed)
+    if args.seed is not None and not 0 <= args.seed <= channel.MAX_SEED:
+        raise ConfigError(f"--seed: must lie in [0, {channel.MAX_SEED}], got {args.seed}")
+    seed = cfg.seed if args.seed is None else args.seed
     if args.split == "test":
         seed = seed + 1 if args.seed is None else seed
         count = cfg.test_samples
@@ -208,7 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, BatchTooSmallError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except channel.DatasetError as exc:

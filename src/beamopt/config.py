@@ -11,7 +11,8 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-from .channel import _TDL_TABLES
+from .channel import _TDL_TABLES, MAX_SEED
+from .models import DEFAULT_BB_SPEC, downsampling
 from .trainer import SNR_RANGE_DB, TrainConfig, validation_size
 
 SCHEMA_VERSION = 1
@@ -60,6 +61,10 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.m_tx/n_ue: need M >= N >= 1, got {self.m_tx}x{self.n_ue}")
         if self.k_sc < 1:
             raise ConfigError("experiment.k_sc: must be at least 1")
+        down = downsampling(DEFAULT_BB_SPEC)
+        if self.k_sc % down and self.neural_methods:
+            raise ConfigError(f"experiment.k_sc: NNBF and NNBF-P need K divisible by {down}, "
+                              f"got {self.k_sc}")
         if not (math.isfinite(self.scs_hz) and self.scs_hz > 0):
             raise ConfigError(f"experiment.subcarrier_spacing_hz: must be finite and positive, "
                               f"got {self.scs_hz!r}")
@@ -79,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.methods: unknown {unknown}; choose from {KNOWN_METHODS}")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ConfigError("dataset.train_samples/test_samples: must be at least 1")
+        if not 0 <= self.seed < MAX_SEED:
+            raise ConfigError(f"dataset.seed: must lie in [0, {MAX_SEED - 1}] (the test split "
+                              f"uses seed + 1), got {self.seed!r}")
         validation_size(self.train_samples, self.train.val_fraction)
 
     @property

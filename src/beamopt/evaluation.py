@@ -10,9 +10,10 @@ stack and takes its terms once per SNR; every rate is metrics.rates_from.
 
 Samples whose channel Gram is singular for zero-forcing are dropped for
 *all* methods to keep the comparison paired (with continuous channel draws
-this is a non-event); evaluate's `log` names them. Any other non-finite
-rate raises NonFiniteRateError, and a rate above metrics.sum_rate_bound
-raises RateBoundError.
+this is a non-event); evaluate's `log` names them, and a dataset with no
+other sample raises NoServableSampleError. Any other non-finite rate raises
+NonFiniteRateError, and a rate above metrics.sum_rate_bound raises
+RateBoundError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import metrics
 from .baselines import inverse_directions
-from .channel import ChannelDataset, snr_db_to_noise_var
+from .channel import ChannelDataset, DatasetError, snr_db_to_noise_var
 from .models import ModelConfig, ModelParams, forward_graph
 
 CLASSICAL_METHODS = ("ZF", "MMSE")
@@ -36,6 +37,10 @@ class NonFiniteRateError(RuntimeError):
 
 class RateBoundError(RuntimeError):
     """A method's rate exceeds the per-sample ceiling metrics.sum_rate_bound."""
+
+
+class NoServableSampleError(DatasetError):
+    """Every sample's channel Gram is singular for zero-forcing, at any SNR."""
 
 
 BOUND_RTOL = 1e-12
@@ -83,6 +88,9 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
 
     zf_w, singular = inverse_directions(h)
     keep = ~singular.any(axis=1)
+    if not keep.any():
+        raise NoServableSampleError(
+            f"all {keep.size} samples have a channel Gram that is singular for zero-forcing")
     dropped = np.flatnonzero(~keep)
     if log is not None and dropped.size:
         log(f"dropped {dropped.size} ZF-singular samples from every method: "
@@ -112,8 +120,6 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
                     f"{method} at {float(snr_db)} dB: rate {float(rates[i]):.17g} on sample {i} "
                     f"exceeds the bound {float(ceiling[i]):.17g} ({above.size} samples)")
             vals = rates[keep]
-            if vals.size == 0:
-                raise RuntimeError(f"no valid samples at {snr_db} dB")
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             rows.append(ResultRow(experiment=experiment, method=method,
                                   snr_db=float(snr_db), se_mean=float(vals.mean()),

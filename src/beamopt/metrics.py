@@ -9,9 +9,9 @@ sigma^2 of the narrowband formulation.
 The objective has one oracle and one batched forward. sinr_per_ue +
 weighted_sum_rate is the single-sample test oracle. terms + rates_from is
 the batched forward: per_sample_sum_rates for validation, evaluate (which
-computes the SNR-free terms once per dataset) and sum_rates, the autodiff op
-whose closed-form pull the training loss neg_sum_rate_graph backpropagates
-through. sum_rate_bound is the ceiling every feasible design's rate stays under.
+computes the SNR-free terms once per dataset) and neg_sum_rate_graph, the
+training loss as one autodiff op with a closed-form pull. sum_rate_bound is
+the ceiling every feasible design's rate stays under.
 
 The numpy functions take complex beams w (B, K, M, N); the autodiff op takes
 the network's float64 (B, K, M, N, 2) tensor with re/im on the last axis,
@@ -129,19 +129,22 @@ def per_sample_sum_rates(w: np.ndarray, h: np.ndarray, p: np.ndarray,
     return rates_from(*terms(w, h, p), sigma2)
 
 
-def sum_rates(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
-    """per_sample_sum_rates as one autodiff op over beams w (B, K, M, N, 2),
-    re/im on the last axis, and powers p (B, N), with a closed-form pull.
+def neg_sum_rate_graph(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
+    """The training loss -mean(per_sample_sum_rates) as one scalar autodiff
+    op: beams w (B, K, M, N, 2) tensor with re/im last, constant complex
+    channels h (B, K, M, N), powers p (B, N) tensor, noise variances (B, N).
 
-    With e = h^T w, g = |e|^2, S + I the received power and D = I + sigma^2,
-    a rate term log(1 + S/D) = log(S + D) - log D has
-    d/dg[n, i] = p_i / (S + D)_n, less p_i / D_n for i != n, and
-    d/dp_i = sum_n g[n, i] times the same bracket; dg reaches the beams as
-    dW = dWr + j dWi = 2 conj(h) @ (dg * e), returned in w's re/im layout.
+    Each sample's rate gets the upstream gradient -g / B. With e = h^T w,
+    g = |e|^2, S + I the received power and D = I + sigma^2, a rate term
+    log(1 + S/D) = log(S + D) - log D has d/dg[n, i] = p_i / (S + D)_n, less
+    p_i / D_n for i != n, and d/dp_i = sum_n g[n, i] times the same bracket;
+    dg reaches the beams as dW = dWr + j dWi = 2 conj(h) @ (dg * e),
+    returned in w's re/im layout.
     """
     w, p = ad.as_tensor(w), ad.as_tensor(p)
     e = _beam_gains(as_complex(w.data), h)
     signal, interference = _terms_of(e, p.data)
+    rates = rates_from(signal, interference, sigma2)
     k_sc, n_ue = h.shape[1], h.shape[3]
 
     @ad.shared_pull
@@ -152,26 +155,13 @@ def sum_rates(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
         bracket = np.repeat((-(signal / noise_int) * inv_total)[..., None], n_ue, axis=3)
         diag = np.arange(n_ue)
         bracket[..., diag, diag] = inv_total
-        bracket *= (g / (k_sc * _LN2))[:, None, None, None]
+        bracket *= -g / rates.size / (k_sc * _LN2)
         dp = np.einsum("bkni,bkni->bi", np.abs(e) ** 2, bracket)
         bracket *= p.data[:, None, None, :]
         dw = 2.0 * (h.conj() @ (bracket * e))
         return dw.view(np.float64).reshape(w.data.shape), dp
 
-    return ad.make_op(rates_from(signal, interference, sigma2),
-                      [(w, lambda g: grads(g)[0]), (p, lambda g: grads(g)[1])])
-
-
-def neg_sum_rate_graph(w: "ad.Tensor", h: np.ndarray, p: "ad.Tensor",
-                       sigma2: np.ndarray) -> "ad.Tensor":
-    """The training loss, the scalar batch-mean negative sum-rate.
-
-    w: beam directions, (B, K, M, N, 2) tensor with re/im last (unit columns).
-    h: constant complex channel batch (B, K, M, N).
-    p: per-UE powers, (B, N) tensor.
-    sigma2: per-UE noise variances, (B, N).
-    """
-    return -ad.tmean(sum_rates(w, h, p, sigma2))
+    return ad.make_op(-rates.mean(), [(w, lambda g: grads(g)[0]), (p, lambda g: grads(g)[1])])
 
 
 def sum_rate_bound(h_norm2: np.ndarray, sigma2: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ activations, (B*N*M, L, C); the group flatten puts the features back in
 (n, m), C, L order, the order the FC weights and checkpoints use.
 
 Output constraints are architectural, not learned: unit_beams divides each
-beam column by its norm (plus a 1e-12 floor) in one op, and the power head
-ends in a softmax scaled by the power budget P_max = N, so any parameter
-values produce a feasible design.
+beam column by its norm (plus a 1e-12 floor) in one op, and power_split
+turns the power head's output into a softmax scaled by the power budget
+P_max = N in one op, so any parameter values produce a feasible design.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"BMCK"
 CHECKPOINT_VERSION = 2
+
+
+def downsampling(bb_spec) -> int:
+    """The factor by which a backbone shortens the K axis: 2 per downsampling block."""
+    return 2 ** sum(bool(down) for _, _, down in bb_spec)
 
 
 class CheckpointError(Exception):
@@ -69,7 +74,7 @@ class ModelConfig:
         for prev, nxt in zip(self.bb_spec, self.bb_spec[1:]):
             if prev[1] != nxt[0]:
                 raise ValueError(f"block channel mismatch: {prev} -> {nxt}")
-        down = int(np.prod([2 if d else 1 for _, _, d in self.bb_spec]))
+        down = downsampling(self.bb_spec)
         if self.k_sc % down != 0:
             raise ValueError(f"K={self.k_sc} must be divisible by the total downsampling {down}")
         c_last = self.bb_spec[-1][1]
@@ -233,6 +238,24 @@ def unit_beams(raw, shape: tuple) -> Tensor:
     return ad.make_op(x * scale, [(raw, pull)])
 
 
+def power_split(raw, n_ue: int) -> Tensor:
+    """The power head's (B, N) output as per-UE powers summing to P_max = N, one op.
+
+    Each row becomes the max-subtracted softmax u = e / sum(e), times N. The
+    pull of p = N u is u (g N - <g N, u>), the inner product over the row.
+    """
+    raw = ad.as_tensor(raw)
+    e = np.exp(raw.data - raw.data.max(axis=1, keepdims=True))
+    u = e / e.sum(axis=1, keepdims=True)
+    budget = float(n_ue)
+
+    def pull(g):
+        gn = g * budget
+        return u * (gn - (gn * u).sum(axis=1, keepdims=True))
+
+    return ad.make_op(u * budget, [(raw, pull)])
+
+
 def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
                   training: bool) -> tuple[Tensor, Tensor]:
     """Network forward pass on a channel batch.
@@ -262,7 +285,7 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
 
     w = unit_beams(head("bf", cfg.fc_widths_bf), (b, k_sc, m_tx, n_ue))
     if cfg.joint_power:
-        p = ad.softmax(head("pw", cfg.fc_widths_pw), axis=1) * float(n_ue)
+        p = power_split(head("pw", cfg.fc_widths_pw), n_ue)
     else:
         p = Tensor(np.ones((b, n_ue)))
     return w, p

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .channel import ChannelDataset, snr_db_to_noise_var
-from .models import ModelConfig, ModelParams, forward_graph
+from .models import ModelConfig, ModelParams, downsampling, forward_graph
 
 # Nominal SNRs the harness supports: uniform training draws and the eval grid.
 SNR_RANGE_DB = (-15.0, 50.0)
@@ -36,6 +36,10 @@ class TrainingDiverged(RuntimeError):
         where = f"epoch {epoch}, batch {batch}"
         super().__init__(f"non-finite gradient norm at {where}" if sample_index is None
                          else f"non-finite loss at {where}, dataset sample {sample_index}")
+
+
+class BatchTooSmallError(ValueError):
+    """A training batch would leave train-mode batch norm one element per channel."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,11 @@ class TrainConfig:
             raise ValueError("train.epochs: must be at least 1")
         if self.batch_size < 1:
             raise ValueError("train.batch_size: must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"train.seed: must be non-negative, got {self.seed!r}")
+        if self.early_stop_patience < 0:
+            raise ValueError("train.early_stop_patience: must be non-negative (0 disables), "
+                             f"got {self.early_stop_patience!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError(f"train.lr: must be finite and non-negative, got {self.lr!r}")
         if not 0.0 < self.lr_decay <= 1.0:
@@ -112,6 +121,10 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
     if none does (every loss NaN or +inf), it is a copy of the final parameters.
     """
     n_val = validation_size(len(dataset), tc.val_fraction)
+    smallest = (len(dataset) - n_val) % tc.batch_size or tc.batch_size
+    if smallest * cfg.n_ue * cfg.m_tx * (cfg.k_sc // downsampling(cfg.bb_spec)) < 2:
+        raise BatchTooSmallError(f"train.batch_size: {tc.batch_size} leaves a batch of {smallest}, "
+                                 f"one element per batch-norm channel at K={cfg.k_sc}, M=N=1")
     t0 = time.perf_counter()
     root = np.random.SeedSequence(tc.seed)
     split_rng, shuffle_rng, snr_rng, val_rng = (
@@ -144,7 +157,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
                 loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                # sum_rates' forward is per_sample_sum_rates', so some rate is non-finite
+                # the loss is -mean(per_sample_sum_rates), so some rate is non-finite
                 rates = metrics.per_sample_sum_rates(metrics.as_complex(w.data), h, p.data, sigma2)
                 bad = int(np.flatnonzero(~np.isfinite(rates))[0])
                 raise TrainingDiverged(epoch, b_start // tc.batch_size, int(batch_idx[bad]))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, kernels, metrics
-from .models import ModelConfig, forward_graph, init_params, unit_beams
+from .models import ModelConfig, forward_graph, init_params, power_split, unit_beams
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,14 @@ def _fd_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         lo.flat[i] -= step
         g.flat[i] = (f(hi) - f(lo)) / (2 * step)
     return g
+
+
+def weighted_sum(y, weights) -> ad.Tensor:
+    """sum(y * weights) as one op, the scalar of a gradient check: the tape's
+    gradient at y's inputs is y's vector-Jacobian product with the weights."""
+    y = ad.as_tensor(y)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), y.data.shape)
+    return ad.make_op((y.data * weights).sum(), [(y, lambda g: g * weights)])
 
 
 def _grad_check(build, inputs, rel_tol: float) -> tuple[bool, str]:
@@ -165,7 +173,8 @@ def check_metrics_oracle() -> CheckResult:
 
 def check_grad_gelu() -> CheckResult:
     rng = np.random.default_rng(17)
-    ok, detail = _grad_check(lambda t: ad.tmean(ad.gelu(t)), [rng.standard_normal(16)], 1e-5)
+    ok, detail = _grad_check(lambda t: weighted_sum(ad.gelu(t), 1.0),
+                             [rng.standard_normal(16)], 1e-5)
     return CheckResult("grad_gelu", ok, detail)
 
 
@@ -173,19 +182,17 @@ def check_grad_linear() -> CheckResult:
     rng = np.random.default_rng(18)
     w = rng.standard_normal((3, 5))
     b = rng.standard_normal(3)
-
-    def build(t):
-        y = ad.linear(t, ad.Tensor(w), ad.Tensor(b))
-        return ad.tmean(y * y)
-
-    ok, detail = _grad_check(build, [rng.standard_normal((4, 5))], 1e-5)
+    x, mixer = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+    ok, detail = _grad_check(
+        lambda t: weighted_sum(ad.linear(t, ad.Tensor(w), ad.Tensor(b)), mixer), [x], 1e-5)
     return CheckResult("grad_linear", ok, detail)
 
 
 def check_grad_softmax() -> CheckResult:
+    """The closed-form pull of models.power_split against FD."""
     rng = np.random.default_rng(19)
     mixer = rng.standard_normal((4, 6))
-    ok, detail = _grad_check(lambda t: ad.tmean(ad.softmax(t, axis=1) * mixer),
+    ok, detail = _grad_check(lambda t: weighted_sum(power_split(t, 6), mixer),
                              [rng.standard_normal((4, 6))], 1e-5)
     return CheckResult("grad_softmax", ok, detail)
 
@@ -193,12 +200,9 @@ def check_grad_softmax() -> CheckResult:
 def check_grad_conv() -> CheckResult:
     rng = np.random.default_rng(20)
     w = rng.standard_normal((3, 2, 3))
-
-    def build(t):
-        y = ad.conv1d(t, ad.Tensor(w), stride=2, padding=1)
-        return ad.tmean(y * y)
-
-    ok, detail = _grad_check(build, [rng.standard_normal((2, 2, 8))], 1e-5)
+    x, mixer = rng.standard_normal((2, 2, 8)), rng.standard_normal((2, 3, 4))
+    ok, detail = _grad_check(
+        lambda t: weighted_sum(ad.conv1d(t, ad.Tensor(w), stride=2, padding=1), mixer), [x], 1e-5)
     return CheckResult("grad_conv1d", ok, detail)
 
 
@@ -211,7 +215,7 @@ def check_grad_batchnorm() -> CheckResult:
     def build(t):
         state = ad.BatchNormState.fresh(3)
         y = ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta), state, training=True)
-        return ad.tmean(y * mixer)
+        return weighted_sum(y, mixer)
 
     ok, detail = _grad_check(build, [rng.standard_normal((2, 3, 4))], 1e-5)
     return CheckResult("grad_batchnorm", ok, detail)
@@ -225,7 +229,7 @@ def check_grad_basic_block() -> CheckResult:
     def build(x, w, gamma, beta):
         y = ad.conv_bn_gelu(x, w, gamma, beta, ad.BatchNormState.fresh(3),
                             training=True, stride=2, padding=1)
-        return ad.tmean(y * mixer)
+        return weighted_sum(y, mixer)
 
     xw = rng.standard_normal(50)
     inputs = [xw[:32].reshape(2, 8, 2), xw[32:].reshape(3, 2, 3), rng.uniform(0.5, 1.5, 3),
@@ -235,17 +239,16 @@ def check_grad_basic_block() -> CheckResult:
 
 
 def check_grad_sum_rates() -> CheckResult:
-    """The closed-form pull of metrics.sum_rates against FD, beams and powers."""
+    """The closed-form pull of the loss op metrics.neg_sum_rate_graph against
+    FD, beams and powers."""
     rng = np.random.default_rng(28)
     b, k, m, n = 2, 3, 3, 2
     h = _rand_channel(rng, b * k, m, n).reshape(b, k, m, n)
     sigma2 = rng.uniform(0.3, 2.0, (b, n))
-    mixer = rng.standard_normal(b)
     wr, wi = rng.standard_normal((2, b, k, m, n))
     p = rng.uniform(0.2, 1.5, (b, n))
-    ok, detail = _grad_check(
-        lambda w, p: ad.tmean(metrics.sum_rates(w, h, p, sigma2) * mixer),
-        [np.stack([wr, wi], axis=-1), p], 1e-5)
+    ok, detail = _grad_check(lambda w, p: metrics.neg_sum_rate_graph(w, h, p, sigma2),
+                             [np.stack([wr, wi], axis=-1), p], 1e-5)
     return CheckResult("grad_sum_rates", ok, detail)
 
 
@@ -254,7 +257,7 @@ def check_grad_unit_beams() -> CheckResult:
     rng = np.random.default_rng(29)
     b, k, m, n = 2, 2, 3, 2
     mixer = rng.standard_normal((b, k, m, n, 2))
-    ok, detail = _grad_check(lambda t: ad.tmean(unit_beams(t, (b, k, m, n)) * mixer),
+    ok, detail = _grad_check(lambda t: weighted_sum(unit_beams(t, (b, k, m, n)), mixer),
                              [rng.standard_normal((b, 2 * k * m * n))], 1e-5)
     return CheckResult("grad_unit_beams", ok, detail)
 
@@ -315,11 +318,12 @@ def check_constraints() -> CheckResult:
 
 
 def check_softmax_rows() -> CheckResult:
+    """models.power_split rows sum to N and do not change under a shift."""
     rng = np.random.default_rng(24)
     x = rng.standard_normal((64, 7)) * 10
-    y = ad.softmax(ad.Tensor(x), axis=1).data
-    shift = ad.softmax(ad.Tensor(x + 123.0), axis=1).data
-    dev = max(float(np.max(np.abs(y.sum(axis=1) - 1.0))), float(np.max(np.abs(y - shift))))
+    y = power_split(x, 7).data
+    shift = power_split(x + 123.0, 7).data
+    dev = max(float(np.max(np.abs(y.sum(axis=1) - 7.0))), float(np.max(np.abs(y - shift))))
     return CheckResult("softmax_rows", dev <= 1e-12, f"max deviation {dev:.2e}")
 
 
@@ -347,13 +351,11 @@ def check_rate_bound() -> CheckResult:
 
 
 def check_adam_bowl() -> CheckResult:
+    """Adam descends theta^2, its gradient 2 theta set directly."""
     theta = ad.Tensor(np.array([1.0]), requires_grad=True)
     opt = ad.Adam([theta], lr=0.05)
     for _ in range(500):
-        opt.zero_grad()
-        with ad.Tape() as tape:
-            loss = ad.tmean(theta * theta)
-        tape.backward(loss)
+        theta.grad = 2.0 * theta.data
         opt.step()
     val = abs(float(theta.data[0]))
     return CheckResult("adam_quadratic_bowl", val < 1e-2, f"|theta| {val:.2e}, {opt.kernel} kernel")

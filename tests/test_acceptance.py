@@ -17,8 +17,8 @@ import beamopt as bo
 from beamopt import autodiff as ad
 from beamopt import metrics
 from beamopt.evaluation import evaluate
-from beamopt.models import forward_graph
-from beamopt.verify import run_checks
+from beamopt.models import forward_graph, power_split
+from beamopt.verify import run_checks, weighted_sum
 
 
 def announce(criterion, detail):
@@ -186,21 +186,20 @@ def test_criterion_06_gradient_suite():
     mix_bn = rng.standard_normal((2, 3, 4))
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.standard_normal(3)
-
-    def mean_square(y):
-        return ad.tmean(y * y)
+    mix_lin, mix_conv, mix_flat = (rng.standard_normal(s) for s in ((3, 4), (2, 3, 4), (2, 12)))
 
     layers = [
-        (lambda t: ad.tmean(ad.gelu(t)), rng.standard_normal(12)),
-        (lambda t: mean_square(ad.linear(t, ad.Tensor(lin_w), ad.Tensor(lin_b))),
+        (lambda t: weighted_sum(ad.gelu(t), 1.0), rng.standard_normal(12)),
+        (lambda t: weighted_sum(ad.linear(t, ad.Tensor(lin_w), ad.Tensor(lin_b)), mix_lin),
          rng.standard_normal((3, 6))),
-        (lambda t: ad.tmean(ad.softmax(t, axis=1) * mix_sm), rng.standard_normal((3, 5))),
-        (lambda t: mean_square(ad.conv1d(t, ad.Tensor(conv_w), stride=2, padding=1)),
+        (lambda t: weighted_sum(power_split(t, 5), mix_sm), rng.standard_normal((3, 5))),
+        (lambda t: weighted_sum(ad.conv1d(t, ad.Tensor(conv_w), stride=2, padding=1), mix_conv),
          rng.standard_normal((2, 2, 8))),
-        (lambda t: ad.tmean(ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
-                                           ad.BatchNormState.fresh(3), training=True) * mix_bn),
+        (lambda t: weighted_sum(ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
+                                               ad.BatchNormState.fresh(3), training=True), mix_bn),
          rng.standard_normal((2, 3, 4))),
-        (lambda t: mean_square(ad.flatten_groups(t, group=2)), rng.standard_normal((4, 3, 2))),
+        (lambda t: weighted_sum(ad.flatten_groups(t, group=2), mix_flat),
+         rng.standard_normal((4, 3, 2))),
     ]
     for build, x0 in layers:
         worst_layer = max(worst_layer, layer_check(build, x0))

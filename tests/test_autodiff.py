@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from scipy import special as scipy_special
 
 from beamopt import autodiff as ad
+from beamopt.models import power_split
+from beamopt.verify import weighted_sum
 
 
 def fd_gradient(f, x0, step=1e-6):
@@ -24,10 +26,6 @@ def fd_gradient(f, x0, step=1e-6):
         lo.flat[i] -= step
         g.flat[i] = (f(hi) - f(lo)) / (2 * step)
     return g
-
-
-def mean_square(y):
-    return ad.tmean(y * y)
 
 
 def assert_grad_close(build, x0, rel=1e-5):
@@ -43,25 +41,25 @@ def assert_grad_close(build, x0, rel=1e-5):
 
 class TestTape:
     def test_identity_gradient(self):
-        x = ad.Tensor(np.array([3.0]), requires_grad=True)
+        x = ad.Tensor(np.array([3.0, -1.0]), requires_grad=True)
         with ad.Tape() as tape:
-            y = x * 1.0
+            y = weighted_sum(x, [0.5, 2.0])
         tape.backward(y)
-        np.testing.assert_array_equal(x.grad, [1.0])
+        np.testing.assert_array_equal(x.grad, [0.5, 2.0])
 
     def test_sum_of_squares(self):
-        x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        x = ad.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         with ad.Tape() as tape:
-            y = ad.tmean(x * x) * 2.0
+            y = ad.linear(x, x)                    # x x^T, x is both operands
         tape.backward(y)
-        np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-15)
+        np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
     def test_fanout_accumulates(self):
-        x = ad.Tensor(np.array([2.0]), requires_grad=True)
+        x = ad.Tensor(np.array([[2.0]]), requires_grad=True)
         with ad.Tape() as tape:
-            y = (x * x) * (x * 3.0)                # 3 x^3, x used by three operands
+            y = ad.linear(ad.linear(x, x), x)      # x^3, x used by three operands
         tape.backward(y)
-        np.testing.assert_allclose(x.grad, [36.0], atol=1e-15)
+        np.testing.assert_array_equal(x.grad, [[12.0]])
 
     def test_backward_before_forward_errors(self):
         x = ad.Tensor(np.array([1.0]), requires_grad=True)
@@ -73,7 +71,7 @@ class TestTape:
     def test_double_backward_errors(self):
         x = ad.Tensor(np.array([1.0]), requires_grad=True)
         with ad.Tape() as tape:
-            y = ad.tmean(x * x)
+            y = weighted_sum(x, 1.0)
         tape.backward(y)
         with pytest.raises(RuntimeError, match="consumed"):
             tape.backward(y)
@@ -81,32 +79,22 @@ class TestTape:
     def test_non_scalar_output_rejected(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.Tape() as tape:
-            y = x * 2.0
+            y = ad.gelu(x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
 
     def test_no_tape_means_no_recording(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
-        y = x * 2.0
+        y = ad.gelu(x)
         assert y.requires_grad is False
 
     def test_grad_accumulates_across_backwards(self):
         x = ad.Tensor(np.array([1.0]), requires_grad=True)
         for _ in range(2):
             with ad.Tape() as tape:
-                y = ad.tmean(x * 3.0)
+                y = weighted_sum(x, 3.0)
             tape.backward(y)
-        np.testing.assert_allclose(x.grad, [6.0], atol=1e-15)
-
-
-class TestElementwiseOps:
-    def test_broadcast_mul(self):
-        rng = np.random.default_rng(0)
-        a0 = rng.standard_normal((3, 1, 4))
-        b0 = rng.uniform(0.5, 2.0, (2, 4))
-        # (3, 1, 4) * (2, 4) * (3, 1, 4): each pull sums over the axes it was broadcast on
-        assert_grad_close(lambda t: ad.tmean(t * ad.Tensor(b0) * t), a0)
-        assert_grad_close(lambda t: ad.tmean(ad.Tensor(a0) * t * ad.Tensor(a0)), b0)
+        np.testing.assert_array_equal(x.grad, [6.0])
 
 
 class TestGelu:
@@ -127,7 +115,7 @@ class TestGelu:
     def test_gradient(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            assert_grad_close(lambda t: ad.tmean(ad.gelu(t)), rng.standard_normal(8) * 2)
+            assert_grad_close(lambda t: weighted_sum(ad.gelu(t), 1.0), rng.standard_normal(8) * 2)
 
 
 def erf_ulps_from_scipy(x) -> np.ndarray:
@@ -198,20 +186,22 @@ class TestErf:
 
 
 class TestSoftmax:
+    """models.power_split, the power head's softmax over each row times N."""
+
     def test_uniform_row(self):
-        out = ad.softmax(ad.Tensor(np.zeros((2, 4)))).data
-        np.testing.assert_allclose(out, np.full((2, 4), 0.25), atol=1e-15)
+        out = power_split(np.zeros((2, 4)), 4).data
+        np.testing.assert_array_equal(out, np.ones((2, 4)))
 
     def test_closed_form(self):
-        out = ad.softmax(ad.Tensor(np.array([[0.0, math.log(3.0)]]))).data
-        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-15)
+        out = power_split(np.array([[0.0, math.log(3.0)]]), 2).data
+        np.testing.assert_allclose(out, [[0.5, 1.5]], atol=1e-15)
 
     def test_rows_sum_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((16, 5)) * 50
-        y = ad.softmax(ad.Tensor(x)).data
+        y = power_split(x, 5).data / 5.0
         np.testing.assert_allclose(y.sum(axis=1), np.ones(16), atol=1e-15)
-        y_shift = ad.softmax(ad.Tensor(x + 1000.0)).data
+        y_shift = power_split(x + 1000.0, 5).data / 5.0
         np.testing.assert_allclose(y, y_shift, atol=1e-12)
 
     def test_gradient(self):
@@ -219,7 +209,7 @@ class TestSoftmax:
         mixer = rng.standard_normal((3, 5))
         for _ in range(20):
             x0 = rng.standard_normal((3, 5))
-            assert_grad_close(lambda t: ad.tmean(ad.softmax(t, axis=1) * mixer), x0)
+            assert_grad_close(lambda t: weighted_sum(power_split(t, 5), mixer), x0)
 
 
 class TestLinear:
@@ -238,9 +228,14 @@ class TestLinear:
         x0 = rng.standard_normal((4, 3))
         w0 = rng.standard_normal((2, 3))
         b0 = rng.standard_normal(2)
-        assert_grad_close(lambda t: mean_square(ad.linear(t, ad.Tensor(w0), ad.Tensor(b0))), x0)
-        assert_grad_close(lambda t: mean_square(ad.linear(ad.Tensor(x0), t, ad.Tensor(b0))), w0)
-        assert_grad_close(lambda t: mean_square(ad.linear(ad.Tensor(x0), ad.Tensor(w0), t)), b0)
+        mixer = rng.standard_normal((4, 2))
+
+        def probe(x, w, b):
+            return weighted_sum(ad.linear(x, w, b), mixer)
+
+        assert_grad_close(lambda t: probe(t, ad.Tensor(w0), ad.Tensor(b0)), x0)
+        assert_grad_close(lambda t: probe(ad.Tensor(x0), t, ad.Tensor(b0)), w0)
+        assert_grad_close(lambda t: probe(ad.Tensor(x0), ad.Tensor(w0), t), b0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="linear shape mismatch"):
@@ -293,10 +288,13 @@ class TestConv1d:
         x0 = rng.standard_normal((2, 2, 8))
         w0 = rng.standard_normal((3, 2, 3))
         for stride, padding in ((1, 0), (1, 1), (2, 1)):
-            def conv_sq(x, w):
-                return mean_square(ad.conv1d(x, w, stride=stride, padding=padding))
-            assert_grad_close(lambda t: conv_sq(t, ad.Tensor(w0)), x0)
-            assert_grad_close(lambda t: conv_sq(ad.Tensor(x0), t), w0)
+            mixer = rng.standard_normal((2, 3, (8 + 2 * padding - 3) // stride + 1))
+
+            def probe(x, w):
+                return weighted_sum(ad.conv1d(x, w, stride=stride, padding=padding), mixer)
+
+            assert_grad_close(lambda t: probe(t, ad.Tensor(w0)), x0)
+            assert_grad_close(lambda t: probe(ad.Tensor(x0), t), w0)
 
 
 class TestBatchNorm:
@@ -355,7 +353,7 @@ class TestBatchNorm:
 
         def bn_mix(x, gamma, beta, training=True):
             state = ad.BatchNormState.fresh(2)
-            return ad.tmean(ad.batchnorm1d(x, gamma, beta, state, training=training) * mixer)
+            return weighted_sum(ad.batchnorm1d(x, gamma, beta, state, training=training), mixer)
 
         assert_grad_close(lambda t: bn_mix(t, ad.Tensor(gamma0), ad.Tensor(beta0)), x0)
         assert_grad_close(lambda t: bn_mix(ad.Tensor(x0), t, ad.Tensor(beta0)), gamma0)
@@ -368,8 +366,8 @@ class TestBatchNorm:
         mixer = rng.standard_normal((2, 2, 4))
 
         def build(t):
-            return ad.tmean(ad.batchnorm1d(t, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                                           shared.copy(), training=False) * mixer)
+            return weighted_sum(ad.batchnorm1d(t, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
+                                               shared.copy(), training=False), mixer)
 
         assert_grad_close(build, x0)
 
@@ -406,7 +404,7 @@ class TestFlattenGroups:
         rng = np.random.default_rng(20)
         x0 = rng.standard_normal((4, 3, 2))
         mixer = rng.standard_normal((2, 12))
-        assert_grad_close(lambda t: ad.tmean(ad.flatten_groups(t, group=2) * mixer), x0)
+        assert_grad_close(lambda t: weighted_sum(ad.flatten_groups(t, group=2), mixer), x0)
 
 
 class TestAdam:
@@ -431,10 +429,7 @@ class TestAdam:
         theta = ad.Tensor(np.array([1.0]), requires_grad=True)
         opt = ad.Adam([theta], lr=0.05)
         for _ in range(500):
-            opt.zero_grad()
-            with ad.Tape() as tape:
-                loss = ad.tmean(theta * theta)
-            tape.backward(loss)
+            theta.grad = 2.0 * theta.data           # the gradient of theta^2
             opt.step()
         assert abs(theta.data[0]) < 1e-2
 

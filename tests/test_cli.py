@@ -111,12 +111,37 @@ class TestGenerate:
                                                ("seed = 5", "seed = 5\nfixed_snr_db = 500",
                                                 "train.fixed_snr_db"),
                                                ("seed = 5", "seed = 5\nlr_dcay = 0.5",
-                                                "train.lr_dcay")])
+                                                "train.lr_dcay"),
+                                               ("seed = 5", "seed = -7", "train.seed"),
+                                               ("seed = 5", "seed = 5\nearly_stop_patience = -3",
+                                                "train.early_stop_patience"),
+                                               ("seed = 3", "seed = -1", "dataset.seed"),
+                                               # the test split's seed + 1 would overflow
+                                               ("seed = 3", "seed = 9223372036854775807",
+                                                "dataset.seed")])
     def test_invalid_train_value_exit_2(self, tiny, capsys, old, new, key):
         tmp, cfg = tiny
         cfg.write_text(TINY_CONFIG.replace(old, new))
         assert run("generate", "--config", cfg, "--out", tmp / "x.ds") == 2
         assert f"config error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-4, 2 ** 63])
+    def test_out_of_range_seed_flag_exit_2(self, tiny, capsys, seed):
+        tmp, cfg = tiny
+        assert run("generate", "--config", cfg, "--out", tmp / "x.ds", "--seed", seed) == 2
+        assert f"config error: --seed: must lie in [0, {2 ** 63 - 1}], got {seed}" \
+            in capsys.readouterr().err
+        assert not (tmp / "x.ds").exists()
+
+    def test_largest_seeds_generate(self, tiny):
+        tmp, cfg = tiny
+        assert run("generate", "--config", cfg, "--out", tmp / "a.ds", "--split", "test",
+                   "--seed", 2 ** 63 - 1) == 0
+        assert channel.load_dataset(tmp / "a.ds").seed == 2 ** 63 - 1
+        cfg.write_text(TINY_CONFIG.replace("seed = 3", f"seed = {2 ** 63 - 2}"))
+        assert run("generate", "--config", cfg, "--out", tmp / "b.ds", "--split", "test") == 0
+        assert channel.load_dataset(tmp / "b.ds").seed == 2 ** 63 - 1
+        assert (tmp / "a.ds").read_bytes() == (tmp / "b.ds").read_bytes()
 
 
 class TestTrainEval:
@@ -243,7 +268,7 @@ class TestTrainEval:
 
         def nan_forward(h, params, model_cfg, training):
             w, p = real_forward(h, params, model_cfg, training)
-            return w * np.nan, p
+            return autodiff.Tensor(w.data * np.nan), p
 
         monkeypatch.setattr(evaluation, "forward_graph", nan_forward)
         assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
@@ -275,6 +300,33 @@ class TestTrainEval:
         assert "dropped 1 ZF-singular samples from every method: 1" in capsys.readouterr().err
         rows = results.read_results_csv(csv_out)
         assert len(rows) == 4 and all(r.n == 3 for r in rows)
+
+    def test_dataset_zf_cannot_serve_exit_3(self, tiny, capsys):
+        tmp, cfg = tiny
+        test_ds, csv_out = tmp / "test.ds", tmp / "r.csv"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        ds = channel.load_dataset(test_ds)
+        ds.h[..., 1] = ds.h[..., 0]                  # every sample's Gram is singular
+        channel.save_dataset(ds, test_ds)
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--out", csv_out) == 3
+        err = capsys.readouterr().err
+        assert "dataset error: all 4 samples have a channel Gram that is singular for " \
+            "zero-forcing" in err
+        assert "dB" not in err and not csv_out.exists()
+
+    def test_one_sample_tail_batch_at_one_element_per_channel_exit_2(self, tiny, capsys):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace("m_tx = 2", "m_tx = 1").replace("n_ue = 2", "n_ue = 1")
+                       .replace("k_sc = 8", "k_sc = 4").replace("batch_size = 4", "batch_size = 2"))
+        train_ds = tmp / "train.ds"
+        run("generate", "--config", cfg, "--out", train_ds)
+        capsys.readouterr()
+        # 8 samples: 1 for validation, 7 in batches of 2, the last of 1 sample
+        assert run("train", "--config", cfg, "--dataset", train_ds, "--ckpt", tmp / "m.ckpt") == 2
+        assert "config error: train.batch_size: 2 leaves a batch of 1, one element per " \
+            "batch-norm channel at K=4, M=N=1" in capsys.readouterr().err
+        assert not list(tmp.glob("m*"))
 
     def test_diverged_training_exit_4(self, tiny, monkeypatch):
         tmp, cfg = tiny

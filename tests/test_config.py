@@ -74,12 +74,41 @@ def test_field_level_messages():
     ("train.fixed_snr_db", "fixed_snr_db = -16"),
     ("train.fixed_snr_db", "fixed_snr_db = nan"),
     ("train.val_fraction", "val_fraction = 0.95"),     # 8 of 8 train_samples
+    ("train.early_stop_patience", "early_stop_patience = -3"),
 ])
 def test_invalid_train_values_name_the_key(key, line):
     name = line.split(" =")[0]
     text = "".join(l for l in MINIMAL.splitlines(True) if not l.startswith(name + " ="))
     with pytest.raises(ConfigError, match=key.replace(".", r"\.") + ":"):
         parse_config_text(text + line + "\n")
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("dataset.seed", "seed = 3", "seed = -1"),
+    ("dataset.seed", "seed = 3", "seed = 9223372036854775807"),     # the test split's + 1 overflows
+    ("train.seed", "seed = 5", "seed = -7"),
+])
+def test_out_of_range_seeds_name_the_key(key, old, new):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.") + ": must"):
+        parse_config_text(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize("methods, ok", [("ZF, MMSE", True), ("ZF, NNBF", False),
+                                         ("NNBF-P", False)])
+def test_k_not_divisible_by_the_backbone_downsampling_needs_no_network(methods, ok):
+    text = MINIMAL.replace("k_sc = 8", "k_sc = 6").replace("ZF, MMSE", methods)
+    if ok:
+        assert parse_config_text(text).k_sc == 6
+    else:
+        with pytest.raises(ConfigError, match=r"experiment\.k_sc: NNBF and NNBF-P need K "
+                                              r"divisible by 4, got 6"):
+            parse_config_text(text)
+
+
+def test_seed_and_patience_range_ends_accepted():
+    cfg = parse_config_text(MINIMAL.replace("seed = 3", "seed = 9223372036854775806")
+                            .replace("seed = 5", "seed = 0\nearly_stop_patience = 0"))
+    assert (cfg.seed, cfg.train.seed, cfg.train.early_stop_patience) == (2 ** 63 - 2, 0, 0)
 
 
 @pytest.mark.parametrize("key, old", [("delay_spread_ns", "delay_spread_ns = 30"),

@@ -1,9 +1,11 @@
 """The fused ops of the training step against the ops they replace:
 conv_bn_gelu against conv1d -> batchnorm1d -> gelu, models.unit_beams against
-the beam normalization in plain numpy and finite differences, and
-metrics.sum_rates against per_sample_sum_rates and finite differences."""
+the beam normalization in plain numpy and finite differences, and the loss op
+metrics.neg_sum_rate_graph against per_sample_sum_rates and finite
+differences."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from beamopt import autodiff as ad
 from beamopt import metrics
 from beamopt.models import (NORM_FLOOR, ModelConfig, channel_to_input, forward_graph,
                             init_params, unit_beams)
+from beamopt.verify import weighted_sum
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -28,19 +31,19 @@ def block_cases(draw):
 
 
 def run_block(fused, x_cl, w, gamma, beta, state, training, stride, mixer_cl):
-    """Output (rows, L, C), the four gradients (dx channels-last) of mean(out * mixer)."""
+    """Output (rows, L, C), the four gradients (dx channels-last) of sum(out * mixer)."""
     leaves = [ad.Tensor(a.copy(), requires_grad=True) for a in (x_cl, w, gamma, beta)]
     x, wt, g, b = leaves
     with ad.Tape() as tape:
         if fused:
             out = ad.conv_bn_gelu(x, wt, g, b, state, training=training, stride=stride,
                                   padding=1)
-            loss = ad.tmean(out * mixer_cl)
+            loss = weighted_sum(out, mixer_cl)
         else:
             x_cf = ad.Tensor(x_cl.transpose(0, 2, 1).copy(), requires_grad=True)
             out = ad.gelu(ad.batchnorm1d(ad.conv1d(x_cf, wt, stride=stride, padding=1),
                                          g, b, state, training=training))
-            loss = ad.tmean(out * mixer_cl.transpose(0, 2, 1))
+            loss = weighted_sum(out, mixer_cl.transpose(0, 2, 1))
             leaves[0] = x_cf
     tape.backward(loss)
     if fused:
@@ -101,26 +104,25 @@ def rate_cases(draw):
 
 @PROPERTY
 @given(rate_cases())
-def test_sum_rates_forward_is_bit_equal_to_per_sample_sum_rates(case):
+def test_neg_sum_rate_forward_is_bit_equal_to_minus_mean_per_sample_sum_rates(case):
     h, w, p, sigma2, _ = case
-    rates = metrics.sum_rates(ad.Tensor(w), h, ad.Tensor(p), sigma2)
-    expected = metrics.per_sample_sum_rates(metrics.as_complex(w), h, p, sigma2)
-    assert rates.data.tobytes() == expected.tobytes()
+    loss = metrics.neg_sum_rate_graph(ad.Tensor(w), h, ad.Tensor(p), sigma2)
+    expected = -metrics.per_sample_sum_rates(metrics.as_complex(w), h, p, sigma2).mean()
+    assert loss.data.shape == () and loss.data.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(rate_cases())
-def test_sum_rates_vjp_matches_finite_differences(case):
-    h, w0, p0, sigma2, rng = case
-    mixer = rng.standard_normal(h.shape[0])
+def test_neg_sum_rate_vjp_matches_finite_differences(case):
+    h, w0, p0, sigma2, _ = case
     w, p = (ad.Tensor(a.copy(), requires_grad=True) for a in (w0, p0))
     with ad.Tape() as tape:
-        loss = ad.tmean(metrics.sum_rates(w, h, p, sigma2) * mixer)
+        loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
     tape.backward(loss)
 
     def value(args):
-        return float(metrics.per_sample_sum_rates(metrics.as_complex(args[0]), h, args[1],
-                                                  sigma2) @ mixer) / mixer.size
+        return -float(metrics.per_sample_sum_rates(metrics.as_complex(args[0]), h, args[1],
+                                                   sigma2).mean())
 
     for which, grad in enumerate((w.grad, p.grad)):
         assert grad.shape == (w0, p0)[which].shape
@@ -130,7 +132,7 @@ def test_sum_rates_vjp_matches_finite_differences(case):
             hi[which].flat[i] += 1e-6
             lo[which].flat[i] -= 1e-6
             numeric[i] = (value(hi) - value(lo)) / 2e-6
-        scale = max(np.abs(numeric).max(), 1e-3 / mixer.size)
+        scale = max(np.abs(numeric).max(), 1e-3 / h.shape[0])
         assert np.abs(grad.ravel() - numeric).max() <= 1e-5 * scale
 
 
@@ -183,12 +185,12 @@ def test_unit_beams_vjp_matches_finite_differences(case):
     mixer = rng.standard_normal((*shape, 2))
     raw = ad.Tensor(raw0.copy(), requires_grad=True)
     with ad.Tape() as tape:
-        loss = ad.tmean(unit_beams(raw, shape) * mixer)
+        loss = weighted_sum(unit_beams(raw, shape), mixer)
     tape.backward(loss)
     assert raw.grad.shape == raw0.shape
 
     def value(x):
-        return float((unit_beams(ad.Tensor(x), shape).data * mixer).mean())
+        return float((unit_beams(ad.Tensor(x), shape).data * mixer).sum())
 
     # the gradient scales as 1 / ||column||: step and error are taken per column
     x = raw0.reshape(*shape, 2)
@@ -202,7 +204,7 @@ def test_unit_beams_vjp_matches_finite_differences(case):
         numeric[i] = (value(hi) - value(lo)) / (2 * step)
     analytic = raw.grad.reshape(*shape, 2).ravel()
     scaled_err = np.abs(analytic - numeric) * col
-    assert scaled_err.max() <= 1e-6 * np.abs(mixer).max() / mixer.size
+    assert scaled_err.max() <= 1e-6 * np.abs(mixer).max()
 
 
 def test_unit_beams_maps_a_zero_column_to_finite_zeros():
@@ -214,7 +216,7 @@ def test_unit_beams_maps_a_zero_column_to_finite_zeros():
     t = ad.Tensor(raw.reshape(2, -1), requires_grad=True)
     with ad.Tape() as tape:
         y = unit_beams(t, (2, 3, 4, 2))
-        loss = ad.tmean(y * mixer)
+        loss = weighted_sum(y, mixer)
     tape.backward(loss)
     out = y.data
     assert np.isfinite(out).all()
@@ -224,14 +226,14 @@ def test_unit_beams_maps_a_zero_column_to_finite_zeros():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     grad = t.grad.reshape(raw.shape)
     assert np.isfinite(grad).all()
-    g = 1.0 / mixer.size * mixer[1, 2, :, 0]            # the gradient at the zero column
+    g = mixer[1, 2, :, 0]                               # the gradient at the zero column
     np.testing.assert_array_equal(grad[1, 2, :, 0], g * (1.0 / NORM_FLOOR))    # its limit g s
 
 
-def test_desk_training_step_records_16_ops():
+def test_desk_training_step_records_13_ops():
     """NNBF-P at the exp01-desk shape (M=N=4, K=8, B=16): 3 blocks, 1 flatten,
-    6 head ops (linear, GELU, linear per head), 1 unit_beams, 2 power ops
-    (softmax, the budget scale) and 3 loss ops (sum_rates, tmean, negation)."""
+    6 head ops (linear, GELU, linear per head), unit_beams, power_split and
+    the loss op; each record is named by the op whose pull it holds."""
     cfg = ModelConfig(m_tx=4, n_ue=4, k_sc=8)
     params = init_params(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
@@ -239,7 +241,10 @@ def test_desk_training_step_records_16_ops():
     with ad.Tape() as tape:
         w, p = forward_graph(h, params, cfg, training=True)
         loss = metrics.neg_sum_rate_graph(w, h, p, np.ones((16, 4)))
-    assert len(tape._records) == 16
+    ops = Counter(pulls[0][1].__qualname__.split(".")[0] for _, pulls in tape._records)
+    assert ops == {"conv_bn_gelu": 3, "flatten_groups": 1, "linear": 4, "gelu": 2,
+                   "unit_beams": 1, "power_split": 1, "neg_sum_rate_graph": 1}
+    assert len(tape._records) == 13
     tape.backward(loss)
     assert all(t.grad is not None for t in params.tensors.values())
 

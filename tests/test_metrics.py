@@ -8,7 +8,7 @@ from beamopt.models import unit_beams
 
 
 def beam_tensor(w):
-    """Complex beams (..., M, N) as the float64 (..., M, N, 2) tensor sum_rates takes."""
+    """Complex beams (..., M, N) as the float64 (..., M, N, 2) tensor neg_sum_rate_graph takes."""
     return ad.Tensor(np.stack([w.real, w.imag], axis=-1))
 
 

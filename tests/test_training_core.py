@@ -19,6 +19,7 @@ from beamopt.channel import ChannelDataset
 from beamopt.models import (ModelConfig, forward_graph, init_params, load_checkpoint,
                             save_checkpoint)
 from beamopt.trainer import TrainConfig, train
+from beamopt.verify import weighted_sum
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 NO_CC = pytest.mark.skipif(shutil.which("cc") is None,
@@ -95,7 +96,7 @@ def test_conv1d_matches_per_tap_reference(case):
     with ad.Tape() as tape:
         out = ad.conv1d(x, w, stride=stride, padding=padding)
         g = rng.standard_normal(out.data.shape)
-        loss = ad.tmean(out * (g * g.size))   # so x.grad and w.grad are the pulls of g
+        loss = weighted_sum(out, g)          # so x.grad and w.grad are the pulls of g
     tape.backward(loss)
     ref_out, ref_dx, ref_dw = conv1d_reference(x0, w0, g, stride, padding)
     for got, ref in ((out.data, ref_out), (x.grad, ref_dx), (w.grad, ref_dw)):
