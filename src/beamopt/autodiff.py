@@ -1,17 +1,19 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Ops execute eagerly on numpy arrays. When a Tape is active (used as a
-context manager) every op whose inputs require gradients records a
-backward closure on it; `tape.backward(scalar)` replays the records in
-reverse, accumulating gradients by sum over fan-out into the `.grad` of
-each leaf (a tensor no op on the tape produced). A tape is consumed by
-its backward pass, which frees its records as it goes.
+Ops execute eagerly on numpy arrays. Every op is built by make_op(out_data,
+inputs, pull): when a Tape is active (used as a context manager) and some
+input requires a gradient, the tape records (out, inputs, pull), where
+pull(g) returns one gradient per input, in order, None for an input that
+needs none. `tape.backward(scalar)` replays the records in reverse, calls
+each record's pull once and accumulates gradients by sum over fan-out into
+the `.grad` of each leaf (a tensor no op on the tape produced). A tape is
+consumed by its backward pass, which frees its records as it goes.
 
 The engine ships the ops the model runs, one op per model stage:
-conv_bn_gelu (conv1d -> batch norm -> GELU fused into one op with one pull)
-per backbone block, the group flatten, and fully connected layers with exact
-GELU for the heads. The output stages and the loss (models.unit_beams,
-models.power_split, metrics.neg_sum_rate_graph) are built on make_op.
+conv_bn_gelu (conv1d -> batch norm -> GELU fused into one op) per backbone
+block, the group flatten, and fully connected layers with exact GELU for
+the heads. The output stages and the loss (models.unit_beams,
+models.power_split, metrics.neg_sum_rate_graph) are built on make_op too.
 conv1d and batchnorm1d stay as the tested references of conv_bn_gelu. The
 exact GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc
 rationals that scipy.special.erf evaluates, so importing this package needs
@@ -64,7 +66,7 @@ class Tape:
     """Ordered record of executed ops; supports exactly one backward pass."""
 
     def __init__(self):
-        self._records = []      # (out, ((input, vjp), ...)) in execution order
+        self._records = []      # (out, inputs, pull) in execution order
         self._out_ids = set()
         self._consumed = False
 
@@ -77,17 +79,14 @@ class Tape:
         assert popped is self
         return False
 
-    def _append(self, out: "Tensor", pulls):
-        self._records.append((out, pulls))
-        self._out_ids.add(id(out))
-
     def backward(self, output: "Tensor"):
         """Accumulate d(output)/d(tensor) into .grad for every tensor the tape
         did not produce (leaves); intermediates get no .grad.
 
         Records are popped as the pass goes and each intermediate's gradient
-        is dropped once its pulls have run, so the activations a record's
-        closures hold are freed during the pass.
+        is dropped once its record's pull has run, so the activations a pull
+        holds are freed during the pass. A pull that returns other than one
+        gradient per input raises ValueError.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
@@ -101,12 +100,13 @@ class Tape:
         flowing: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
         leaves: dict[int, Tensor] = {}
         while records:
-            out, pulls = records.pop()
+            out, inputs, pull = records.pop()
             g = flowing.pop(id(out), None)
             if g is None:
                 continue
-            for inp, vjp in pulls:
-                contrib = vjp(g)
+            for inp, contrib in zip(inputs, pull(g), strict=True):
+                if not inp.requires_grad:
+                    continue
                 key = id(inp)
                 if key in flowing:
                     flowing[key] = flowing[key] + contrib
@@ -123,32 +123,17 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(out_data, pulls) -> Tensor:
-    """Build the output tensor, recording pulls for grad-requiring inputs."""
+def make_op(out_data, inputs: tuple, pull) -> Tensor:
+    """The output tensor of an op, recorded on the active tape as
+    (out, inputs, pull) when some input requires a gradient. pull(g) returns
+    one gradient per input, in order, and None for an input that needs none."""
     out = Tensor(out_data)
-    if _TAPE_STACK:
-        live = tuple((t, fn) for t, fn in pulls if t.requires_grad)
-        if live:
-            out.requires_grad = True
-            _TAPE_STACK[-1]._append(out, live)
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        tape = _TAPE_STACK[-1]
+        tape._records.append((out, inputs, pull))
+        tape._out_ids.add(id(out))
     return out
-
-
-make_op = _make     # public for ops defined outside this module (unit_beams, power_split, the loss)
-
-
-def shared_pull(fn):
-    """Wrap fn(g) so that an op's per-input vjps share one call per upstream
-    gradient: an op whose gradients come from common reductions computes
-    them once, and only if some input's pull runs."""
-    last = [None, None]
-
-    def once(g):
-        if last[0] is not g:
-            last[0], last[1] = g, fn(g)
-        return last[1]
-
-    return once
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, else 1 - erfc(|x|) with
@@ -235,9 +220,9 @@ def gelu(a) -> Tensor:
 
     def pull(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return g * (cdf + a.data * pdf)
+        return (g * (cdf + a.data * pdf),)
 
-    return _make(a.data * cdf, [(a, pull)])
+    return make_op(a.data * cdf, (a,), pull)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -246,14 +231,20 @@ def linear(x, w, b=None) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ValueError(f"linear shape mismatch: x {x.data.shape}, w {w.data.shape}")
     out_data = x.data @ w.data.T
-    pulls = [(x, lambda g: g @ w.data), (w, lambda g: g.T @ x.data)]
+    inputs = (x, w)
     if b is not None:
         b = as_tensor(b)
         if b.data.shape != (w.data.shape[0],):
             raise ValueError(f"bias shape {b.data.shape} does not match {w.data.shape[0]} outputs")
         out_data = out_data + b.data
-        pulls.append((b, lambda g: g.sum(axis=0)))
-    return _make(out_data, pulls)
+        inputs = (x, w, b)
+
+    def pull(g):
+        grads = (g @ w.data if x.requires_grad else None,
+                 g.T @ x.data if w.requires_grad else None)
+        return grads if b is None else grads + (g.sum(axis=0) if b.requires_grad else None,)
+
+    return make_op(out_data, inputs, pull)
 
 
 def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
@@ -275,20 +266,18 @@ def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
     w2 = w.data.reshape(c_out, c_in * ksz)
     out_data = np.ascontiguousarray((cols @ w2.T).reshape(batch, l_out, c_out).transpose(0, 2, 1))
 
-    def rows(g):
-        return g.transpose(0, 2, 1).reshape(batch * l_out, c_out)
+    def pull(g):
+        rows = g.transpose(0, 2, 1).reshape(batch * l_out, c_out)
+        dx = None
+        if x.requires_grad:
+            dcols = (rows @ w2).reshape(batch, l_out, c_in, ksz).transpose(0, 2, 1, 3)
+            dxp = np.zeros((batch, c_in, padded_len))
+            for k in range(ksz):
+                dxp[:, :, k:k + stride * l_out:stride] += dcols[..., k]
+            dx = dxp[:, :, padding:padding + length] if padding else dxp
+        return dx, (rows.T @ cols).reshape(w.data.shape) if w.requires_grad else None
 
-    def pull_x(g):
-        dcols = (rows(g) @ w2).reshape(batch, l_out, c_in, ksz).transpose(0, 2, 1, 3)
-        dxp = np.zeros((batch, c_in, padded_len))
-        for k in range(ksz):
-            dxp[:, :, k:k + stride * l_out:stride] += dcols[..., k]
-        return dxp[:, :, padding:padding + length] if padding else dxp
-
-    def pull_w(g):
-        return (rows(g).T @ cols).reshape(w.data.shape)
-
-    return _make(out_data, [(x, pull_x), (w, pull_w)])
+    return make_op(out_data, (x, w), pull)
 
 
 @dataclass
@@ -335,21 +324,23 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training: bool,
     xhat = (x.data - mean[None, :, None]) * ivar[None, :, None]
     out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
 
-    def pull_x(g):
+    def pull(g):
+        dgamma = (g * xhat).sum(axis=(0, 2)) if gamma.requires_grad else None
+        dbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
+        if not x.requires_grad:
+            return None, dgamma, dbeta
         dxhat = g * gamma.data[None, :, None]
         if not training:
-            return dxhat * ivar[None, :, None]
+            return dxhat * ivar[None, :, None], dgamma, dbeta
         sum_dxhat = dxhat.sum(axis=(0, 2))
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2))
-        return (ivar[None, :, None] / n) * (
+        dx = (ivar[None, :, None] / n) * (
             n * dxhat
             - sum_dxhat[None, :, None]
             - xhat * sum_dxhat_xhat[None, :, None])
+        return dx, dgamma, dbeta
 
-    pulls = [(x, pull_x),
-             (gamma, lambda g: (g * xhat).sum(axis=(0, 2))),
-             (beta, lambda g: g.sum(axis=(0, 2)))]
-    return _make(out_data, pulls)
+    return make_op(out_data, (x, gamma, beta), pull)
 
 
 def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
@@ -360,10 +351,10 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
 
     The im2col GEMM's (R*L_out, C_out) output is what batch norm normalizes,
     each channel over its rows, with statistics from GEMV column sums; modes,
-    running stats and eps are batchnorm1d's. The one pull shares the
+    running stats and eps are batchnorm1d's. The pull computes the
     reductions sum(gz) and sum(gz * xhat), gz being the gradient at the GELU
-    input, among dx, dw, dgamma and dbeta. The op keeps cols, xhat, the GELU
-    input z and its cdf for the pull.
+    input, once for dx, dw, dgamma and dbeta, and skips dx when x needs no
+    gradient. The op keeps cols, xhat, the GELU input z and its cdf for it.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
@@ -406,9 +397,7 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
     cdf += 1.0
     cdf *= 0.5
 
-    @shared_pull
-    def grads(g):
-        """(dy at the conv output, dgamma, dbeta) for output gradient g."""
+    def pull(g):
         gz = z * z
         gz *= -0.5
         np.exp(gz, out=gz)
@@ -428,22 +417,20 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
             gz *= gamma.data * ivar / n
         else:
             gz *= gamma.data * ivar
-        return gz, dgamma, dbeta
+        # gz is now the gradient at the conv output. dw goes first, so dcols
+        # and dxp do not live through the dw GEMM.
+        dw = dx = None
+        if w.requires_grad:
+            dw = np.ascontiguousarray((gz.T @ cols).reshape(c_out, ksz, c_in).transpose(0, 2, 1))
+        if x.requires_grad:
+            dcols = (gz @ w2).reshape(rows, l_out, ksz, c_in)
+            dxp = np.zeros((rows, padded_len, c_in))
+            for k in range(ksz):
+                dxp[:, k:k + stride * (l_out - 1) + 1:stride] += dcols[:, :, k]
+            dx = dxp[:, padding:padding + length] if padding else dxp
+        return dx, dw, dgamma, dbeta
 
-    def pull_x(g):
-        dcols = (grads(g)[0] @ w2).reshape(rows, l_out, ksz, c_in)
-        dxp = np.zeros((rows, padded_len, c_in))
-        for k in range(ksz):
-            dxp[:, k:k + stride * (l_out - 1) + 1:stride] += dcols[:, :, k]
-        return dxp[:, padding:padding + length] if padding else dxp
-
-    def pull_w(g):
-        dw2 = (grads(g)[0].T @ cols).reshape(c_out, ksz, c_in)
-        return np.ascontiguousarray(dw2.transpose(0, 2, 1))
-
-    return _make((z * cdf).reshape(rows, l_out, c_out),
-                 [(x, pull_x), (w, pull_w),
-                  (gamma, lambda g: grads(g)[1]), (beta, lambda g: grads(g)[2])])
+    return make_op((z * cdf).reshape(rows, l_out, c_out), (x, w, gamma, beta), pull)
 
 
 def flatten_groups(x, group: int) -> Tensor:
@@ -454,8 +441,8 @@ def flatten_groups(x, group: int) -> Tensor:
     if bg % group != 0:
         raise ValueError(f"leading dim {bg} is not divisible by group {group}")
     batch = bg // group
-    return _make(x.data.transpose(0, 2, 1).reshape(batch, group * channels * length),
-                 [(x, lambda g: g.reshape(bg, channels, length).transpose(0, 2, 1))])
+    return make_op(x.data.transpose(0, 2, 1).reshape(batch, group * channels * length), (x,),
+                   lambda g: (g.reshape(bg, channels, length).transpose(0, 2, 1),))
 
 
 class Adam:

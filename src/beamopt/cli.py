@@ -4,8 +4,9 @@ Exit codes: 0 success; 1 verify failure, non-finite eval rate, eval rate
 above the SINR ceiling or unexpected error; 2 invalid config (unknown
 section or key included); 3 dataset missing, corrupt (NaN/Inf included),
 shape-incompatible or smaller than train_samples (train) or test_samples
-(eval); 4 training diverged (non-finite loss or gradient norm);
-5 unreadable, incompatible or non-finite checkpoint; 6 malformed results CSV.
+(eval), which use the file's first train_samples or test_samples samples;
+4 training diverged (non-finite loss or gradient norm); 5 unreadable,
+incompatible or non-finite checkpoint; 6 malformed results CSV.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,16 +84,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _require_samples(ds: channel.ChannelDataset, path, key: str, wanted: int) -> None:
+def _require_samples(ds: channel.ChannelDataset, path, key: str,
+                     wanted: int) -> channel.ChannelDataset:
+    """The dataset's first `wanted` samples. Each sample is drawn from its own
+    stream, so they are the samples a file generated with that count holds."""
     if len(ds) < wanted:
         raise channel.DatasetShapeError(
             f"{path}: dataset has {len(ds)} samples, config wants {key} = {wanted}")
+    return replace(ds, h=ds.h[:wanted], ue_snr_offset_db=ds.ue_snr_offset_db[:wanted])
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
-    _require_samples(ds, args.dataset, "train_samples", cfg.train_samples)
+    ds = _require_samples(ds, args.dataset, "train_samples", cfg.train_samples)
     neural = cfg.neural_methods
     if not neural:
         print("config lists no neural methods (NNBF / NNBF-P); nothing to train",
@@ -118,7 +124,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
-    _require_samples(ds, args.dataset, "test_samples", cfg.test_samples)
+    ds = _require_samples(ds, args.dataset, "test_samples", cfg.test_samples)
     nn_models = {}
     for path in args.ckpt or []:
         mc, params = models.load_checkpoint(path)
@@ -130,7 +136,7 @@ def cmd_eval(args) -> int:
         if method in nn_models:
             raise models.CheckpointError(f"{path}: duplicate checkpoint for {method}")
         nn_models[method] = (mc, params)
-    methods = [m for m in cfg.methods if m in ("ZF", "MMSE") or m in nn_models]
+    methods = [m for m in cfg.methods if m in evaluation.CLASSICAL_METHODS or m in nn_models]
     skipped = [m for m in cfg.methods if m not in methods]
     if skipped:
         print(f"skipping {skipped}: no checkpoint supplied", file=sys.stderr)

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .channel import _TDL_TABLES, MAX_SEED
+from .evaluation import CLASSICAL_METHODS, NEURAL_METHODS
 from .models import DEFAULT_BB_SPEC, downsampling
 from .trainer import SNR_RANGE_DB, TrainConfig, validation_size
 
 SCHEMA_VERSION = 1
 
-KNOWN_METHODS = ("ZF", "MMSE", "NNBF", "NNBF-P")
+KNOWN_METHODS = CLASSICAL_METHODS + NEURAL_METHODS
 
 KNOWN_KEYS = {
     "experiment": ("schema_version", "id", "profile", "delay_spread_ns", "m_tx", "n_ue",
@@ -91,7 +92,7 @@ class ExperimentConfig:
 
     @property
     def neural_methods(self) -> tuple:
-        return tuple(m for m in self.methods if m in ("NNBF", "NNBF-P"))
+        return tuple(m for m in self.methods if m in NEURAL_METHODS)
 
 
 def _get(parser, section: str, key: str, cast, fallback=None):

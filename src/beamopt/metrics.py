@@ -139,7 +139,8 @@ def neg_sum_rate_graph(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
     log(1 + S/D) = log(S + D) - log D has d/dg[n, i] = p_i / (S + D)_n, less
     p_i / D_n for i != n, and d/dp_i = sum_n g[n, i] times the same bracket;
     dg reaches the beams as dW = dWr + j dWi = 2 conj(h) @ (dg * e),
-    returned in w's re/im layout.
+    returned in w's re/im layout. dp is skipped when p needs no gradient
+    (NNBF's constant powers).
     """
     w, p = ad.as_tensor(w), ad.as_tensor(p)
     e = _beam_gains(as_complex(w.data), h)
@@ -147,8 +148,7 @@ def neg_sum_rate_graph(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
     rates = rates_from(signal, interference, sigma2)
     k_sc, n_ue = h.shape[1], h.shape[3]
 
-    @ad.shared_pull
-    def grads(g):
+    def pull(g):
         noise_int = interference + sigma2[:, None, :]
         inv_total = 1.0 / (signal + noise_int)
         # bracket[b, k, n, i]: 1/(S + D) on the diagonal, -S/(D (S + D)) off it
@@ -156,12 +156,12 @@ def neg_sum_rate_graph(w, h: np.ndarray, p, sigma2: np.ndarray) -> "ad.Tensor":
         diag = np.arange(n_ue)
         bracket[..., diag, diag] = inv_total
         bracket *= -g / rates.size / (k_sc * _LN2)
-        dp = np.einsum("bkni,bkni->bi", np.abs(e) ** 2, bracket)
+        dp = np.einsum("bkni,bkni->bi", np.abs(e) ** 2, bracket) if p.requires_grad else None
         bracket *= p.data[:, None, None, :]
         dw = 2.0 * (h.conj() @ (bracket * e))
         return dw.view(np.float64).reshape(w.data.shape), dp
 
-    return ad.make_op(-rates.mean(), [(w, lambda g: grads(g)[0]), (p, lambda g: grads(g)[1])])
+    return ad.make_op(-rates.mean(), (w, p), pull)
 
 
 def sum_rate_bound(h_norm2: np.ndarray, sigma2: np.ndarray) -> np.ndarray:

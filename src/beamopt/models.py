@@ -233,9 +233,9 @@ def unit_beams(raw, shape: tuple) -> Tensor:
     def pull(g):
         dot = (g * x).sum(axis=(2, 4), keepdims=True)
         coef = np.divide(scale * scale * dot, norm, out=np.zeros_like(norm), where=norm > 0)
-        return (g * scale - x * coef).reshape(raw.data.shape)
+        return ((g * scale - x * coef).reshape(raw.data.shape),)
 
-    return ad.make_op(x * scale, [(raw, pull)])
+    return ad.make_op(x * scale, (raw,), pull)
 
 
 def power_split(raw, n_ue: int) -> Tensor:
@@ -251,9 +251,9 @@ def power_split(raw, n_ue: int) -> Tensor:
 
     def pull(g):
         gn = g * budget
-        return u * (gn - (gn * u).sum(axis=1, keepdims=True))
+        return (u * (gn - (gn * u).sum(axis=1, keepdims=True)),)
 
-    return ad.make_op(u * budget, [(raw, pull)])
+    return ad.make_op(u * budget, (raw,), pull)
 
 
 def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,

@@ -44,7 +44,7 @@ def weighted_sum(y, weights) -> ad.Tensor:
     gradient at y's inputs is y's vector-Jacobian product with the weights."""
     y = ad.as_tensor(y)
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), y.data.shape)
-    return ad.make_op((y.data * weights).sum(), [(y, lambda g: g * weights)])
+    return ad.make_op((y.data * weights).sum(), (y,), lambda g: (g * weights,))
 
 
 def _grad_check(build, inputs, rel_tol: float) -> tuple[bool, str]:

@@ -61,6 +61,34 @@ class TestTape:
         tape.backward(y)
         np.testing.assert_array_equal(x.grad, [[12.0]])
 
+    def test_pull_runs_once_per_backward(self):
+        """One call of an op's pull gives every input its gradient; an input
+        that needs none gets None and is left alone."""
+        a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        c = ad.Tensor(np.array([5.0, 6.0]))
+        calls = []
+
+        def pull(g):
+            calls.append(g)
+            return g * b.data * c.data, g * a.data * c.data, None
+
+        with ad.Tape() as tape:
+            y = ad.make_op((a.data * b.data * c.data).sum(), (a, b, c), pull)
+        tape.backward(y)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(a.grad, [15.0, 24.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 12.0])
+        assert c.grad is None
+
+    def test_pull_with_wrong_gradient_count_raises(self):
+        a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = ad.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.make_op((a.data * b.data).sum(), (a, b), lambda g: (g * b.data,))
+        with pytest.raises(ValueError, match="zip"):
+            tape.backward(y)
+
     def test_backward_before_forward_errors(self):
         x = ad.Tensor(np.array([1.0]), requires_grad=True)
         with ad.Tape() as tape:

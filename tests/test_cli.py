@@ -208,6 +208,34 @@ class TestTrainEval:
         assert "dataset has 2 samples, config wants test_samples = 4" in capsys.readouterr().err
         assert not (tmp / "r.csv").exists()
 
+    def test_train_takes_the_files_first_train_samples(self, tiny):
+        """A 12-sample file trained with train_samples = 8 gives the checkpoint
+        and report of the 8-sample file generated from the same seed."""
+        tmp, cfg = tiny
+        big_cfg, big_ds, ds = tmp / "big.ini", tmp / "big.ds", tmp / "train.ds"
+        big_cfg.write_text(TINY_CONFIG.replace("train_samples = 8", "train_samples = 12"))
+        run("generate", "--config", big_cfg, "--out", big_ds)
+        run("generate", "--config", cfg, "--out", ds)
+        for data, ckpt in ((big_ds, tmp / "big.ckpt"), (ds, tmp / "m.ckpt")):
+            assert run("train", "--config", cfg, "--dataset", data, "--ckpt", ckpt) == 0
+        assert (tmp / "big.ckpt").read_bytes() == (tmp / "m.ckpt").read_bytes()
+        assert (tmp / "big.ckpt.report.csv").read_bytes() == \
+            (tmp / "m.ckpt.report.csv").read_bytes()
+
+    def test_eval_takes_the_files_first_test_samples(self, tiny):
+        """An 8-sample test file evaluated with test_samples = 4 writes n = 4 and
+        the results of the 4-sample file generated from the same seed."""
+        tmp, cfg = tiny
+        big_cfg, big_ds, ds = tmp / "big.ini", tmp / "big.ds", tmp / "test.ds"
+        big_cfg.write_text(TINY_CONFIG.replace("test_samples = 4", "test_samples = 8"))
+        run("generate", "--config", big_cfg, "--out", big_ds, "--split", "test")
+        run("generate", "--config", cfg, "--out", ds, "--split", "test")
+        for data, out in ((big_ds, tmp / "big.csv"), (ds, tmp / "r.csv")):
+            assert run("eval", "--config", cfg, "--dataset", data, "--out", out) == 0
+        rows = (tmp / "big.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",4") for row in rows)
+        assert (tmp / "big.csv").read_bytes() == (tmp / "r.csv").read_bytes()
+
     def test_rerun_identical_checkpoint_and_csv(self, tiny):
         tmp, cfg = tiny
         train_ds, test_ds = tmp / "train.ds", tmp / "test.ds"

@@ -241,7 +241,7 @@ def test_desk_training_step_records_13_ops():
     with ad.Tape() as tape:
         w, p = forward_graph(h, params, cfg, training=True)
         loss = metrics.neg_sum_rate_graph(w, h, p, np.ones((16, 4)))
-    ops = Counter(pulls[0][1].__qualname__.split(".")[0] for _, pulls in tape._records)
+    ops = Counter(pull.__qualname__.split(".")[0] for _, _, pull in tape._records)
     assert ops == {"conv_bn_gelu": 3, "flatten_groups": 1, "linear": 4, "gelu": 2,
                    "unit_beams": 1, "power_split": 1, "neg_sum_rate_graph": 1}
     assert len(tape._records) == 13
