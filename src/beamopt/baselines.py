@@ -7,8 +7,9 @@ nulling property h_j^T w_i = delta_ij holds exactly. The matched-filter
 direction for UE k is therefore conj(h_k).
 
 The single-slice functions act on one subcarrier slice H (M x N, columns =
-UE channel vectors) and serve as references; inverse_directions computes
-the ZF and MMSE beams for a whole stack (..., M, N) of slices at once.
+UE channel vectors) and serve as references; zf_directions and
+mmse_directions compute the ZF and MMSE beams for a whole stack
+(..., M, N) of slices at once, each with one LAPACK inverse.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PIVOT_RTOL, solve_batched
+# A zero-forcing Gram whose reciprocal condition number is at most this is
+# singular to working precision, in zf_beamformer and zf_directions alike.
+RCOND_MIN = 1e-12
 
 
 class SingularChannelError(ValueError):
@@ -69,14 +72,14 @@ def zf_beamformer(h_k) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w_tilde (M, N) unit columns, p (N,)). The unnormalized beams
     satisfy h_j^T w_i = delta_ij. A Gram whose condition number reaches
-    1 / PIVOT_RTOL is singular to working precision: SingularChannelError.
+    1 / RCOND_MIN is singular to working precision: SingularChannelError.
     """
     h = _as_channel(h_k)
     m_tx, n_ue = h.shape
     if n_ue > m_tx:
         raise ValueError(f"zero-forcing needs N <= M, got {m_tx}x{n_ue}")
     gram = h.T @ h.conj()                     # G G^H with G = H^T
-    if np.linalg.cond(gram) * PIVOT_RTOL >= 1:
+    if np.linalg.cond(gram) * RCOND_MIN >= 1:
         raise SingularChannelError("channel Gram is singular to working precision")
     w = h.conj() @ np.linalg.solve(gram, np.eye(n_ue))
     return _normalize_columns(w), equal_power(n_ue, float(n_ue))
@@ -171,18 +174,30 @@ def solve_virtual_uplink_powers(h_k, target_sinrs: np.ndarray, sigma2: float,
         f"virtual uplink powers did not converge in {max_iter} iterations", lam)
 
 
-def inverse_directions(h, reg=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing (reg = 0) or MMSE unit directions for a stack of slices (..., M, N).
+def zf_directions(h) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing unit directions for a stack of slices (..., M, N).
 
-    reg is mmse_beamformer's regularizer sigma^2, a scalar or one value per
-    slice. Returns (w_tilde (..., M, N), singular (...,)): the
-    beams zf_beamformer / mmse_beamformer give per slice, and the slices
-    whose Gram is singular to PIVOT_RTOL, whose directions are NaN.
+    Returns (w_tilde (..., M, N), singular (...,)): the beams zf_beamformer
+    gives per slice, and the slices on which it raises (condition number at
+    or above 1 / RCOND_MIN, or NaN), whose directions are NaN.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    gram = np.swapaxes(h, -1, -2) @ h.conj()
+    singular = ~(np.linalg.cond(gram) * RCOND_MIN < 1)
+    gram[singular] = np.eye(h.shape[-1])               # keeps the stack invertible
+    with np.errstate(invalid="ignore"):                # zero columns of singular slices
+        w = _normalize_columns(h.conj() @ np.linalg.inv(gram))
+    w[singular] = np.nan
+    return w, singular
+
+
+def mmse_directions(h, reg) -> np.ndarray:
+    """MMSE unit directions for a stack of slices (..., M, N).
+
+    reg is mmse_beamformer's regularizer sigma^2 > 0, a scalar or one value
+    per slice; Gram + reg I is then positive definite, so no slice is singular.
     """
     h = np.asarray(h, dtype=np.complex128)
     reg = np.asarray(reg, dtype=np.float64)[..., None, None]
     gram = np.swapaxes(h, -1, -2) @ h.conj() + reg * np.eye(h.shape[-1])
-    x, singular = solve_batched(gram, np.eye(h.shape[-1]))
-    x[singular] = np.nan
-    with np.errstate(invalid="ignore"):       # the NaN columns of singular slices
-        return _normalize_columns(h.conj() @ x), singular
+    return _normalize_columns(h.conj() @ np.linalg.inv(gram))

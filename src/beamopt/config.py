@@ -83,6 +83,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"experiment.methods: unknown {unknown}; choose from {KNOWN_METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"experiment.methods: {list(self.methods)} lists a method twice")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ConfigError("dataset.train_samples/test_samples: must be at least 1")
         if not 0 <= self.seed < MAX_SEED:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .baselines import inverse_directions
+from .baselines import mmse_directions, zf_directions
 from .channel import ChannelDataset, DatasetError, snr_db_to_noise_var
 from .models import ModelConfig, ModelParams, forward_graph
 
@@ -86,7 +86,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
     equal = np.ones(dataset.ue_snr_offset_db.shape)
     h_norm2 = (h.real ** 2 + h.imag ** 2).sum(axis=2)          # ||h_{k,n}||^2, (S, K, N)
 
-    zf_w, singular = inverse_directions(h)
+    zf_w, singular = zf_directions(h)
     keep = ~singular.any(axis=1)
     if not keep.any():
         raise NoServableSampleError(
@@ -104,7 +104,7 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
         sigma2 = snr_db_to_noise_var(float(snr_db) + dataset.ue_snr_offset_db)
         ceiling = metrics.sum_rate_bound(h_norm2, sigma2) * (1.0 + BOUND_RTOL)
         if "MMSE" in methods:
-            w, _ = inverse_directions(h, sigma2.mean(axis=1)[:, None])
+            w = mmse_directions(h, sigma2.mean(axis=1)[:, None])
             terms["MMSE"] = metrics.terms(w, h, equal)
         for method in methods:
             rates = metrics.rates_from(*terms[method], sigma2)

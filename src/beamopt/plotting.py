@@ -21,6 +21,11 @@ METHOD_COLORS = {
 _FALLBACK_COLORS = ("#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 
 
+def _escape(text: str) -> str:
+    """SVG character data; xml.sax.saxutils would import urllib and ssl (~50 ms)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -77,7 +82,7 @@ def render_results_svg(rows, path) -> None:
     for r in rows:
         if r.experiment and r.experiment not in titles:
             titles.append(r.experiment)
-    title = ", ".join(titles)
+    title = _escape(", ".join(titles))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -121,7 +126,7 @@ def render_results_svg(rows, path) -> None:
         parts.append(f'<line x1="{MARGIN_L + 12}" y1="{legend_y}" x2="{MARGIN_L + 40}" '
                      f'y2="{legend_y}" stroke="{colors[method]}" stroke-width="2"/>')
         parts.append(f'<text x="{MARGIN_L + 46}" y="{legend_y + 4}" font-family="sans-serif" '
-                     f'font-size="12">{method}</text>')
+                     f'font-size="12">{_escape(method)}</text>')
         legend_y += 18
 
     parts.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 10}" font-family="sans-serif" '

@@ -80,18 +80,42 @@ def check_zf_nulling() -> CheckResult:
     return CheckResult("zf_nulling", worst <= 1e-9, f"max cross gain {worst:.2e}")
 
 
+def channels_with_gram_cond(rng, cond, m: int, n: int) -> np.ndarray:
+    """(len(cond), m, n) channel slices, 2 <= n <= m, whose zero-forcing Gram
+    has eigenvalues (1, ..., 1, 1 / cond): condition number cond per slice."""
+    u, _, vh = np.linalg.svd(_rand_channel(rng, len(cond), m, n), full_matrices=False)
+    s = np.concatenate([np.ones((len(cond), n - 1)), np.asarray(cond)[:, None] ** -0.5], axis=1)
+    return (u * s[:, None, :]) @ vh
+
+
+def zf_raises(h_k) -> bool:
+    """Whether the reference zf_beamformer calls the slice singular."""
+    try:
+        baselines.zf_beamformer(h_k)
+    except baselines.SingularChannelError:
+        return True
+    return False
+
+
 def check_batched_classical() -> CheckResult:
+    """Stack ZF/MMSE against the single-slice references, and zf_directions'
+    mask against where zf_beamformer raises, on Grams around 1 / RCOND_MIN."""
     rng = np.random.default_rng(25)
     h = _rand_channel(rng, 24, 4, 3).reshape(3, 8, 4, 3)
     reg = rng.uniform(0.1, 2.0, (3, 8))
-    w_zf, _ = baselines.inverse_directions(h)
-    w_mm, _ = baselines.inverse_directions(h, reg)
+    w_zf, _ = baselines.zf_directions(h)
+    w_mm = baselines.mmse_directions(h, reg)
     worst = 0.0
     for idx in np.ndindex(3, 8):
         ref_mm, _ = baselines.mmse_beamformer(h[idx], reg[idx])
         worst = max(worst, float(np.max(np.abs(w_zf[idx] - baselines.zf_beamformer(h[idx])[0]))),
                     float(np.max(np.abs(w_mm[idx] - ref_mm))))
-    return CheckResult("batched_classical", worst <= 1e-10, f"max deviation {worst:.2e}")
+    band = channels_with_gram_cond(rng, np.geomspace(1e11, 1e13, 16), 4, 3)
+    _, singular = baselines.zf_directions(band)
+    differ = sum(bool(s) != zf_raises(b) for s, b in zip(singular, band))
+    return CheckResult("batched_classical", worst <= 1e-10 and differ == 0,
+                       f"max deviation {worst:.2e}, singular mask differs from zf_beamformer "
+                       f"on {differ}/{len(band)} near-singular slices")
 
 
 def check_mmse_zf_limit() -> CheckResult:
@@ -336,8 +360,8 @@ def check_rate_bound() -> CheckResult:
     bound = metrics.sum_rate_bound((np.abs(h) ** 2).sum(axis=2), sigma2)
     w_rand = _rand_channel(rng, 48, 4, 3).reshape(6, 8, 4, 3)
     w_rand /= np.linalg.norm(w_rand, axis=2, keepdims=True)
-    designs = [(baselines.inverse_directions(h)[0], np.ones((6, 3))),
-               (baselines.inverse_directions(h, sigma2.mean(axis=1)[:, None])[0], np.ones((6, 3))),
+    designs = [(baselines.zf_directions(h)[0], np.ones((6, 3))),
+               (baselines.mmse_directions(h, sigma2.mean(axis=1)[:, None]), np.ones((6, 3))),
                (w_rand, 3.0 * rng.dirichlet(np.ones(3), 6))]
     worst = max(float(np.max(metrics.per_sample_sum_rates(w, h, p, sigma2) / bound))
                 for w, p in designs)

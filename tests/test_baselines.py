@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from beamopt.baselines import (InfeasibleTargetsError, SingularChannelError,
-                               VirtualUplinkPowers, equal_power, inverse_directions,
-                               matched_filter, mmse_beamformer, optimal_structure_bf,
+                               VirtualUplinkPowers, equal_power, matched_filter,
+                               mmse_beamformer, mmse_directions, optimal_structure_bf,
                                solve_virtual_uplink_powers, virtual_uplink_sinrs,
-                               zf_beamformer)
+                               zf_beamformer, zf_directions)
 from beamopt.metrics import BeamformerSet, sinr_per_ue, weighted_sum_rate
 
 
@@ -106,10 +106,10 @@ class TestMmse:
         zf_rates, mm_rates = [], []
         for _ in range(500):
             h = rand_channel(rng, 4, 4)[None]          # one subcarrier
-            for rates, reg in ((zf_rates, 0.0), (mm_rates, sigma2)):
-                w, singular = inverse_directions(h, reg)
-                if singular.any():
-                    continue
+            w_zf, singular = zf_directions(h)
+            if singular.any():
+                continue
+            for rates, w in ((zf_rates, w_zf), (mm_rates, mmse_directions(h, sigma2))):
                 bf = BeamformerSet(w_tilde=w, p=equal_power(4, 4.0), p_max=4.0)
                 rates.append(weighted_sum_rate(sinr_per_ue(h, bf, np.full(4, sigma2))))
         assert np.mean(mm_rates) >= np.mean(zf_rates)
@@ -188,9 +188,8 @@ class TestInverseDirectionsBeamformerSet:
     def test_builds_valid_beamformer_set(self):
         rng = np.random.default_rng(12)
         h = (rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2)))
-        w, singular = inverse_directions(h, 0.5)
-        bf = BeamformerSet(w_tilde=w, p=equal_power(2, 2.0), p_max=2.0)
-        assert bf.w_tilde.shape == (4, 3, 2) and not singular.any()
+        bf = BeamformerSet(w_tilde=mmse_directions(h, 0.5), p=equal_power(2, 2.0), p_max=2.0)
+        assert bf.w_tilde.shape == (4, 3, 2)
         np.testing.assert_allclose(np.linalg.norm(bf.w_tilde, axis=1), np.ones((4, 2)),
                                    atol=1e-9)
         np.testing.assert_array_equal(bf.p, np.ones(2))

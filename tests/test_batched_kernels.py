@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamopt.baselines import (inverse_directions, mmse_beamformer, virtual_uplink_sinrs,
-                               zf_beamformer)
-from beamopt.linalg import solve_batched
+from beamopt.baselines import (mmse_beamformer, mmse_directions, virtual_uplink_sinrs,
+                               zf_beamformer, zf_directions)
 from beamopt.metrics import (BeamformerSet, per_sample_sum_rates, sinr_per_ue,
                              weighted_sum_rate)
+from beamopt.verify import channels_with_gram_cond, zf_raises
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -28,20 +28,34 @@ def channel_stacks(draw):
 
 
 @st.composite
-def square_stacks(draw):
-    """(B, n, n) stack in which some matrices repeat a row exactly (singular),
-    a right-hand side, and the mask of the matrices made singular."""
-    n = draw(st.integers(1, 6))
+def deficient_stacks(draw):
+    """(B, M, N) channel stack in which some slices repeat a UE column exactly
+    (a zero column when N = 1), and the mask of the slices made singular."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 7))
     deficient = draw(st.lists(st.booleans(), min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    a = crandn(rng, (len(deficient), n, n)) * rng.uniform(0.1, 10.0)
+    h = crandn(rng, (len(deficient), m, n)) * rng.uniform(0.1, 10.0)
     for i in np.flatnonzero(deficient):
         if n == 1:
-            a[i] = 0.0
+            h[i] = 0.0
         else:
             src, dst = rng.choice(n, 2, replace=False)
-            a[i, dst] = a[i, src]
-    return a, crandn(rng, (n, draw(st.integers(1, 3)))), np.array(deficient)
+            h[i, :, dst] = h[i, :, src]
+    return h, np.array(deficient)
+
+
+@st.composite
+def near_singular_stacks(draw):
+    """(B, M, N) stack, N >= 2, mixing random slices with slices whose Gram
+    condition number lies between 1e11 and 1e13, around 1 / RCOND_MIN."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(n, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = crandn(rng, (draw(st.integers(1, 8)), m, n))
+    band = rng.random(len(h)) < 0.75
+    h[band] = channels_with_gram_cond(rng, 10.0 ** rng.uniform(11.0, 13.0, band.sum()), m, n)
+    return h
 
 
 def well_conditioned(h, limit=1e6):
@@ -50,21 +64,25 @@ def well_conditioned(h, limit=1e6):
 
 
 @PROPERTY
-@given(square_stacks())
-def test_solve_batched_matches_single_solve(case):
-    a, b, deficient = case
-    x, singular = solve_batched(a, b)
-    assert x.shape == a.shape[:1] + b.shape
+@given(deficient_stacks())
+def test_zf_mask_flags_repeated_ues(case):
+    h, deficient = case
+    w, singular = zf_directions(h)
     np.testing.assert_array_equal(singular, deficient)
-    for i in np.flatnonzero(~deficient):
-        ref = np.linalg.solve(a[i], b)
-        assert np.max(np.abs(x[i] - ref)) <= 1e-10 * max(np.max(np.abs(ref)), 1.0)
+    assert np.all(np.isnan(w[deficient])) and np.all(np.isfinite(w[~deficient]))
+
+
+@PROPERTY
+@given(near_singular_stacks())
+def test_zf_mask_is_where_reference_raises(h):
+    _, singular = zf_directions(h)
+    np.testing.assert_array_equal(singular, [zf_raises(h_k) for h_k in h])
 
 
 @PROPERTY
 @given(channel_stacks())
 def test_batched_zf_nulls_and_matches_single(h):
-    w, singular = inverse_directions(h)
+    w, singular = zf_directions(h)
     assert w.shape == h.shape and not singular.any()
     cross = np.swapaxes(h, -1, -2) @ w                       # [.., j, i] = h_j^T w_i
     off_diag = np.abs(cross * (1 - np.eye(h.shape[-1])))
@@ -79,8 +97,7 @@ def test_batched_zf_nulls_and_matches_single(h):
 @given(channel_stacks(), st.floats(0.05, 2.0))
 def test_batched_mmse_matches_single(h, sigma2):
     reg = sigma2 * np.linspace(0.5, 1.5, h.shape[0])[:, None]     # one value per sample
-    w, singular = inverse_directions(h, reg)
-    assert not singular.any()
+    w = mmse_directions(h, reg)
     for idx in np.ndindex(h.shape[:2]):
         ref, _ = mmse_beamformer(h[idx], reg[idx[0], 0])         # P_max = N: reg = sigma^2
         assert np.max(np.abs(w[idx] - ref)) <= 1e-10
@@ -91,8 +108,7 @@ def test_batched_mmse_matches_single(h, sigma2):
 def test_batched_classical_rates_match_reference(h, method, seed):
     s, _, _, n = h.shape
     sigma2 = np.random.default_rng(seed).uniform(0.1, 2.0, (s, n))
-    reg = sigma2.mean(axis=1)[:, None] if method == "MMSE" else 0.0
-    w, _ = inverse_directions(h, reg)
+    w = mmse_directions(h, sigma2.mean(axis=1)[:, None]) if method == "MMSE" else zf_directions(h)[0]
     p = np.full((s, n), 1.0)
     rates = per_sample_sum_rates(w, h, p, sigma2)
     for i in range(s):
@@ -119,6 +135,6 @@ def test_singular_slices_get_nan_directions():
     rng = np.random.default_rng(0)
     h = crandn(rng, (3, 4, 2))
     h[1, :, 1] = h[1, :, 0]                                     # two UEs, one channel
-    w, singular = inverse_directions(h)
+    w, singular = zf_directions(h)
     np.testing.assert_array_equal(singular, [False, True, False])
     assert np.all(np.isnan(w[1])) and np.all(np.isfinite(w[[0, 2]]))

@@ -395,6 +395,16 @@ class TestPlot:
         bad.write_text("")
         assert run("plot", bad, "--out", tmp / "x.svg") == 6
 
+    @pytest.mark.parametrize("record", ["exp,ZF,5.0,nan,0.1,4", "exp,ZF,inf,1.0,0.1,4",
+                                        "exp,ZF,5.0,1.0,0.1,-3"])
+    def test_non_finite_or_empty_row_exit_6(self, tiny, capsys, record):
+        tmp, _ = tiny
+        bad = tmp / "bad.csv"
+        bad.write_text("experiment,method,snr_db,se_mean,se_std,n\n" + record + "\n")
+        assert run("plot", bad, "--out", tmp / "x.svg") == 6
+        assert "bad.csv:2:" in capsys.readouterr().err
+        assert not (tmp / "x.svg").exists()
+
     def test_byte_identical_svg(self, tiny):
         tmp, cfg = tiny
         cfg.write_text(TINY_CONFIG.replace("ZF, MMSE, NNBF-P", "ZF"))

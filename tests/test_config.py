@@ -155,6 +155,12 @@ def test_unknown_method_rejected():
         parse_config_text(MINIMAL.replace("ZF, MMSE", "ZF, WMMSE"))
 
 
+@pytest.mark.parametrize("methods", ["ZF, MMSE, zf", "NNBF, NNBF", "NNBF_P, NNBF-P"])
+def test_repeated_method_rejected(methods):
+    with pytest.raises(ConfigError, match=r"experiment\.methods: .* lists a method twice"):
+        parse_config_text(MINIMAL.replace("ZF, MMSE", methods))
+
+
 def test_desk_scale_shrinks():
     cfg = parse_config_text(MINIMAL.replace("k_sc = 8", "k_sc = 48")
                             .replace("train_samples = 8", "train_samples = 4096")

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from beamopt.evaluation import ResultRow
@@ -58,6 +60,16 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             read_results_csv(path)
 
+    @pytest.mark.parametrize("record, field", [
+        ("exp,ZF,5.0,nan,0.1,4", "se_mean"), ("exp,ZF,inf,1.0,0.1,4", "snr_db"),
+        ("exp,ZF,5.0,1.0,-inf,4", "se_std"), ("exp,ZF,5.0,1.0,0.1,-3", "n"),
+        ("exp,ZF,5.0,1.0,0.1,0", "n")])
+    def test_non_finite_values_and_empty_rows_rejected(self, tmp_path, record, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\nexp,ZF,0.0,1.0,0.1,4\n" + record + "\n")
+        with pytest.raises(CsvFormatError, match=f"bad.csv:3: {field} must be"):
+            read_results_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvFormatError, match="cannot read"):
             read_results_csv(tmp_path / "nope.csv")
@@ -78,6 +90,13 @@ class TestSvg:
         render_results_svg(sample_rows(), a)
         render_results_svg(sample_rows(), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_markup_in_names_is_escaped(self, tmp_path):
+        rows = [ResultRow("R&D <a>", "x<y", 5.0, 3.0, 0.1, 4)]
+        path = tmp_path / "esc.svg"
+        render_results_svg(rows, path)
+        texts = [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert "R&D <a>" in texts and "x<y" in texts
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):

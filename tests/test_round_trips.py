@@ -96,7 +96,8 @@ def experiment_configs(draw):
     chars = st.one_of(st.sampled_from("%$#;=:[]{} "),          # INI syntax, interpolation
                       st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")))
     ident = draw(st.text(chars, min_size=1).map(str.strip).filter(bool))
-    methods = tuple(draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, max_size=6)))
+    methods = tuple(draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, max_size=4,
+                                       unique=True)))
     k_step = 4 if {"NNBF", "NNBF-P"} & set(methods) else 1     # the backbone halves K twice
     return ExperimentConfig(id=ident, profile=draw(st.sampled_from(sorted(_TDL_TABLES))),
                             delay_spread_ns=draw(POSITIVE), m_tx=draw(st.integers(n, 64)),
