@@ -26,11 +26,6 @@ never gives a model parameter a new .data array.
 
 from __future__ import annotations
 
-import io
-import math
-import struct
-import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -530,62 +525,3 @@ class Adam:
         d += self.eps
         s /= d
         p -= s
-
-
-TENSOR_FILE_MAGIC = b"BNTC"
-TENSOR_FILE_VERSION = 1
-
-
-def encode_tensors(named: "OrderedDict[str, np.ndarray]", f) -> None:
-    """Write named arrays to the binary file `f`: per-tensor header +
-    little-endian f64 payload, each payload straight from its array, uncopied."""
-    f.write(TENSOR_FILE_MAGIC)
-    f.write(struct.pack("<II", TENSOR_FILE_VERSION, len(named)))
-    for name, arr in named.items():
-        arr = np.asarray(arr, dtype="<f8", order="C")
-        encoded = name.encode("utf-8")
-        f.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
-                            *arr.shape))
-        f.write(memoryview(arr.reshape(-1)))
-
-
-def decode_tensors(f, targets: "OrderedDict[str, np.ndarray]") -> "OrderedDict[str, tuple]":
-    """Inverse of encode_tensors: read the container at the binary file `f`'s
-    position straight into `targets`, bit-exactly.
-
-    A tensor whose name is in `targets` and whose shape matches that
-    C-contiguous float64 array is read into it, uncopied; any other tensor
-    is skipped. Returns every tensor's name and shape in file order, so the
-    caller can tell what was missing, misshaped or extra.
-    """
-    start = f.tell()
-    end = f.seek(0, io.SEEK_END)
-    f.seek(start)
-    head = f.read(12)
-    if len(head) < 12 or head[:4] != TENSOR_FILE_MAGIC:
-        raise ValueError("not a named-tensor container")
-    version, count = struct.unpack_from("<II", head, 4)
-    if version != TENSOR_FILE_VERSION:
-        raise ValueError(f"container version {version}, expected {TENSOR_FILE_VERSION}")
-    shapes: "OrderedDict[str, tuple]" = OrderedDict()
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            nbytes = 8 * math.prod(shape)
-            if f.tell() + nbytes > end:
-                raise ValueError(f"tensor {name!r} runs past the end")
-            target = targets.get(name)
-            if target is None or target.shape != shape:
-                f.seek(nbytes, io.SEEK_CUR)
-            else:
-                if f.readinto(memoryview(target.reshape(-1)).cast("B")) != nbytes:
-                    raise ValueError(f"short read in tensor {name!r}")
-                if sys.byteorder == "big":
-                    target.byteswap(inplace=True)
-            shapes[name] = shape
-    except (struct.error, ValueError) as exc:
-        raise ValueError("truncated or corrupt tensor container") from exc
-    return shapes

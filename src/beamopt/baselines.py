@@ -72,14 +72,15 @@ def zf_beamformer(h_k) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w_tilde (M, N) unit columns, p (N,)). The unnormalized beams
     satisfy h_j^T w_i = delta_ij. A Gram whose condition number reaches
-    1 / RCOND_MIN is singular to working precision: SingularChannelError.
+    1 / RCOND_MIN, or that holds a NaN or infinite entry, is singular to
+    working precision: SingularChannelError.
     """
     h = _as_channel(h_k)
     m_tx, n_ue = h.shape
     if n_ue > m_tx:
         raise ValueError(f"zero-forcing needs N <= M, got {m_tx}x{n_ue}")
     gram = h.T @ h.conj()                     # G G^H with G = H^T
-    if np.linalg.cond(gram) * RCOND_MIN >= 1:
+    if not (np.isfinite(gram).all() and np.linalg.cond(gram) * RCOND_MIN < 1):
         raise SingularChannelError("channel Gram is singular to working precision")
     w = h.conj() @ np.linalg.solve(gram, np.eye(n_ue))
     return _normalize_columns(w), equal_power(n_ue, float(n_ue))
@@ -178,12 +179,15 @@ def zf_directions(h) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing unit directions for a stack of slices (..., M, N).
 
     Returns (w_tilde (..., M, N), singular (...,)): the beams zf_beamformer
-    gives per slice, and the slices on which it raises (condition number at
-    or above 1 / RCOND_MIN, or NaN), whose directions are NaN.
+    gives per slice, and the slices on which it raises (a NaN or infinite
+    Gram entry, or a condition number at or above 1 / RCOND_MIN, or NaN),
+    whose directions are NaN.
     """
     h = np.asarray(h, dtype=np.complex128)
     gram = np.swapaxes(h, -1, -2) @ h.conj()
-    singular = ~(np.linalg.cond(gram) * RCOND_MIN < 1)
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    gram[~finite] = np.eye(h.shape[-1])                # cond's SVD would not converge
+    singular = ~finite | ~(np.linalg.cond(gram) * RCOND_MIN < 1)
     gram[singular] = np.eye(h.shape[-1])               # keeps the stack invertible
     with np.errstate(invalid="ignore"):                # zero columns of singular slices
         w = _normalize_columns(h.conj() @ np.linalg.inv(gram))

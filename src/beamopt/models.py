@@ -14,10 +14,13 @@ P_max = N in one op, so any parameter values produce a feasible design.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
 import struct
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, asdict
 
@@ -36,7 +39,8 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"BMCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+CHECKPOINT_ALIGN = 64          # the payload starts at a multiple of this
 
 
 def downsampling(bb_spec) -> int:
@@ -86,16 +90,12 @@ class ModelConfig:
     def flat_features(self) -> int:
         return 8 * self.n_ue * self.m_tx * self.k_sc
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        raw = json.loads(text)
-        raw["bb_spec"] = tuple(tuple(b) for b in raw["bb_spec"])
-        raw["fc_widths_bf"] = tuple(raw["fc_widths_bf"])
-        raw["fc_widths_pw"] = tuple(raw["fc_widths_pw"])
-        return cls(**raw)
+    def from_dict(cls, raw: dict) -> "ModelConfig":
+        """The config whose `asdict` went through JSON as `raw`."""
+        return cls(**{**raw, "bb_spec": tuple(tuple(b) for b in raw["bb_spec"]),
+                      "fc_widths_bf": tuple(raw["fc_widths_bf"]),
+                      "fc_widths_pw": tuple(raw["fc_widths_pw"])})
 
 
 class ModelParams:
@@ -103,10 +103,11 @@ class ModelParams:
     batch-norm running-stat buffers.
 
     `shapes` maps each tensor name to its shape in layout order. `flat`
-    (default: a new uninitialised vector) holds the values back to back, and
-    each tensor's .data is a view of it. Init, Adam, `copy(out=)` and
-    checkpoint loads write through those views; no code gives a tensor a new
-    .data array, so `flat` always holds the current values.
+    (default: a new uninitialised vector; load_checkpoint passes a
+    copy-on-write mapping of the file) holds the values back to back, and
+    each tensor's .data is a view of it. Init, Adam and `copy(out=)` write
+    through those views; no code gives a tensor a new .data array, so `flat`
+    always holds the current values.
     """
 
     def __init__(self, shapes: "OrderedDict[str, tuple]", flat: np.ndarray | None = None):
@@ -168,28 +169,21 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     return spec
 
 
-def _new_params(cfg: ModelConfig) -> ModelParams:
-    """Uninitialised tensors in param_spec order, with fresh batch-norm buffers."""
-    spec = param_spec(cfg)
-    params = ModelParams(OrderedDict((name, shape) for name, shape, init in spec if init != "bn"))
-    for name, shape, init in spec:
-        if init == "bn":
-            params.bn_states[name] = BatchNormState.fresh(shape[0])
-    return params
-
-
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma.
 
     Draws go straight into the flat vector, in param_spec order, scaled in the
     same pass: the bits of `rng.standard_normal(out=w); w *= sqrt(2 / fan_in)`.
     """
-    params = _new_params(cfg)
-    for name, shape, init in param_spec(cfg):
+    spec = param_spec(cfg)
+    params = ModelParams(OrderedDict((name, shape) for name, shape, init in spec if init != "bn"))
+    for name, shape, init in spec:
         if init == "normal":
             kernels.standard_normal(rng, params.tensors[name].data,
                                     np.sqrt(2.0 / math.prod(shape[1:])))
-        elif init != "bn":
+        elif init == "bn":
+            params.bn_states[name] = BatchNormState.fresh(shape[0])
+        else:
             params.tensors[name].data[...] = 1.0 if init == "ones" else 0.0
     return params
 
@@ -292,57 +286,99 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
-    """Model checkpoint: config JSON header + named-tensor container payload."""
-    cfg_blob = cfg.to_json().encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(cfg_blob)))
-        f.write(cfg_blob)
-        ad.encode_tensors(params.flat_arrays(), f)
+    """Model checkpoint v3: magic, version and a JSON header (the model config
+    and the payload's array table), padded to CHECKPOINT_ALIGN bytes, then one
+    little-endian float64 payload: params.flat, then each batch-norm run_mean
+    and run_var.
+
+    The path is unlinked and created anew, never truncated: a reader that
+    mapped the old file keeps the old inode, and so the old values.
+    """
+    arrays = params.flat_arrays()
+    header = json.dumps({"model": asdict(cfg),
+                         "tensors": [[name, list(a.shape)] for name, a in arrays.items()]},
+                        sort_keys=True).encode("utf-8")
+    header += b" " * (-(12 + len(header)) % CHECKPOINT_ALIGN)
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "xb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
+        for a in arrays.values():
+            f.write(memoryview(np.asarray(a, dtype="<f8").reshape(-1)))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     """Load a checkpoint written by save_checkpoint, rejecting any tensor or
-    batch-norm buffer that is missing, misshaped or not finite.
+    batch-norm buffer that is missing, misshaped or not finite, and a file
+    whose size is not the header's plus the table's payload.
 
-    The payload streams from the file straight into the new flat parameter
-    vector and batch-norm buffers; the file never exists as one bytes object.
+    The file is mapped copy-on-write: params.flat and the batch-norm buffers
+    view the mapping, so the payload is never copied, and writes to them
+    never reach the file.
     """
     with open(path, "rb") as f:
         head = f.read(12)
         if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint")
-        version, cfg_len = struct.unpack_from("<II", head, 4)
+        version, header_len = struct.unpack_from("<II", head, 4)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        size = os.fstat(f.fileno()).st_size
         try:
-            if 12 + cfg_len > os.fstat(f.fileno()).st_size:
+            if 12 + header_len > size:
                 raise ValueError("runs past the end of the file")
-            cfg = ModelConfig.from_json(f.read(cfg_len).decode("utf-8"))
+            header = json.loads(f.read(header_len).decode("utf-8"))
+            cfg = ModelConfig.from_dict(header["model"])
+            table = OrderedDict((name, tuple(shape)) for name, shape in header["tensors"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad config header: {exc}") from exc
-        params = _new_params(cfg)
-        loaded = params.flat_arrays()
+        spec = param_spec(cfg)
+        shapes = OrderedDict((name, shape) for name, shape, init in spec if init != "bn")
+        bn = [(name, shape[0]) for name, shape, init in spec if init == "bn"]
+        expected = OrderedDict(shapes)
+        for name, channels in bn:
+            expected.update({name + ".run_mean": (channels,), name + ".run_var": (channels,)})
+        if table != expected:
+            raise CheckpointError(f"{path}: {_table_mismatch(table, expected, shapes)}")
+        start, count = 12 + header_len, sum(math.prod(s) for s in expected.values())
+        if start % CHECKPOINT_ALIGN or start + 8 * count != size:
+            raise CheckpointError(f"{path}: {size} bytes, expected a {CHECKPOINT_ALIGN}-byte "
+                                  f"aligned header and {8 * count} payload bytes")
         try:
-            shapes = ad.decode_tensors(f, loaded)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
+            mapping = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY)
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"{path}: cannot map the file: {exc}") from exc
 
-    for name, arr in loaded.items():
-        kind = "parameter" if name in params.tensors else "buffer"
-        if name not in shapes:
-            raise CheckpointError(f"{path}: missing {kind} {name!r}")
-        if shapes[name] != arr.shape:
-            raise CheckpointError(
-                f"{path}: {kind} {name!r} shaped {shapes[name]}, expected {arr.shape}")
-    extras = set(shapes) - set(loaded)
-    if extras:
-        raise CheckpointError(f"{path}: unexpected tensors {sorted(extras)}")
+    n_params = sum(math.prod(s) for s in shapes.values())
+    flat = np.frombuffer(mapping, dtype="<f8", count=n_params, offset=start)
+    buffers = np.frombuffer(mapping, dtype="<f8", offset=start + 8 * n_params)
+    if sys.byteorder == "big":
+        flat, buffers = flat.astype(np.float64), buffers.astype(np.float64)
+    params = ModelParams(shapes, flat)
+    at = 0
+    for name, channels in bn:
+        params.bn_states[name] = BatchNormState(mean=buffers[at:at + channels],
+                                                var=buffers[at + channels:at + 2 * channels])
+        at += 2 * channels
     # a sum of squares is finite when every entry is, unless it overflows;
     # only then does the exact scan run
-    bad = next((name for name, arr in loaded.items()
+    bad = next((name for name, arr in params.flat_arrays().items()
                 if not (math.isfinite(np.vdot(arr, arr)) or np.isfinite(arr).all())), None)
     if bad is not None:
         raise CheckpointError(f"{path}: non-finite value in tensor {bad!r}")
     return cfg, params
+
+
+def _table_mismatch(table, expected, parameters) -> str:
+    """What differs between a checkpoint's array table and the config's."""
+    for name, shape in expected.items():
+        kind = "parameter" if name in parameters else "buffer"
+        if name not in table:
+            return f"missing {kind} {name!r}"
+        if table[name] != shape:
+            return f"{kind} {name!r} shaped {table[name]}, expected {shape}"
+    extras = set(table) - set(expected)
+    if extras:
+        return f"unexpected tensors {sorted(extras)}"
+    return f"arrays in the order {list(table)}, expected {list(expected)}"

@@ -115,10 +115,12 @@ def _val_nominals(tc: TrainConfig, n_val: int, rng: np.random.Generator) -> np.n
 
 def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
           tc: TrainConfig, log=None) -> tuple[ModelParams, TrainReport]:
-    """Train in place; returns (best-validation-epoch parameter copy, report).
+    """Train in place; returns (best-validation-epoch parameters, report).
 
-    The copy is made by the first epoch that improves the validation loss;
-    if none does (every loss NaN or +inf), it is a copy of the final parameters.
+    These are `params` itself when the final epoch is the best. Otherwise
+    they are a copy, made just before the first step after the best epoch
+    would overwrite it; if no epoch improves (every loss NaN or +inf), a copy
+    of the final parameters.
     """
     n_val = validation_size(len(dataset), tc.val_fraction)
     smallest = (len(dataset) - n_val) % tc.batch_size or tc.batch_size
@@ -137,10 +139,12 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
 
     opt = ad.Adam(params.tensors.values(), lr=tc.lr)
     report = TrainReport()
-    best_params = None
+    best = saved = None      # saved: the buffers that hold the best epoch once params move on
     since_best = 0
 
     for epoch in range(tc.epochs):
+        if best is params:
+            best = saved = params.copy(out=saved)
         opt.lr = tc.lr * (tc.lr_decay ** epoch)
         order = shuffle_rng.permutation(train_idx)
         epoch_loss = 0.0
@@ -174,7 +178,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_params = params.copy(out=best_params)
+            best = params
             since_best = 0
         else:
             since_best += 1
@@ -183,10 +187,10 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
         if tc.early_stop_patience > 0 and since_best >= tc.early_stop_patience:
             break
 
-    if best_params is None:
-        best_params = params.copy()
+    if best is None:
+        best = params.copy()
     report.wall_time_s = time.perf_counter() - t0
-    return best_params, report
+    return best, report
 
 
 def _grad_norm(params: ModelParams) -> float:

@@ -5,13 +5,16 @@ well under a minute; the CLI exits non-zero if any check fails.
 
 from __future__ import annotations
 
+import os
+import struct
+import tempfile
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from . import baselines, kernels, metrics
+from . import baselines, kernels, metrics, models
 from .models import ModelConfig, forward_graph, init_params, power_split, unit_beams
 
 
@@ -422,6 +425,31 @@ def check_normal_kernels() -> CheckResult:
                        f"c vs numpy, {n} draws: values and generator state "
                        f"{'equal' if same else 'differ'} byte for byte")
 
+
+def check_checkpoint_mapping() -> CheckResult:
+    """Values loaded from a checkpoint stay bit-identical while a save replaces
+    its file, and a version 2 header is rejected."""
+    cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
+    with tempfile.TemporaryDirectory(prefix="beamopt-verify-") as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        models.save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(31)))
+        _, loaded = models.load_checkpoint(path)
+        before = [a.tobytes() for a in loaded.flat_arrays().values()]
+        models.save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(32)))
+        kept = before == [a.tobytes() for a in loaded.flat_arrays().values()]
+        with open(path, "r+b") as f:
+            f.write(b"BMCK" + struct.pack("<I", 2))
+        try:
+            models.load_checkpoint(path)
+            rejected = False
+        except models.CheckpointError:
+            rejected = True
+    return CheckResult("checkpoint_mapping", kept and rejected,
+                       f"{'mapped' if not loaded.flat.flags.owndata else 'copied'} values "
+                       f"{'kept' if kept else 'changed'} across a save to their path, "
+                       f"version 2 header {'rejected' if rejected else 'accepted'}")
+
+
 ALL_CHECKS = (
     check_zf_nulling,
     check_batched_classical,
@@ -445,6 +473,7 @@ ALL_CHECKS = (
     check_adam_kernels,
     check_normal_kernels,
     check_rate_bound,
+    check_checkpoint_mapping,
 )
 
 

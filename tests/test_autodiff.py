@@ -1,10 +1,8 @@
 import inspect
-import io
 import math
 import os
 import sys
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -470,41 +468,6 @@ class TestAdam:
             opt.step()
         assert np.shares_memory(p.data, data)
         np.testing.assert_array_equal(data, np.arange(6.0).reshape(2, 3))
-
-
-def encoded(named) -> bytes:
-    buf = io.BytesIO()
-    ad.encode_tensors(named, buf)
-    return buf.getvalue()
-
-
-def decoded(raw, shapes) -> OrderedDict:
-    """decode_tensors into new arrays of the given shapes; name -> array in file order."""
-    targets = OrderedDict((name, np.empty(shape)) for name, shape in shapes.items())
-    read = ad.decode_tensors(io.BytesIO(raw), targets)
-    return OrderedDict((name, targets[name]) for name in read)
-
-
-class TestTensorContainer:
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(21)
-        named = OrderedDict()
-        named["a.w"] = rng.standard_normal((3, 4))
-        named["b"] = rng.standard_normal(7)
-        named["scalarish"] = np.array(3.25)
-        back = decoded(encoded(named), {k: v.shape for k, v in named.items()})
-        assert list(back) == list(named)
-        for k in named:
-            np.testing.assert_array_equal(back[k], named[k])
-
-    def test_truncated_rejected(self):
-        raw = encoded(OrderedDict(x=np.ones((4, 4))))
-        with pytest.raises(ValueError, match="truncated or corrupt"):
-            decoded(raw[:-8], {"x": (4, 4)})
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="not a named-tensor container"):
-            decoded(b"WAT?" + b"\x00" * 16, {})
 
 
 def test_every_public_function_runs_outside_tests_and_verify(tmp_path):

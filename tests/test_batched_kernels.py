@@ -138,3 +138,16 @@ def test_singular_slices_get_nan_directions():
     w, singular = zf_directions(h)
     np.testing.assert_array_equal(singular, [False, True, False])
     assert np.all(np.isnan(w[1])) and np.all(np.isfinite(w[[0, 2]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_slice_with_a_non_finite_entry_is_singular(bad):
+    rng = np.random.default_rng(1)
+    h = crandn(rng, (3, 4, 2))
+    h[1, 2, 0] = bad
+    with np.errstate(invalid="ignore"):
+        w, singular = zf_directions(h)
+        reference = [zf_raises(h_k) for h_k in h]
+    np.testing.assert_array_equal(singular, [False, True, False])
+    np.testing.assert_array_equal(singular, reference)
+    assert np.all(np.isnan(w[1])) and np.all(np.isfinite(w[[0, 2]]))

@@ -15,7 +15,7 @@ from beamopt.models import (CheckpointError, ModelConfig, init_params, load_chec
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
-# about a third of the file is header, config and tensor headers
+# about a quarter of the file is the header: the config and the array table
 TINY_MODEL = ModelConfig(m_tx=1, n_ue=1, k_sc=2, bb_spec=((2, 8, False),),
                          fc_widths_bf=(2,), fc_widths_pw=(2,))
 

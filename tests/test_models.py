@@ -1,4 +1,10 @@
+import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,8 +12,8 @@ from scipy.special import erf
 
 from beamopt import autodiff as ad
 from beamopt import metrics
-from beamopt.models import (CHECKPOINT_VERSION, CheckpointError, ModelConfig, basic_block,
-                            channel_to_input,
+from beamopt.models import (CHECKPOINT_ALIGN, CHECKPOINT_VERSION, CheckpointError, ModelConfig,
+                            basic_block, channel_to_input,
                             forward_graph, init_params, load_checkpoint, save_checkpoint)
 
 
@@ -39,7 +45,7 @@ class TestModelConfig:
 
     def test_json_round_trip(self):
         cfg = ModelConfig(m_tx=4, n_ue=2, k_sc=16, joint_power=False, fc_widths_bf=(64, 32))
-        assert ModelConfig.from_json(cfg.to_json()) == cfg
+        assert ModelConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestInitParams:
@@ -241,16 +247,23 @@ class TestCheckpoint:
         (lambda t: t.update({"pw1.b": np.zeros(3)}), "'pw1.b' shaped"),
         (lambda t: t.pop("bb1.bn.run_var"), "buffer 'bb1.bn.run_var'"),
         (lambda t: t.update({"extra": np.zeros(1)}), r"unexpected tensors \['extra'\]"),
+        (lambda t: t.move_to_end("bb0.conv.w"), r"arrays in the order \['bb0.bn.gamma'"),
     ])
     def test_tensor_set_checked_against_config(self, tmp_path, edit, match):
+        """A version 3 file whose array table, written here from the format's
+        description, differs from the config's."""
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
         tensors = init_params(cfg, np.random.default_rng(27)).flat_arrays()
         edit(tensors)
+        header = json.dumps({"model": asdict(cfg),
+                             "tensors": [[name, list(a.shape)] for name, a in tensors.items()]},
+                            sort_keys=True).encode()
+        header += b" " * (-(12 + len(header)) % CHECKPOINT_ALIGN)
         path = tmp_path / "model.ckpt"
-        blob = cfg.to_json().encode()
         with open(path, "wb") as f:
-            f.write(b"BMCK" + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
-            ad.encode_tensors(tensors, f)
+            f.write(b"BMCK" + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
+            for a in tensors.values():
+                f.write(a.tobytes())
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
@@ -275,14 +288,44 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.flat, params.flat)
 
     def test_version_1_rejected(self, tmp_path):
+        """Versions 1 and 2 (the named-tensor container) are both rejected."""
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(29)))
         raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="checkpoint version 1, expected 2"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            raw[4:8] = struct.pack("<I", version)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(CheckpointError, match=f"checkpoint version {version}, expected 3"):
+                load_checkpoint(path)
+
+    def test_loaded_values_survive_a_save_to_the_same_path(self, tmp_path):
+        """The loaded parameters map the file. A save to the same path must leave
+        them as they were; a child process runs it, so that a SIGBUS from a
+        truncated mapping fails this test instead of killing the test run."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from beamopt.models import ModelConfig, init_params, load_checkpoint, save_checkpoint
+            path = sys.argv[1]
+            cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
+            save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(31)))
+            with open(path, "rb") as f:
+                first = f.read()
+            _, loaded = load_checkpoint(path)
+            assert not loaded.flat.flags.owndata or sys.byteorder == "big"
+            save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(32)))
+            with open(path, "rb") as f:
+                assert f.read() != first
+            payload = b"".join(a.tobytes() for a in loaded.flat_arrays().values())
+            assert payload == first[len(first) - len(payload):], "loaded values changed"
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.ckpt")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"exit {proc.returncode}: {proc.stderr}"
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,32 @@ class TestTrain:
         assert report.best_epoch == -1
         assert not np.shares_memory(best.flat, params.flat)
         np.testing.assert_array_equal(best.flat, params.flat)
+
+    def test_one_epoch_returns_params_itself(self):
+        ds, cfg, params = small_setup(n_samples=8, seed=20)
+        tc = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=21, snr_sampling="fixed")
+        best, report = train(cfg, params, ds, tc)
+        assert report.best_epoch == 0 and best is params
+
+    def test_worse_final_epoch_returns_a_copy_of_the_best(self, monkeypatch):
+        """Validation losses [1, 2]: the best is epoch 0, copied before epoch 1's
+        first step, bit for bit what a 1-epoch run of the same seed returns."""
+        import beamopt.trainer as trainer_module
+        losses = iter([1.0, 2.0, 1.0])
+        monkeypatch.setattr(trainer_module, "_validation_loss", lambda *args: next(losses))
+        tc = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=23, snr_sampling="fixed")
+        ds, cfg, params = small_setup(n_samples=8, seed=22)
+        best, report = train(cfg, params, ds, tc)
+        assert report.best_epoch == 0 and report.val_loss == [1.0, 2.0]
+        _, _, fresh = small_setup(n_samples=8, seed=22)
+        one_epoch, _ = train(cfg, fresh, ds, replace(tc, epochs=1))
+        assert not np.shares_memory(best.flat, params.flat)
+        assert best.flat.tobytes() == one_epoch.flat.tobytes() != params.flat.tobytes()
+        for name, st in best.bn_states.items():
+            assert not np.shares_memory(st.mean, params.bn_states[name].mean)
+            assert not np.shares_memory(st.var, params.bn_states[name].var)
+            assert st.mean.tobytes() == one_epoch.bn_states[name].mean.tobytes()
+            assert st.var.tobytes() == one_epoch.bn_states[name].var.tobytes()
 
     def test_training_consumes_no_baseline_code(self):
         import beamopt.trainer as trainer_module

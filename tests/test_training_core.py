@@ -261,11 +261,12 @@ def test_save_checkpoint_allocates_less_than_one_payload(tmp_path):
 
 
 def test_load_checkpoint_allocates_about_one_payload(tmp_path):
+    """The load maps the file, so its allocations are a small fraction of the payload."""
     cfg, params = small_model()
     payload = sum(a.nbytes for a in params.flat_arrays().values())
     save_checkpoint(tmp_path / "m.ckpt", cfg, params)
     peak = traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt"))
-    assert peak < 1.25 * payload, f"load_checkpoint peak {peak} B, payload {payload} B"
+    assert peak < 0.05 * payload, f"load_checkpoint peak {peak} B, payload {payload} B"
 
 
 def random_channels(rng, count, cfg):
