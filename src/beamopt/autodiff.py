@@ -9,6 +9,12 @@ each record's pull once and accumulates gradients by sum over fan-out into
 the `.grad` of each leaf (a tensor no op on the tape produced). A tape is
 consumed by its backward pass, which frees its records as it goes.
 
+A gradient is an array of its tensor's shape, except the weight gradient of
+`linear` where its two factors hold fewer entries than the product: that is
+a FactoredGrad, g.T @ x kept as (g, x). Adam forms it in row blocks as it
+steps, so training never holds a weight-sized gradient; reading `.grad`
+forms the whole product once, with the same expression as a dense pull.
+
 The engine ships the ops the model runs, one op per model stage:
 conv_bn_gelu (conv1d -> batch norm -> GELU fused into one op) per backbone
 block, the group flatten, and fully connected layers with exact GELU for
@@ -38,17 +44,97 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 _TAPE_STACK: list["Tape"] = []
 
+# Entries of one row block of a factored gradient (4 MiB).
+GRAD_BLOCK = 1 << 19
+
+
+class FactoredGrad:
+    """A linear layer's weight gradient g.T @ x, kept as its factors: g
+    (B, F_out), the gradient at the layer's output, and x (B, F_in), its input.
+
+    `row_blocks` forms the product `rows` rows at a time: the most rows that
+    fit GRAD_BLOCK entries, rounded down to a multiple of 8, and at least 8.
+    A last block of one row joins the block before it, since numpy sends a
+    one-row product to GEMV. On OpenBLAS the blocks then equal those rows of
+    g.T @ x bit for bit when F_in is a multiple of 8, so `linear` factors no
+    other shape. `verify` checks the identity on the BLAS at hand.
+    """
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g: np.ndarray, x: np.ndarray):
+        self.g, self.x = g, x
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.g.shape[1], self.x.shape[1]
+
+    @property
+    def rows(self) -> int:
+        return max(8, GRAD_BLOCK // self.shape[1] // 8 * 8)
+
+    @property
+    def block_size(self) -> int:
+        """Entries of the largest block."""
+        f_out, f_in = self.shape
+        return min(f_out, self.rows + 1) * f_in
+
+    def dense(self) -> np.ndarray:
+        return self.g.T @ self.x
+
+    def row_blocks(self, buf: np.ndarray):
+        """Yield (first row, block) over g.T @ x, each block written into the
+        flat float64 `buf` of at least `block_size` entries."""
+        (f_out, f_in), lo = self.shape, 0
+        while lo < f_out:
+            hi = lo + self.rows if lo + self.rows < f_out - 1 else f_out
+            block = buf[:(hi - lo) * f_in].reshape(hi - lo, f_in)
+            np.matmul(self.g[:, lo:hi].T, self.x, out=block)
+            yield lo, block
+            lo = hi
+
+    def sq_norm_bound(self) -> float:
+        """||g||^2 ||x||^2, which bounds ||g.T @ x||^2 (Frobenius norms)."""
+        return float(np.vdot(self.g, self.g)) * float(np.vdot(self.x, self.x))
+
+    def sq_norm(self) -> float:
+        """||g.T @ x||^2, summed over the row blocks; inf or NaN without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum(float(np.vdot(block, block))
+                       for _, block in self.row_blocks(np.empty(self.block_size)))
+
+
+def _dense(grad):
+    return grad.dense() if isinstance(grad, FactoredGrad) else grad
+
 
 class Tensor:
     """Dense float64 array with an optional gradient of the same shape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self._grad = None
+
+    @property
+    def grad(self):
+        """The gradient as an array, or None. A FactoredGrad is formed here,
+        once, and the array replaces it."""
+        self._grad = _dense(self._grad)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+
+    @property
+    def raw_grad(self):
+        """The gradient as stored: an array, a FactoredGrad or None. Reading it
+        forms nothing."""
+        return self._grad
 
     def item(self) -> float:
         return float(self.data)
@@ -80,8 +166,10 @@ class Tape:
 
         Records are popped as the pass goes and each intermediate's gradient
         is dropped once its record's pull has run, so the activations a pull
-        holds are freed during the pass. A pull that returns other than one
-        gradient per input raises ValueError.
+        holds are freed during the pass; the x factor of a FactoredGrad lives
+        on in the leaf's gradient. A pull gets an array, and a fan-out sum or a
+        second backward forms a FactoredGrad before it adds. A pull that
+        returns other than one gradient per input raises ValueError.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward pass")
@@ -99,19 +187,19 @@ class Tape:
             g = flowing.pop(id(out), None)
             if g is None:
                 continue
-            for inp, contrib in zip(inputs, pull(g), strict=True):
+            for inp, contrib in zip(inputs, pull(_dense(g)), strict=True):
                 if not inp.requires_grad:
                     continue
                 key = id(inp)
                 if key in flowing:
-                    flowing[key] = flowing[key] + contrib
+                    flowing[key] = _dense(flowing[key]) + _dense(contrib)
                 else:
                     flowing[key] = contrib
                     if key not in produced:
                         leaves[key] = inp
         for key, tensor in leaves.items():
             g = flowing.pop(key)
-            tensor.grad = g if tensor.grad is None else tensor.grad + g
+            tensor.grad = g if tensor.raw_grad is None else tensor.grad + _dense(g)
 
 
 def as_tensor(x) -> Tensor:
@@ -221,7 +309,12 @@ def gelu(a) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    """Fully connected layer: x (B, F_in) @ w.T (F_in, F_out) + b."""
+    """Fully connected layer: x (B, F_in) @ w.T (F_in, F_out) + b.
+
+    The pull returns w's gradient as FactoredGrad(g, x) when the factors hold
+    fewer entries than the product, B (F_in + F_out) < F_in F_out, and F_in
+    is a multiple of 8 (see FactoredGrad); otherwise as the array g.T @ x.
+    The rule reads shapes only."""
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ValueError(f"linear shape mismatch: x {x.data.shape}, w {w.data.shape}")
@@ -235,8 +328,12 @@ def linear(x, w, b=None) -> Tensor:
         inputs = (x, w, b)
 
     def pull(g):
-        grads = (g @ w.data if x.requires_grad else None,
-                 g.T @ x.data if w.requires_grad else None)
+        dw = None
+        if w.requires_grad:
+            (f_out, f_in), batch = w.data.shape, g.shape[0]
+            factored = f_in % 8 == 0 and batch * (f_in + f_out) < f_in * f_out
+            dw = FactoredGrad(g, x.data) if factored else g.T @ x.data
+        grads = (g @ w.data if x.requires_grad else None, dw)
         return grads if b is None else grads + (g.sum(axis=0) if b.requires_grad else None,)
 
     return make_op(out_data, inputs, pull)
@@ -447,9 +544,10 @@ class Adam:
     offset in the order given. A step reads each tensor's gradient where the
     tape left it and writes the tensor's own .data, with one call of the
     compiled `adam_update` (kernels.c) per tensor, or, without it, one block
-    of `BLOCK` entries at a time in numpy (`_update`). The update is
-    elementwise, so both write the same bits, and neither makes a
-    parameter-sized temporary.
+    of `BLOCK` entries at a time in numpy (`_update`). A FactoredGrad is
+    formed one row block at a time into one reused buffer, and each block's
+    update runs while the block is fresh. The update is elementwise, so every
+    path writes the same bits, and none makes a parameter-sized temporary.
     """
 
     BLOCK = 1 << 15
@@ -464,6 +562,7 @@ class Adam:
         self._m = np.zeros(size)
         self._v = np.zeros(size)
         self._scratch = np.empty((2, min(size, self.BLOCK)))
+        self._block = np.empty(0)         # a FactoredGrad's row block, grown to the largest
         self._kernel = kernels.build().adam
 
     @property
@@ -476,7 +575,8 @@ class Adam:
             t.grad = None
 
     def step(self):
-        """One update of every tensor; a missing gradient counts as zero."""
+        """One update of every tensor; a missing gradient counts as zero.
+        Reads `raw_grad`, so a FactoredGrad is never formed whole."""
         size = sum(t.data.size for t in self.tensors)
         if size != self._m.size:
             raise ValueError(f"{size} parameters, moments for {self._m.size}")
@@ -485,27 +585,39 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.step_count
         offset = 0
         for t in self.tensors:
-            p, size = t.data, t.data.size
+            p, size, grad = t.data, t.data.size, t.raw_grad
             if not (p.flags.c_contiguous and p.flags.writeable and p.dtype == np.float64):
                 raise ValueError(f"Adam updates in place: a {p.shape} tensor is not a "
                                  "writeable C-contiguous float64 array")
+            m, v, p = self._m[offset:offset + size], self._v[offset:offset + size], p.reshape(-1)
+            offset += size
+            if isinstance(grad, FactoredGrad):
+                if grad.shape != t.data.shape:
+                    raise ValueError(f"gradient of shape {grad.shape} for {t.data.shape} parameters")
+                if self._block.size < grad.block_size:
+                    self._block = np.empty(grad.block_size)
+                for lo, block in grad.row_blocks(self._block):
+                    seg = slice(lo * block.shape[1], lo * block.shape[1] + block.size)
+                    self._apply(p[seg], block.reshape(-1), m[seg], v[seg], bc1, bc2)
+                continue
             g = None
-            if t.grad is not None:       # copies a strided gradient only
-                g = np.ascontiguousarray(t.grad, dtype=np.float64).reshape(-1)
+            if grad is not None:         # copies a strided gradient only
+                g = np.ascontiguousarray(grad, dtype=np.float64).reshape(-1)
                 if g.size != size:
                     raise ValueError(f"gradient of {g.size} entries for {size} parameters")
-            m, v = self._m[offset:offset + size], self._v[offset:offset + size]
-            if self._kernel is not None:
-                self._kernel(p.ctypes.data, None if g is None else g.ctypes.data,
-                             m.ctypes.data, v.ctypes.data, size,
-                             self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
-                             bc1, bc2, self.lr, self.eps)
-            else:
-                p = p.reshape(-1)
-                for lo in range(0, size, self.BLOCK):
-                    seg = slice(lo, lo + self.BLOCK)
-                    self._update(p[seg], 0.0 if g is None else g[seg], m[seg], v[seg], bc1, bc2)
-            offset += size
+            self._apply(p, g, m, v, bc1, bc2)
+
+    def _apply(self, p, g, m, v, bc1, bc2):
+        """The update of flat p and its moments by flat g, or by zero when g is None."""
+        if self._kernel is not None:
+            self._kernel(p.ctypes.data, None if g is None else g.ctypes.data,
+                         m.ctypes.data, v.ctypes.data, p.size,
+                         self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
+                         bc1, bc2, self.lr, self.eps)
+            return
+        for lo in range(0, p.size, self.BLOCK):
+            seg = slice(lo, lo + self.BLOCK)
+            self._update(p[seg], 0.0 if g is None else g[seg], m[seg], v[seg], bc1, bc2)
 
     def _update(self, p, g, m, v, bc1, bc2):
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates,

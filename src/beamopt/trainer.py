@@ -11,6 +11,7 @@ single batched graphs, so results are independent of BLAS thread count.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -166,7 +167,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
                 bad = int(np.flatnonzero(~np.isfinite(rates))[0])
                 raise TrainingDiverged(epoch, b_start // tc.batch_size, int(batch_idx[bad]))
             tape.backward(loss)
-            if not math.isfinite(_grad_norm(params)):
+            if not _grad_norm_is_finite(params):
                 raise TrainingDiverged(epoch, b_start // tc.batch_size)
             opt.step()
             opt.zero_grad()
@@ -193,10 +194,21 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
     return best, report
 
 
-def _grad_norm(params: ModelParams) -> float:
-    """Global gradient norm, summed per tensor in parameter order."""
-    return math.sqrt(sum(float(np.vdot(t.grad, t.grad))
-                         for t in params.tensors.values() if t.grad is not None))
+def _grad_norm_is_finite(params: ModelParams) -> bool:
+    """Whether the global gradient norm is finite.
+
+    A factored gradient g.T @ x enters the squared norm by its bound
+    ||g||^2 ||x||^2, so no product is formed while the summed bound is below
+    half the float64 maximum; rounding moves a computed squared norm by far
+    less than that factor. Otherwise the sum is taken again with each
+    product's exact squared norm, summed over its row blocks.
+    """
+    grads = [t.raw_grad for t in params.tensors.values() if t.raw_grad is not None]
+    factored = [g for g in grads if isinstance(g, ad.FactoredGrad)]
+    dense = sum(float(np.vdot(g, g)) for g in grads if not isinstance(g, ad.FactoredGrad))
+    if dense + sum(f.sq_norm_bound() for f in factored) < 0.5 * sys.float_info.max:
+        return True
+    return math.isfinite(dense + sum(f.sq_norm() for f in factored))
 
 
 def _validation_loss(cfg, params, dataset, val_idx, val_sigma2) -> float:

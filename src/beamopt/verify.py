@@ -410,6 +410,38 @@ def check_adam_kernels() -> CheckResult:
                        f"{'equal' if states[0] == states[1] else 'differ'} byte for byte")
 
 
+def check_factored_weight_gradients() -> CheckResult:
+    """On this BLAS, the row blocks Adam forms of a FactoredGrad equal those
+    rows of g.T @ x, and 3 steps through factored gradients write the bytes
+    of 3 steps through the formed products, on each Adam kernel."""
+    rng = np.random.default_rng(29)
+    rows_equal = True
+    for batch, f_out, f_in in ((32, 65, 16384), (7, 200, 3000)):   # rows 32 + 33, 168 + 32
+        grad = ad.FactoredGrad(rng.standard_normal((batch, f_out)), rng.standard_normal((batch, f_in)))
+        whole = grad.dense()
+        rows_equal &= all(block.tobytes() == whole[lo:lo + len(block)].tobytes()
+                          for lo, block in grad.row_blocks(np.empty(grad.block_size)))
+    kernels_run = ["numpy"] if kernels.build().adam is None else ["c", "numpy"]
+    states = []
+    for kernel in kernels_run:
+        for factored in (True, False):
+            rng = np.random.default_rng(37)
+            t = ad.Tensor(rng.standard_normal((200, 3000)), requires_grad=True)
+            opt = ad.Adam([t], lr=0.01)
+            if kernel == "numpy":
+                opt._kernel = None
+            for _ in range(3):
+                grad = ad.FactoredGrad(rng.standard_normal((7, 200)), rng.standard_normal((7, 3000)))
+                t.grad = grad if factored else grad.dense()
+                opt.step()
+            states.append([a.tobytes() for a in (t.data, opt._m, opt._v)])
+    steps_equal = all(state == states[0] for state in states)
+    return CheckResult("factored_weight_gradients", rows_equal and steps_equal,
+                       f"row blocks {'equal' if rows_equal else 'differ from'} g.T @ x; "
+                       f"{'/'.join(kernels_run)} Adam, 3 steps: factored and formed gradients "
+                       f"write {'the same' if steps_equal else 'different'} bytes")
+
+
 def check_normal_kernels() -> CheckResult:
     """The compiled normal fill writes numpy's draws and leaves numpy's generator state."""
     n, scale = 1 << 16, 0.37
@@ -471,6 +503,7 @@ ALL_CHECKS = (
     check_softmax_rows,
     check_adam_bowl,
     check_adam_kernels,
+    check_factored_weight_gradients,
     check_normal_kernels,
     check_rate_bound,
     check_checkpoint_mapping,

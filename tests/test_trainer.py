@@ -160,6 +160,49 @@ class TestTrain:
         assert (err.value.epoch, err.value.batch, err.value.sample_index) == (0, 0, None)
         np.testing.assert_array_equal(params.flat, before)
 
+    @pytest.mark.parametrize("case", ["clean", "nan_factor", "product_overflows",
+                                      "bound_overflows"])
+    def test_factored_gradient_checked_through_its_factors(self, monkeypatch, case):
+        """bf0.w's gradient stays factored. The bound ||g||^2 ||x||^2 settles a
+        clean step without forming the product; a NaN factor, or finite factors
+        whose product overflows, abort before the step; finite factors whose
+        bound overflows but whose product does not pass the exact check."""
+        ds, cfg, params = small_setup(n_samples=8, seed=16)
+        before = params.flat.copy()
+        real_backward, real_sq_norm = ad.Tape.backward, ad.FactoredGrad.sq_norm
+        exact, backwards = [], []
+
+        def poisoned_first_backward(tape, output):
+            real_backward(tape, output)
+            grad = params.tensors["bf0.w"].raw_grad
+            assert isinstance(grad, ad.FactoredGrad)
+            if backwards:
+                return
+            backwards.append(tape)
+            if case == "nan_factor":
+                grad.g[0, 0] = np.nan
+            elif case != "clean":
+                grad.g[...] = 1e160
+                grad.x[...] = 1e160 if case == "product_overflows" else 1e-160
+
+        def counted_sq_norm(grad):
+            exact.append(grad.shape)
+            return real_sq_norm(grad)
+
+        monkeypatch.setattr(ad.Tape, "backward", poisoned_first_backward)
+        monkeypatch.setattr(ad.FactoredGrad, "sq_norm", counted_sq_norm)
+        tc = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=17, snr_sampling="fixed")
+        if case in ("nan_factor", "product_overflows"):
+            with pytest.raises(TrainingDiverged,
+                               match="non-finite gradient norm at epoch 0, batch 0") as err:
+                train(cfg, params, ds, tc)
+            assert (err.value.epoch, err.value.batch, err.value.sample_index) == (0, 0, None)
+            np.testing.assert_array_equal(params.flat, before)
+        else:
+            train(cfg, params, ds, tc)
+            assert params.flat.tobytes() != before.tobytes()
+        assert bool(exact) == (case != "clean")
+
     def test_no_improving_epoch_returns_final_params(self, monkeypatch):
         import beamopt.trainer as trainer_module
         ds, cfg, params = small_setup(n_samples=8, seed=18)

@@ -18,7 +18,7 @@ from beamopt import kernels, metrics
 from beamopt.channel import ChannelDataset
 from beamopt.models import (ModelConfig, forward_graph, init_params, load_checkpoint,
                             save_checkpoint)
-from beamopt.trainer import TrainConfig, train
+from beamopt.trainer import TrainConfig, _grad_norm_is_finite, train
 from beamopt.verify import weighted_sum
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -293,9 +293,42 @@ def test_backward_frees_activations_and_leaves_grads_on_leaves_only(monkeypatch)
         loss = metrics.neg_sum_rate_graph(w, h, p, np.ones((4, cfg.n_ue)))
     assert len(activations) == 5 and all(ref() is not None for ref in activations)
     tape.backward(loss)
-    assert [ref() for ref in activations] == [None] * 5
+    # the beam head's GELU output is the x factor of bf1.w's gradient; pw1.w's
+    # gradient (2 x 1024 at B = 4) is cheaper dense, so the power head's is freed
+    assert [ref() is None for ref in activations] == [True, True, True, False, True]
+    assert isinstance(params.tensors["bf1.w"].raw_grad, ad.FactoredGrad)
+    assert isinstance(params.tensors["pw1.w"].raw_grad, np.ndarray)
     assert [t.grad for t in (loss, w, p)] == [None] * 3
     assert all(t.grad is not None for t in params.tensors.values())
+    assert activations[3]() is None                  # reading .grad formed the product
+
+
+def test_backward_check_and_adam_step_allocate_less_than_the_largest_weight():
+    """No weight-sized gradient exists: the head's first-layer gradients stay
+    factored through the divergence check and are formed in row blocks by
+    Adam.step."""
+    cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=48)     # bf0.w and pw0.w: 1024 x 1536, 12 MiB each
+    params = init_params(cfg, np.random.default_rng(15))
+    h = random_channels(np.random.default_rng(16), 4, cfg)
+    opt = ad.Adam(params.tensors.values(), lr=1e-3)
+
+    def forward():
+        with ad.Tape() as tape:
+            w, p = forward_graph(h, params, cfg, training=True)
+            loss = metrics.neg_sum_rate_graph(w, h, p, np.ones((4, cfg.n_ue)))
+        return tape, loss
+
+    def step(tape, loss):
+        tape.backward(loss)
+        assert _grad_norm_is_finite(params)
+        opt.step()
+
+    step(*forward())                                 # sizes Adam's row-block buffer
+    opt.zero_grad()
+    tape, loss = forward()
+    peak = traced_peak(lambda: step(tape, loss))
+    weight = params.tensors["bf0.w"].data.nbytes
+    assert peak < weight, f"backward, check and step peak {peak} B, bf0.w {weight} B"
 
 
 def test_one_epoch_of_training_allocates_under_four_and_a_quarter_parameter_vectors():
@@ -307,3 +340,95 @@ def test_one_epoch_of_training_allocates_under_four_and_a_quarter_parameter_vect
     vector = params.flat.nbytes
     peak = traced_peak(lambda: train(cfg, params, ds, tc))
     assert peak < 4.25 * vector, f"train peak {peak / vector:.2f} parameter vectors"
+
+
+@pytest.mark.parametrize("f_ins", [
+    st.integers(1, 300),                       # one block, or dense where F_in % 8 != 0
+    st.integers(ad.GRAD_BLOCK // 512, ad.GRAD_BLOCK // 64 + 8).map(lambda k: 8 * k),
+], ids=["one_block", "blocks_of_64_to_8_rows"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.integers(1, 72), st.data(), st.integers(0, 2 ** 32 - 1))
+def test_factored_weight_gradient_row_blocks_are_rows_of_the_product(f_ins, batch, f_out, data,
+                                                                      seed):
+    """F_out need not be a multiple of the block or of 8. Each block is those
+    rows of g.T @ x, bit for bit, and .grad is g.T @ x itself."""
+    f_in = data.draw(f_ins)
+    rng = np.random.default_rng(seed)
+    x0, g = rng.standard_normal((batch, f_in)), rng.standard_normal((batch, f_out))
+    x, w = ad.Tensor(x0, requires_grad=True), ad.Tensor(rng.standard_normal((f_out, f_in)),
+                                                        requires_grad=True)
+    with ad.Tape() as tape:
+        loss = weighted_sum(ad.linear(x, w), g)      # so the pull's g is g
+    tape.backward(loss)
+    want = g.T @ x0
+    grad = w.raw_grad
+    factored = f_in % 8 == 0 and batch * (f_in + f_out) < f_in * f_out
+    assert isinstance(grad, ad.FactoredGrad) == factored
+    if factored:
+        assert grad.shape == w.data.shape and grad.rows % 8 == 0
+        covered = 0
+        for lo, block in grad.row_blocks(np.empty(grad.block_size)):
+            assert lo == covered and (len(block) > 1 or f_out == 1)
+            assert block.tobytes() == want[lo:lo + len(block)].tobytes()
+            covered += len(block)
+        assert covered == f_out
+    assert w.grad.tobytes() == want.tobytes()
+    assert not isinstance(w.raw_grad, ad.FactoredGrad)      # formed once, then kept
+
+
+def test_fan_out_and_a_second_backward_sum_factored_gradients_in_order():
+    """w feeds three linear ops: the backward visits them last to first and
+    adds their products in that order; a second backward adds to .grad."""
+    rng = np.random.default_rng(8)
+    w = ad.Tensor(rng.standard_normal((96, 64)), requires_grad=True)
+    xs = [rng.standard_normal((4, 64)) for _ in range(4)]
+    gs = [rng.standard_normal((4, 96)) for _ in range(4)]
+    with ad.Tape() as tape:
+        outs = tuple(ad.linear(x, w) for x in xs[:3])
+        loss = ad.make_op(sum((o.data * g).sum() for o, g in zip(outs, gs)), outs,
+                          lambda s: tuple(s * g for g in gs[:3]))
+    tape.backward(loss)
+    want = (gs[2].T @ xs[2] + gs[1].T @ xs[1]) + gs[0].T @ xs[0]
+    assert w.grad.tobytes() == want.tobytes()
+    with ad.Tape() as tape:
+        loss = weighted_sum(ad.linear(xs[3], w), gs[3])
+    tape.backward(loss)
+    assert isinstance(w.raw_grad, np.ndarray)
+    assert w.grad.tobytes() == (want + gs[3].T @ xs[3]).tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("joint", [False, True], ids=["NNBF", "NNBF-P"])
+def test_training_through_factored_gradients_writes_the_bytes_of_formed_ones(
+        monkeypatch, kernel, joint):
+    """3 epochs of the exp01-desk model, against a reference step that reads
+    every .grad as an array before Adam.step."""
+    cfg = ModelConfig(m_tx=4, n_ue=4, k_sc=8, joint_power=joint)
+    rng = np.random.default_rng(12)
+    ds = ChannelDataset(h=random_channels(rng, 40, cfg), ue_snr_offset_db=rng.uniform(-6, 6, (40, 4)),
+                        profile="TDL-A", delay_spread_ns=30.0, jitter_db=0.0, seed=0)
+    tc = TrainConfig(epochs=3, batch_size=16, seed=13, val_fraction=0.1)
+    real_step = ad.Adam.step
+    runs = []
+    for formed in (False, True):
+        factored = []
+
+        def step(opt):
+            if kernel == "numpy":
+                opt._kernel = None
+            assert opt.kernel == kernel
+            factored.append(sum(isinstance(t.raw_grad, ad.FactoredGrad) for t in opt.tensors))
+            if formed:
+                for t in opt.tensors:
+                    assert t.grad is not None          # reading .grad forms the array
+            real_step(opt)
+
+        monkeypatch.setattr(ad.Adam, "step", step)
+        params = init_params(cfg, np.random.default_rng(14))
+        best, report = train(cfg, params, ds, tc)
+        assert min(factored) == (3 if joint else 2)    # bf0.w, bf1.w and, for NNBF-P, pw0.w
+        runs.append([a.tobytes() for p in (params, best) for a in (
+            p.flat, *(b for st_ in p.bn_states.values() for b in (st_.mean, st_.var)))]
+                    + [np.array(report.train_loss).tobytes(), np.array(report.val_loss).tobytes(),
+                       report.best_epoch, report.best_val_loss])
+    assert runs[0] == runs[1]
