@@ -20,8 +20,7 @@ conv_bn_gelu (conv1d -> batch norm -> GELU fused into one op) per backbone
 block, the group flatten, and fully connected layers with exact GELU for
 the heads. The output stages and the loss (models.unit_beams,
 models.power_split, metrics.neg_sum_rate_graph) are built on make_op too.
-conv1d and batchnorm1d stay as the tested references of conv_bn_gelu. The
-exact GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc
+The exact GELU takes erf from `_erf`, a numpy port of the Cephes erf/erfc
 rationals that scipy.special.erf evaluates, so importing this package needs
 numpy only.
 
@@ -35,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 
@@ -339,39 +337,6 @@ def linear(x, w, b=None) -> Tensor:
     return make_op(out_data, inputs, pull)
 
 
-def conv1d(x, w, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation: x (B, C_in, L), w (C_out, C_in, ksz) -> (B, C_out, L_out)."""
-    x, w = as_tensor(x), as_tensor(w)
-    if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
-        raise ValueError(f"conv1d shape mismatch: x {x.data.shape}, w {w.data.shape}")
-    batch, c_in, length = x.data.shape
-    c_out, _, ksz = w.data.shape
-    padded_len = length + 2 * padding
-    if padded_len < ksz:
-        raise ValueError(f"kernel size {ksz} exceeds padded length {padded_len}")
-    l_out = (padded_len - ksz) // stride + 1
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    # im2col: row (b, l) holds the window xp[b, :, l*stride : l*stride + ksz] as (c, k)
-    windows = sliding_window_view(xp, ksz, axis=2)[:, :, ::stride]
-    cols = windows.transpose(0, 2, 1, 3).reshape(batch * l_out, c_in * ksz)
-    w2 = w.data.reshape(c_out, c_in * ksz)
-    out_data = np.ascontiguousarray((cols @ w2.T).reshape(batch, l_out, c_out).transpose(0, 2, 1))
-
-    def pull(g):
-        rows = g.transpose(0, 2, 1).reshape(batch * l_out, c_out)
-        dx = None
-        if x.requires_grad:
-            dcols = (rows @ w2).reshape(batch, l_out, c_in, ksz).transpose(0, 2, 1, 3)
-            dxp = np.zeros((batch, c_in, padded_len))
-            for k in range(ksz):
-                dxp[:, :, k:k + stride * l_out:stride] += dcols[..., k]
-            dx = dxp[:, :, padding:padding + length] if padding else dxp
-        return dx, (rows.T @ cols).reshape(w.data.shape) if w.requires_grad else None
-
-    return make_op(out_data, (x, w), pull)
-
-
 @dataclass
 class BatchNormState:
     """Running statistics mutated by train-mode forward passes."""
@@ -387,54 +352,6 @@ class BatchNormState:
         return BatchNormState(mean=self.mean.copy(), var=self.var.copy())
 
 
-def batchnorm1d(x, gamma, beta, state: BatchNormState, training: bool,
-                eps: float = 1e-5, momentum: float = 0.1) -> Tensor:
-    """Per-channel normalization of x (B, C, L) over the (B, L) axes.
-
-    Train mode normalizes with batch statistics (backward is exact through
-    them) and updates the running stats by `momentum`; eval mode uses the
-    running stats. Zero-variance channels are kept finite by eps.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.data.ndim != 3 or gamma.data.shape != (x.data.shape[1],) \
-            or beta.data.shape != (x.data.shape[1],):
-        raise ValueError(f"batchnorm shape mismatch: x {x.data.shape}, gamma {gamma.data.shape}")
-    batch, channels, length = x.data.shape
-    n = batch * length
-    if training and n < 2:
-        raise ValueError("train-mode batch norm needs more than one element per channel")
-
-    if training:
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
-        state.mean[:] = (1.0 - momentum) * state.mean + momentum * mean
-        state.var[:] = (1.0 - momentum) * state.var + momentum * var * n / max(n - 1, 1)
-    else:
-        mean, var = state.mean, state.var
-
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None]) * ivar[None, :, None]
-    out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-
-    def pull(g):
-        dgamma = (g * xhat).sum(axis=(0, 2)) if gamma.requires_grad else None
-        dbeta = g.sum(axis=(0, 2)) if beta.requires_grad else None
-        if not x.requires_grad:
-            return None, dgamma, dbeta
-        dxhat = g * gamma.data[None, :, None]
-        if not training:
-            return dxhat * ivar[None, :, None], dgamma, dbeta
-        sum_dxhat = dxhat.sum(axis=(0, 2))
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2))
-        dx = (ivar[None, :, None] / n) * (
-            n * dxhat
-            - sum_dxhat[None, :, None]
-            - xhat * sum_dxhat_xhat[None, :, None])
-        return dx, dgamma, dbeta
-
-    return make_op(out_data, (x, gamma, beta), pull)
-
-
 def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
                  stride: int = 1, padding: int = 0, eps: float = 1e-5,
                  momentum: float = 0.1) -> Tensor:
@@ -443,7 +360,7 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
 
     The im2col GEMM's (R*L_out, C_out) output is what batch norm normalizes,
     each channel over its rows, with statistics from GEMV column sums; modes,
-    running stats and eps are batchnorm1d's. The pull computes the
+    running stats and eps are reference.batchnorm1d's. The pull computes the
     reductions sum(gz) and sum(gz * xhat), gz being the gradient at the GELU
     input, once for dx, dw, dgamma and dbeta, and skips dx when x needs no
     gradient. The op keeps cols, xhat, the GELU input z and its cdf for it.

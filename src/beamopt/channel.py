@@ -150,30 +150,6 @@ def config_fingerprint(profile: str, delay_spread_ns: float, jitter_db: float,
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def gen_taps(profile: TdlProfile, delay_spread_ns: float, rng: np.random.Generator):
-    """Draw one tap realization: list of (delay_s, complex_gain).
-
-    Gains are circular complex Gaussian with per-tap variance equal to the
-    normalized linear tap power, so magnitudes are Rayleigh and the total
-    expected power is 1. Delays scale the normalized profile delays by the
-    delay spread. Taps are flat within a TTI (Doppler is metadata only).
-    """
-    if delay_spread_ns <= 0:
-        raise ValueError("delay spread must be positive")
-    n_taps = profile.delays.size
-    gains = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) \
-        * np.sqrt(profile.powers / 2.0)
-    delays_s = profile.delays * delay_spread_ns * 1e-9
-    return list(zip(delays_s, gains))
-
-
-def taps_to_freq(taps, k_sc: int, scs_hz: float) -> np.ndarray:
-    """Frequency response H(f_k) = sum_l g_l exp(-j 2 pi f_k tau_l), f_k = k*scs."""
-    delays = np.array([t[0] for t in taps], dtype=np.float64)
-    gains = np.array([t[1] for t in taps], dtype=np.complex128)
-    return _phase_matrix(delays, k_sc, scs_hz) @ gains
-
-
 def _phase_matrix(delays_s: np.ndarray, k_sc: int, scs_hz: float) -> np.ndarray:
     """(K, L) matrix exp(-j 2 pi f_k tau_l) mapping tap gains to subcarriers."""
     if k_sc < 1:
@@ -219,8 +195,8 @@ def gen_channel(cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
     Tap draws are independent per (tx antenna, UE) pair; the profile
     normalization gives E[|H[k,m,n]|^2] = 1. The draws and arithmetic are
-    those of gen_taps + taps_to_freq per pair, so the output is bit-identical
-    to that composition.
+    those of reference.gen_taps + taps_to_freq per pair, so the output is
+    bit-identical to that composition.
     """
     profile = cfg.profile if isinstance(cfg.profile, TdlProfile) else TdlProfile.load(cfg.profile)
     if cfg.delay_spread_ns <= 0:
@@ -283,13 +259,18 @@ def _read_exact(f, arr: np.ndarray, path) -> np.ndarray:
 
 
 def load_dataset(path) -> ChannelDataset:
-    """Read a dataset file; raises distinct errors for version/corruption/shape faults.
+    """Read a dataset file; raises distinct errors for version/corruption/shape
+    faults, and DatasetError when the file cannot be opened.
 
     A NaN or Inf channel entry or SNR offset, and a delay spread or jitter
     that no config allows (non-finite, spread <= 0, jitter < 0), is corruption.
     The payload is read straight into the returned arrays.
     """
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    with f:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise CorruptDatasetError(f"{path}: file shorter than header")

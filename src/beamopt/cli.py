@@ -1,12 +1,12 @@
 """Command-line harness: generate / train / eval / plot / verify.
 
-Exit codes: 0 success; 1 verify failure, non-finite eval rate, eval rate
-above the SINR ceiling or unexpected error; 2 invalid config (unknown
-section or key included); 3 dataset missing, corrupt (NaN/Inf included),
-shape-incompatible or smaller than train_samples (train) or test_samples
-(eval), which use the file's first train_samples or test_samples samples;
-4 training diverged (non-finite loss or gradient norm); 5 unreadable,
-incompatible or non-finite checkpoint; 6 malformed results CSV.
+Exit codes (the README's table has each case): 0 success; 1 verify
+failure, non-finite or above-ceiling eval rate, or unexpected error; 2
+invalid config, a train with no neural method, or an eval left with no
+method to score; 3 dataset missing, unreadable, corrupt or not fitting the
+config; 4 training diverged; 5 checkpoint missing, unreadable,
+incompatible, non-finite, repeated or for an unlisted method; 6 malformed
+results CSV.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _load_dataset_checked(path, cfg: ExperimentConfig) -> channel.ChannelDataset:
-    if not os.path.exists(path):
-        raise channel.DatasetShapeError(f"dataset file not found: {path}")
     ds = channel.load_dataset(path)
     _, k, m, n = ds.shape
     if (k, m, n) != (cfg.k_sc, cfg.m_tx, cfg.n_ue):
@@ -53,11 +51,6 @@ def _load_dataset_checked(path, cfg: ExperimentConfig) -> channel.ChannelDataset
             f"jitter {ds.jitter_db}dB, config wants {cfg.profile}/"
             f"{cfg.delay_spread_ns}ns/jitter {cfg.jitter_db}dB")
     return ds
-
-
-def _model_config(cfg: ExperimentConfig, joint_power: bool) -> models.ModelConfig:
-    return models.ModelConfig(m_tx=cfg.m_tx, n_ue=cfg.n_ue, k_sc=cfg.k_sc,
-                              joint_power=joint_power)
 
 
 def _ckpt_path(base: str, method: str, multi: bool) -> str:
@@ -106,7 +99,8 @@ def cmd_train(args) -> int:
     log = (lambda line: print(line, file=sys.stderr)) if args.verbose else None
     multi = len(neural) > 1
     for method in neural:
-        mc = _model_config(cfg, joint_power=(method == "NNBF-P"))
+        mc = models.ModelConfig(m_tx=cfg.m_tx, n_ue=cfg.n_ue, k_sc=cfg.k_sc,
+                                joint_power=(method == "NNBF-P"))
         init_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((cfg.train.seed, 1))))
         params = models.init_params(mc, init_rng)
@@ -135,11 +129,17 @@ def cmd_eval(args) -> int:
         method = "NNBF-P" if mc.joint_power else "NNBF"
         if method in nn_models:
             raise models.CheckpointError(f"{path}: duplicate checkpoint for {method}")
+        if method not in cfg.methods:
+            raise models.CheckpointError(f"{path}: checkpoint for {method}, which the config "
+                                         f"does not list in experiment.methods")
         nn_models[method] = (mc, params)
     methods = [m for m in cfg.methods if m in evaluation.CLASSICAL_METHODS or m in nn_models]
     skipped = [m for m in cfg.methods if m not in methods]
     if skipped:
         print(f"skipping {skipped}: no checkpoint supplied", file=sys.stderr)
+    if not methods:
+        print("no method left to evaluate; pass a checkpoint with --ckpt", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     rows = evaluation.evaluate(ds, cfg.snr_grid_db, methods, nn_models, experiment=cfg.id,
                                log=lambda line: print(line, file=sys.stderr))
     results.write_results_csv(rows, args.out)

@@ -1,13 +1,12 @@
 """Experiment configuration: a versioned INI format with [experiment],
-[dataset] and [train] sections. Parsing reports field-level errors;
-serialize(parse(text)) reproduces an equivalent config (round-trip
-identity at the dataclass level).
+[dataset] and [train] sections, whose keys SCHEMA lists once. Parsing
+reports field-level errors; reference.serialize_config is its inverse
+(round-trip identity at the dataclass level).
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -20,13 +19,46 @@ SCHEMA_VERSION = 1
 
 KNOWN_METHODS = CLASSICAL_METHODS + NEURAL_METHODS
 
-KNOWN_KEYS = {
-    "experiment": ("schema_version", "id", "profile", "delay_spread_ns", "m_tx", "n_ue",
-                   "k_sc", "subcarrier_spacing_hz", "snr_grid_db", "jitter_db", "methods"),
-    "dataset": ("train_samples", "test_samples", "seed"),
-    "train": ("epochs", "batch_size", "lr", "lr_decay", "seed", "val_fraction",
-              "early_stop_patience", "snr_sampling", "fixed_snr_db"),
-}
+
+def _parse_float_list(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _parse_methods(raw: str) -> tuple:
+    return tuple(tok.strip().upper().replace("NNBF_P", "NNBF-P")
+                 for tok in raw.split(",") if tok.strip())
+
+
+# (section, key, field, cast, default): field names the ExperimentConfig (under [train]
+# the TrainConfig) attribute, None the schema version; a None default marks a required key.
+SCHEMA = (
+    ("experiment", "schema_version", None, int, None),
+    ("experiment", "id", "id", str, None),
+    ("experiment", "profile", "profile", str, None),
+    ("experiment", "delay_spread_ns", "delay_spread_ns", float, None),
+    ("experiment", "m_tx", "m_tx", int, None),
+    ("experiment", "n_ue", "n_ue", int, None),
+    ("experiment", "k_sc", "k_sc", int, None),
+    ("experiment", "subcarrier_spacing_hz", "scs_hz", float, 30e3),
+    ("experiment", "snr_grid_db", "snr_grid_db", _parse_float_list, None),
+    ("experiment", "jitter_db", "jitter_db", float, None),
+    ("experiment", "methods", "methods", _parse_methods, None),
+    ("dataset", "train_samples", "train_samples", int, None),
+    ("dataset", "test_samples", "test_samples", int, None),
+    ("dataset", "seed", "seed", int, None),
+    ("train", "epochs", "epochs", int, None),
+    ("train", "batch_size", "batch_size", int, None),
+    ("train", "lr", "lr", float, None),
+    ("train", "lr_decay", "lr_decay", float, 1.0),
+    ("train", "seed", "seed", int, None),
+    ("train", "val_fraction", "val_fraction", float, 0.1),
+    ("train", "early_stop_patience", "early_stop_patience", int, 20),
+    ("train", "snr_sampling", "snr_sampling", str, "uniform"),
+    ("train", "fixed_snr_db", "fixed_snr_db", float, 5.0),
+)
+
+KNOWN_KEYS = {section: tuple(key for s, key, *_ in SCHEMA if s == section)
+              for section in ("experiment", "dataset", "train")}
 
 
 class ConfigError(ValueError):
@@ -75,6 +107,9 @@ class ExperimentConfig:
         bad = [s for s in self.snr_grid_db if not lo <= s <= hi]
         if bad:
             raise ConfigError(f"experiment.snr_grid_db: {bad} outside [{lo}, {hi}]")
+        if len(set(self.snr_grid_db)) < len(self.snr_grid_db):
+            raise ConfigError(f"experiment.snr_grid_db: {list(self.snr_grid_db)} lists an "
+                              f"SNR twice")
         if not (math.isfinite(self.jitter_db) and self.jitter_db >= 0):
             raise ConfigError(f"experiment.jitter_db: must be finite and non-negative, "
                               f"got {self.jitter_db!r}")
@@ -109,13 +144,9 @@ def _get(parser, section: str, key: str, cast, fallback=None):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from exc
 
 
-def _parse_float_list(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _parse_methods(raw: str) -> tuple:
-    return tuple(tok.strip().upper().replace("NNBF_P", "NNBF-P")
-                 for tok in raw.split(",") if tok.strip())
+def _fields(parser, section: str) -> dict:
+    return {field: _get(parser, section, key, cast, default)
+            for s, key, field, cast, default in SCHEMA if s == section and field}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -138,33 +169,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"experiment.schema_version: got {version}, expected {SCHEMA_VERSION}")
 
     try:
-        train = TrainConfig(
-            epochs=_get(parser, "train", "epochs", int),
-            batch_size=_get(parser, "train", "batch_size", int),
-            lr=_get(parser, "train", "lr", float),
-            lr_decay=_get(parser, "train", "lr_decay", float, fallback=1.0),
-            seed=_get(parser, "train", "seed", int),
-            val_fraction=_get(parser, "train", "val_fraction", float, fallback=0.1),
-            early_stop_patience=_get(parser, "train", "early_stop_patience", int, fallback=20),
-            snr_sampling=_get(parser, "train", "snr_sampling", str, fallback="uniform"),
-            fixed_snr_db=_get(parser, "train", "fixed_snr_db", float, fallback=5.0),
-        )
-        return ExperimentConfig(
-            id=_get(parser, "experiment", "id", str),
-            profile=_get(parser, "experiment", "profile", str),
-            delay_spread_ns=_get(parser, "experiment", "delay_spread_ns", float),
-            m_tx=_get(parser, "experiment", "m_tx", int),
-            n_ue=_get(parser, "experiment", "n_ue", int),
-            k_sc=_get(parser, "experiment", "k_sc", int),
-            scs_hz=_get(parser, "experiment", "subcarrier_spacing_hz", float, fallback=30e3),
-            snr_grid_db=_get(parser, "experiment", "snr_grid_db", _parse_float_list),
-            jitter_db=_get(parser, "experiment", "jitter_db", float),
-            methods=_get(parser, "experiment", "methods", _parse_methods),
-            train_samples=_get(parser, "dataset", "train_samples", int),
-            test_samples=_get(parser, "dataset", "test_samples", int),
-            seed=_get(parser, "dataset", "seed", int),
-            train=train,
-        )
+        train = TrainConfig(**_fields(parser, "train"))
+        return ExperimentConfig(**_fields(parser, "experiment"), **_fields(parser, "dataset"),
+                                train=train)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -177,42 +184,6 @@ def parse_config(path) -> ExperimentConfig:
             return parse_config_text(f.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["experiment"] = {
-        "schema_version": str(SCHEMA_VERSION),
-        "id": cfg.id,
-        "profile": cfg.profile,
-        "delay_spread_ns": repr(cfg.delay_spread_ns),
-        "m_tx": str(cfg.m_tx),
-        "n_ue": str(cfg.n_ue),
-        "k_sc": str(cfg.k_sc),
-        "subcarrier_spacing_hz": repr(cfg.scs_hz),
-        "snr_grid_db": ", ".join(repr(s) for s in cfg.snr_grid_db),
-        "jitter_db": repr(cfg.jitter_db),
-        "methods": ", ".join(cfg.methods),
-    }
-    parser["dataset"] = {
-        "train_samples": str(cfg.train_samples),
-        "test_samples": str(cfg.test_samples),
-        "seed": str(cfg.seed),
-    }
-    parser["train"] = {
-        "epochs": str(cfg.train.epochs),
-        "batch_size": str(cfg.train.batch_size),
-        "lr": repr(cfg.train.lr),
-        "lr_decay": repr(cfg.train.lr_decay),
-        "seed": str(cfg.train.seed),
-        "val_fraction": repr(cfg.train.val_fraction),
-        "early_stop_patience": str(cfg.train.early_stop_patience),
-        "snr_sampling": cfg.train.snr_sampling,
-        "fixed_snr_db": repr(cfg.train.fixed_snr_db),
-    }
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
 
 
 def apply_desk_scale(cfg: ExperimentConfig) -> ExperimentConfig:

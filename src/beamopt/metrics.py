@@ -6,12 +6,11 @@ Rates are the plain sum over UEs of log2(1 + SINR), in bits/s/Hz,
 averaged over subcarriers. Per-UE noise variances generalize the single
 sigma^2 of the narrowband formulation.
 
-The objective has one oracle and one batched forward. sinr_per_ue +
-weighted_sum_rate is the single-sample test oracle. terms + rates_from is
-the batched forward: per_sample_sum_rates for validation, evaluate (which
-computes the SNR-free terms once per dataset) and neg_sum_rate_graph, the
-training loss as one autodiff op with a closed-form pull. sum_rate_bound is
-the ceiling every feasible design's rate stays under.
+The objective has one batched forward, terms + rates_from, and three
+consumers: per_sample_sum_rates for validation, evaluate (which computes the
+SNR-free terms once per dataset) and neg_sum_rate_graph, the training loss
+as one autodiff op with a closed-form pull. sum_rate_bound is the ceiling
+every feasible design's rate stays under.
 
 The numpy functions take complex beams w (B, K, M, N); the autodiff op takes
 the network's float64 (B, K, M, N, 2) tensor with re/im on the last axis,
@@ -20,78 +19,11 @@ which as_complex views as complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 
 _LN2 = float(np.log(2.0))
-UNIT_NORM_TOL = 1e-9
-POWER_BUDGET_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Unit-norm per-subcarrier beam directions (K, M, N) and per-UE powers (N,)."""
-
-    w_tilde: np.ndarray
-    p: np.ndarray
-    p_max: float
-
-    def __post_init__(self):
-        w = np.array(self.w_tilde, dtype=np.complex128)
-        p = np.array(self.p, dtype=np.float64)
-        if w.ndim != 3:
-            raise ValueError(f"w_tilde must be shaped (K, M, N), got {w.shape}")
-        if p.shape != (w.shape[2],):
-            raise ValueError(f"powers shaped {p.shape}, expected ({w.shape[2]},)")
-        norms = np.linalg.norm(w, axis=1)
-        if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-            raise ValueError("beam columns must have unit norm")
-        if np.any(p < 0):
-            raise ValueError("powers must be non-negative")
-        if p.sum() > self.p_max + POWER_BUDGET_TOL:
-            raise ValueError(f"total power {p.sum():.12g} exceeds budget {self.p_max:.12g}")
-        w.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "w_tilde", w)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n_ue(self) -> int:
-        return self.w_tilde.shape[2]
-
-
-def effective_gains(h: np.ndarray, w_tilde: np.ndarray) -> np.ndarray:
-    """e[k, n, i] = h[k, :, n]^T w_tilde[k, :, i] for every UE/beam pair."""
-    return np.einsum("kmn,kmi->kni", h, w_tilde)
-
-
-def sinr_per_ue(h: np.ndarray, bf: BeamformerSet, sigma2: np.ndarray) -> np.ndarray:
-    """Per-subcarrier, per-UE SINR array of shape (K, N)."""
-    h_arr = np.asarray(h, dtype=np.complex128)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    k_sc, _, n_ue = h_arr.shape
-    if bf.w_tilde.shape != h_arr.shape:
-        raise ValueError(f"beamformer shape {bf.w_tilde.shape} does not match channel {h_arr.shape}")
-    if sigma2.shape != (n_ue,):
-        raise ValueError(f"sigma2 shaped {sigma2.shape}, expected ({n_ue},)")
-    if np.any(sigma2 <= 0):
-        raise ValueError("noise variances must be positive")
-    gains = np.abs(effective_gains(h_arr, bf.w_tilde)) ** 2        # (K, N, N)
-    weighted = gains * bf.p[None, None, :]
-    signal = np.einsum("knn->kn", weighted)
-    interference = weighted.sum(axis=2) - signal
-    return signal / (interference + sigma2[None, :])
-
-
-def weighted_sum_rate(gamma: np.ndarray) -> float:
-    """(1/K) sum_k sum_n log2(1 + gamma[k, n]), in bits/s/Hz."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if np.any(gamma < 0):
-        raise ValueError("SINRs must be non-negative")
-    return float((np.log1p(gamma) / _LN2).sum(axis=1).mean())
 
 
 def as_complex(w: np.ndarray) -> np.ndarray:

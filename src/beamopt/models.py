@@ -310,13 +310,18 @@ def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     """Load a checkpoint written by save_checkpoint, rejecting any tensor or
     batch-norm buffer that is missing, misshaped or not finite, and a file
-    whose size is not the header's plus the table's payload.
+    whose size is not the header's plus the table's payload. A file that cannot
+    be opened or mapped is a CheckpointError too.
 
     The file is mapped copy-on-write: params.flat and the batch-norm buffers
     view the mapping, so the payload is never copied, and writes to them
     never reach the file.
     """
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    with f:
         head = f.read(12)
         if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a model checkpoint")

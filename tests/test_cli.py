@@ -181,6 +181,13 @@ class TestTrainEval:
         assert code == 3
         assert "missing.ds" in capsys.readouterr().err
 
+    def test_dataset_path_is_a_directory_exit_3(self, tiny, capsys):
+        tmp, cfg = tiny
+        code = run("eval", "--config", cfg, "--dataset", tmp, "--out", tmp / "r.csv")
+        assert code == 3
+        assert f"dataset error: cannot read dataset {tmp}" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
     def test_shape_mismatch_exit_3(self, tiny):
         tmp, cfg = tiny
         ds = tmp / "train.ds"
@@ -275,6 +282,17 @@ class TestTrainEval:
         assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
                    "--out", tmp / "r.csv") == 5
         assert "non-finite value in tensor 'bf0.w'" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_checkpoint_exit_5(self, tiny, capsys, name):
+        tmp, cfg = tiny
+        test_ds = tmp / "test.ds"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", tmp / name,
+                   "--out", tmp / "r.csv") == 5
+        assert f"checkpoint error: cannot read checkpoint {tmp / name}" in capsys.readouterr().err
         assert not (tmp / "r.csv").exists()
 
     def test_corrupt_checkpoint_exit_5(self, tiny):
@@ -380,6 +398,31 @@ class TestTrainEval:
         lines = csv_out.read_text().splitlines()
         methods = {line.split(",")[1] for line in lines[1:]}
         assert methods == {"ZF", "MMSE"}
+
+
+    def test_neural_only_eval_without_checkpoint_exit_2(self, tiny, capsys):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace("ZF, MMSE, NNBF-P", "NNBF, NNBF-P"))
+        test_ds = tmp / "test.ds"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--out", tmp / "r.csv") == 2
+        assert "no method left to evaluate" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
+    def test_checkpoint_for_an_unlisted_method_exit_5(self, tiny, capsys):
+        tmp, cfg = tiny
+        train_ds, test_ds, ckpt = tmp / "train.ds", tmp / "test.ds", tmp / "m.ckpt"
+        run("generate", "--config", cfg, "--out", train_ds)
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        run("train", "--config", cfg, "--dataset", train_ds, "--ckpt", ckpt)
+        cfg.write_text(TINY_CONFIG.replace("ZF, MMSE, NNBF-P", "ZF, MMSE"))
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
+                   "--out", tmp / "r.csv") == 5
+        assert f"{ckpt}: checkpoint for NNBF-P, which the config does not list" \
+            in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
 
 
 class TestPlot:

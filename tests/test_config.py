@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from beamopt.config import (ConfigError, apply_desk_scale, parse_config, parse_config_text,
-                            serialize_config)
+from beamopt.config import ConfigError, apply_desk_scale, parse_config, parse_config_text
+from beamopt.reference import serialize_config
 
 MINIMAL = """
 [experiment]
@@ -148,6 +148,12 @@ def test_snr_range_guard():
     with pytest.raises(ConfigError, match=r"experiment\.snr_grid_db: \[60\.0\] outside"):
         parse_config_text(MINIMAL.replace("-5, 5", "-5, 60"))
     assert parse_config_text(MINIMAL.replace("-5, 5", "-15, 50")).snr_grid_db == (-15.0, 50.0)
+
+
+@pytest.mark.parametrize("grid", ["5, 5.0, 10", "-5, 5, -5", "0, -0.0"])
+def test_repeated_snr_rejected(grid):
+    with pytest.raises(ConfigError, match=r"experiment\.snr_grid_db: .* lists an SNR twice"):
+        parse_config_text(MINIMAL.replace("-5, 5", grid))
 
 
 def test_unknown_method_rejected():

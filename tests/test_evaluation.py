@@ -3,8 +3,9 @@ import pytest
 
 from beamopt.channel import ChannelDataset, gen_dataset, snr_db_to_noise_var
 from beamopt.evaluation import evaluate
-from beamopt.metrics import BeamformerSet, as_complex, sinr_per_ue, weighted_sum_rate
+from beamopt.metrics import as_complex
 from beamopt.models import ModelConfig, forward_graph, init_params
+from beamopt.reference import BeamformerSet, sinr_per_ue, weighted_sum_rate
 
 
 class SimpleCfg:

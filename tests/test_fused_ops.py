@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamopt import autodiff as ad
-from beamopt import metrics
+from beamopt import metrics, reference
 from beamopt.models import (NORM_FLOOR, ModelConfig, channel_to_input, forward_graph,
                             init_params, unit_beams)
 from beamopt.verify import weighted_sum
@@ -41,8 +41,8 @@ def run_block(fused, x_cl, w, gamma, beta, state, training, stride, mixer_cl):
             loss = weighted_sum(out, mixer_cl)
         else:
             x_cf = ad.Tensor(x_cl.transpose(0, 2, 1).copy(), requires_grad=True)
-            out = ad.gelu(ad.batchnorm1d(ad.conv1d(x_cf, wt, stride=stride, padding=1),
-                                         g, b, state, training=training))
+            conv = reference.conv1d(x_cf, wt, stride=stride, padding=1)
+            out = ad.gelu(reference.batchnorm1d(conv, g, b, state, training=training))
             loss = weighted_sum(out, mixer_cl.transpose(0, 2, 1))
             leaves[0] = x_cf
     tape.backward(loss)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from beamopt import autodiff as ad
-from beamopt.metrics import (BeamformerSet, neg_sum_rate_graph,
-                             per_sample_sum_rates, sinr_per_ue, weighted_sum_rate)
+from beamopt.metrics import neg_sum_rate_graph, per_sample_sum_rates
 from beamopt.models import unit_beams
+from beamopt.reference import BeamformerSet, sinr_per_ue, weighted_sum_rate
 
 
 def beam_tensor(w):

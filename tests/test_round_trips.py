@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamopt.channel import _TDL_TABLES, MAX_SEED, ChannelDataset, load_dataset, save_dataset
-from beamopt.config import KNOWN_METHODS, ExperimentConfig, parse_config_text, serialize_config
+from beamopt.config import KNOWN_METHODS, ExperimentConfig, parse_config_text
 from beamopt.models import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from beamopt.reference import serialize_config
 from beamopt.trainer import SNR_RANGE_DB, TrainConfig
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -103,7 +104,8 @@ def experiment_configs(draw):
                             delay_spread_ns=draw(POSITIVE), m_tx=draw(st.integers(n, 64)),
                             n_ue=n, k_sc=k_step * draw(st.integers(1, 4096 // k_step)),
                             scs_hz=draw(POSITIVE),
-                            snr_grid_db=tuple(draw(st.lists(snr, min_size=1, max_size=20))),
+                            snr_grid_db=tuple(draw(st.lists(snr, min_size=1, max_size=20,
+                                                            unique=True))),
                             jitter_db=draw(st.floats(0.0, 1e300)),
                             methods=methods,
                             train_samples=draw(st.integers(2, 10 ** 6)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamopt import autodiff as ad
-from beamopt import metrics, models
+from beamopt import metrics, models, reference
 from beamopt.channel import gen_dataset, snr_db_to_noise_var
 from beamopt.models import ModelConfig, forward_graph, init_params
 from beamopt.trainer import TrainConfig, TrainingDiverged, train, validation_size
@@ -106,9 +106,9 @@ class TestTrain:
             w, p = forward_graph(ds.h, params, cfg, training=True)
             loss = metrics.neg_sum_rate_graph(w, ds.h, p, sigma2)
         rates = [
-            metrics.weighted_sum_rate(metrics.sinr_per_ue(
+            reference.weighted_sum_rate(reference.sinr_per_ue(
                 ds.h[i],
-                metrics.BeamformerSet(metrics.as_complex(w.data[i]), p.data[i],
+                reference.BeamformerSet(metrics.as_complex(w.data[i]), p.data[i],
                                       p_max=float(cfg.n_ue)),
                 sigma2[i]))
             for i in range(len(ds))
