@@ -2,9 +2,10 @@
 
 Exit codes (the README's table has each case): 0 success; 1 verify
 failure, non-finite or above-ceiling eval rate, or unexpected error; 2
-invalid config, a train with no neural method, or an eval left with no
-method to score; 3 dataset missing, unreadable, corrupt or not fitting the
-config; 4 training diverged; 5 checkpoint missing, unreadable,
+invalid config, an --out or --ckpt whose directory does not exist (checked
+before any input is read), a train with no neural method, or an eval left
+with no method to score; 3 dataset missing, unreadable, corrupt or not
+fitting the config; 4 training diverged; 5 checkpoint missing, unreadable,
 incompatible, non-finite, repeated or for an unlisted method; 6 malformed
 results CSV.
 """
@@ -53,6 +54,13 @@ def _load_dataset_checked(path, cfg: ExperimentConfig) -> channel.ChannelDataset
     return ds
 
 
+def _require_directory(option: str, path) -> None:
+    """Fail before any work when the directory an output goes to does not exist."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{option}: directory {directory} does not exist")
+
+
 def _ckpt_path(base: str, method: str, multi: bool) -> str:
     if not multi:
         return base
@@ -61,6 +69,7 @@ def _ckpt_path(base: str, method: str, multi: bool) -> str:
 
 
 def cmd_generate(args) -> int:
+    _require_directory("--out", args.out)
     cfg = _load_config(args)
     if args.seed is not None and not 0 <= args.seed <= channel.MAX_SEED:
         raise ConfigError(f"--seed: must lie in [0, {channel.MAX_SEED}], got {args.seed}")
@@ -88,6 +97,7 @@ def _require_samples(ds: channel.ChannelDataset, path, key: str,
 
 
 def cmd_train(args) -> int:
+    _require_directory("--ckpt", args.ckpt)
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
     ds = _require_samples(ds, args.dataset, "train_samples", cfg.train_samples)
@@ -116,6 +126,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_directory("--out", args.out)
     cfg = _load_config(args)
     ds = _load_dataset_checked(args.dataset, cfg)
     ds = _require_samples(ds, args.dataset, "test_samples", cfg.test_samples)
@@ -148,6 +159,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    _require_directory("--out", args.out)
     rows = results.read_results_csv(args.results_csv)
     plotting.render_results_svg(rows, args.out)
     print(f"wrote {args.out}")

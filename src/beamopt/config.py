@@ -29,32 +29,33 @@ def _parse_methods(raw: str) -> tuple:
                  for tok in raw.split(",") if tok.strip())
 
 
-# (section, key, field, cast, default): field names the ExperimentConfig (under [train]
-# the TrainConfig) attribute, None the schema version; a None default marks a required key.
+# (section, key, field, cast, optional): field names the ExperimentConfig (under [train]
+# the TrainConfig) attribute, None the schema version; an optional key that a file leaves
+# out takes the field's dataclass default.
 SCHEMA = (
-    ("experiment", "schema_version", None, int, None),
-    ("experiment", "id", "id", str, None),
-    ("experiment", "profile", "profile", str, None),
-    ("experiment", "delay_spread_ns", "delay_spread_ns", float, None),
-    ("experiment", "m_tx", "m_tx", int, None),
-    ("experiment", "n_ue", "n_ue", int, None),
-    ("experiment", "k_sc", "k_sc", int, None),
-    ("experiment", "subcarrier_spacing_hz", "scs_hz", float, 30e3),
-    ("experiment", "snr_grid_db", "snr_grid_db", _parse_float_list, None),
-    ("experiment", "jitter_db", "jitter_db", float, None),
-    ("experiment", "methods", "methods", _parse_methods, None),
-    ("dataset", "train_samples", "train_samples", int, None),
-    ("dataset", "test_samples", "test_samples", int, None),
-    ("dataset", "seed", "seed", int, None),
-    ("train", "epochs", "epochs", int, None),
-    ("train", "batch_size", "batch_size", int, None),
-    ("train", "lr", "lr", float, None),
-    ("train", "lr_decay", "lr_decay", float, 1.0),
-    ("train", "seed", "seed", int, None),
-    ("train", "val_fraction", "val_fraction", float, 0.1),
-    ("train", "early_stop_patience", "early_stop_patience", int, 20),
-    ("train", "snr_sampling", "snr_sampling", str, "uniform"),
-    ("train", "fixed_snr_db", "fixed_snr_db", float, 5.0),
+    ("experiment", "schema_version", None, int, False),
+    ("experiment", "id", "id", str, False),
+    ("experiment", "profile", "profile", str, False),
+    ("experiment", "delay_spread_ns", "delay_spread_ns", float, False),
+    ("experiment", "m_tx", "m_tx", int, False),
+    ("experiment", "n_ue", "n_ue", int, False),
+    ("experiment", "k_sc", "k_sc", int, False),
+    ("experiment", "subcarrier_spacing_hz", "scs_hz", float, True),
+    ("experiment", "snr_grid_db", "snr_grid_db", _parse_float_list, False),
+    ("experiment", "jitter_db", "jitter_db", float, False),
+    ("experiment", "methods", "methods", _parse_methods, False),
+    ("dataset", "train_samples", "train_samples", int, False),
+    ("dataset", "test_samples", "test_samples", int, False),
+    ("dataset", "seed", "seed", int, False),
+    ("train", "epochs", "epochs", int, False),
+    ("train", "batch_size", "batch_size", int, False),
+    ("train", "lr", "lr", float, False),
+    ("train", "lr_decay", "lr_decay", float, True),
+    ("train", "seed", "seed", int, False),
+    ("train", "val_fraction", "val_fraction", float, True),
+    ("train", "early_stop_patience", "early_stop_patience", int, True),
+    ("train", "snr_sampling", "snr_sampling", str, True),
+    ("train", "fixed_snr_db", "fixed_snr_db", float, True),
 )
 
 KNOWN_KEYS = {section: tuple(key for s, key, *_ in SCHEMA if s == section)
@@ -132,10 +133,8 @@ class ExperimentConfig:
         return tuple(m for m in self.methods if m in NEURAL_METHODS)
 
 
-def _get(parser, section: str, key: str, cast, fallback=None):
+def _get(parser, section: str, key: str, cast):
     if not parser.has_option(section, key):
-        if fallback is not None:
-            return fallback
         raise ConfigError(f"{section}.{key}: missing required key")
     raw = parser.get(section, key)
     try:
@@ -145,8 +144,9 @@ def _get(parser, section: str, key: str, cast, fallback=None):
 
 
 def _fields(parser, section: str) -> dict:
-    return {field: _get(parser, section, key, cast, default)
-            for s, key, field, cast, default in SCHEMA if s == section and field}
+    return {field: _get(parser, section, key, cast)
+            for s, key, field, cast, optional in SCHEMA if s == section and field
+            and (parser.has_option(section, key) or not optional)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -3,10 +3,11 @@ matrices and per-UE noise variances for each (sample, nominal SNR) pair.
 
 Noise variances derive from the offsets stored in the dataset, so repeated
 runs are bit-identical and need no extra randomness. Work that does not
-depend on SNR runs once per dataset: the zero-forcing solve over the whole
-(S, K) stack of slices, each network's forward pass and the signal and
-interference terms (metrics.terms) of ZF and the networks. MMSE solves the
-stack and takes its terms once per SNR; every rate is metrics.rates_from.
+depend on SNR runs once per dataset: the eigendecomposition of every
+slice's Gram (baselines.gram_eigh), each network's forward pass and the
+signal and interference terms of ZF and the networks. Per SNR, MMSE's terms
+are baselines.regularized_terms at the new noise variance, (S, K, N, N)
+elementwise work with no solve; every rate is metrics.rates_from.
 
 Samples whose channel Gram is singular for zero-forcing are dropped for
 *all* methods to keep the comparison paired (with continuous channel draws
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .baselines import mmse_directions, zf_directions
+from .baselines import gram_eigh, regularized_terms, zf_terms
 from .channel import ChannelDataset, DatasetError, snr_db_to_noise_var
 from .models import ModelConfig, ModelParams, forward_graph
 
@@ -83,11 +84,10 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
         if method not in CLASSICAL_METHODS + NEURAL_METHODS:
             raise ValueError(f"unknown method {method!r}")
     h = dataset.h
-    equal = np.ones(dataset.ue_snr_offset_db.shape)
     h_norm2 = (h.real ** 2 + h.imag ** 2).sum(axis=2)          # ||h_{k,n}||^2, (S, K, N)
 
-    zf_w, singular = zf_directions(h)
-    keep = ~singular.any(axis=1)
+    eig = gram_eigh(h)
+    keep = ~eig.singular.any(axis=1)
     if not keep.any():
         raise NoServableSampleError(
             f"all {keep.size} samples have a channel Gram that is singular for zero-forcing")
@@ -97,15 +97,14 @@ def evaluate(dataset: ChannelDataset, snr_grid_db, methods,
             f"{', '.join(map(str, dropped))}")
     terms = {m: _neural_terms(h, *nn_models[m]) for m in methods if m in NEURAL_METHODS}
     if "ZF" in methods:
-        terms["ZF"] = metrics.terms(zf_w, h, equal)
+        terms["ZF"] = zf_terms(eig)
 
     rows: list[ResultRow] = []
     for snr_db in snr_grid_db:
         sigma2 = snr_db_to_noise_var(float(snr_db) + dataset.ue_snr_offset_db)
         ceiling = metrics.sum_rate_bound(h_norm2, sigma2) * (1.0 + BOUND_RTOL)
         if "MMSE" in methods:
-            w = mmse_directions(h, sigma2.mean(axis=1)[:, None])
-            terms["MMSE"] = metrics.terms(w, h, equal)
+            terms["MMSE"] = regularized_terms(eig, sigma2.mean(axis=1)[:, None, None])
         for method in methods:
             rates = metrics.rates_from(*terms[method], sigma2)
             bad = np.flatnonzero(keep & ~np.isfinite(rates))

@@ -1,8 +1,10 @@
 """The oracles: single-slice and single-sample references that the tests and
 `verify` check the batched pipeline against; generate, train, eval and plot
 run none of it. A slice H is (M, N), columns = UE channels, and under the h^T
-convention ZF gives h_j^T w_i = delta_ij. conv1d and batchnorm1d are the
-unfused ops of autodiff.conv_bn_gelu; serialize_config inverts config.parse_config_text.
+convention ZF gives h_j^T w_i = delta_ij. zf_directions and mmse_directions
+are the ZF and MMSE beams of a whole stack, which baselines.regularized_terms
+scores in closed form; conv1d and batchnorm1d are the unfused ops of
+autodiff.conv_bn_gelu; serialize_config inverts config.parse_config_text.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import BatchNormState, Tensor, as_tensor, make_op
-from .baselines import RCOND_MIN, _normalize_columns
+from .baselines import RCOND_MIN, zf_grams
 from .channel import TdlProfile, _phase_matrix
 from .config import KNOWN_KEYS, SCHEMA, SCHEMA_VERSION, ExperimentConfig
 from .metrics import _LN2
@@ -48,6 +50,10 @@ class VirtualUplinkPowers:
             raise ValueError("virtual uplink powers must be finite and non-negative")
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
+
+
+def _normalize_columns(w: np.ndarray) -> np.ndarray:
+    return w / np.linalg.norm(w, axis=-2, keepdims=True)
 
 
 def equal_power(n_ue: int, p_max: float) -> np.ndarray:
@@ -96,6 +102,35 @@ def mmse_beamformer(h_k, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     gram = h.T @ h.conj() + sigma2 * np.eye(n_ue)
     w = h.conj() @ np.linalg.solve(gram, np.eye(n_ue))
     return _normalize_columns(w), equal_power(n_ue, float(n_ue))
+
+
+def zf_directions(h) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing unit directions for a stack of slices (..., M, N), with
+    one LAPACK inverse.
+
+    Returns (w_tilde (..., M, N), singular (...,)): the beams zf_beamformer
+    gives per slice, and baselines.zf_grams' mask of the slices on which it
+    raises, whose directions are NaN.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    gram, _, singular = zf_grams(h)
+    gram[singular] = np.eye(h.shape[-1])               # keeps the stack invertible
+    with np.errstate(invalid="ignore"):                # zero columns of singular slices
+        w = _normalize_columns(h.conj() @ np.linalg.inv(gram))
+    w[singular] = np.nan
+    return w, singular
+
+
+def mmse_directions(h, reg) -> np.ndarray:
+    """MMSE unit directions for a stack of slices (..., M, N).
+
+    reg is mmse_beamformer's regularizer sigma^2 > 0, a scalar or one value
+    per slice; Gram + reg I is then positive definite, so no slice is singular.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    reg = np.asarray(reg, dtype=np.float64)[..., None, None]
+    gram = np.swapaxes(h, -1, -2) @ h.conj() + reg * np.eye(h.shape[-1])
+    return _normalize_columns(h.conj() @ np.linalg.inv(gram))
 
 
 def matched_filter(h_k) -> np.ndarray:

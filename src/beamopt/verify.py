@@ -106,8 +106,8 @@ def check_batched_classical() -> CheckResult:
     rng = np.random.default_rng(25)
     h = _rand_channel(rng, 24, 4, 3).reshape(3, 8, 4, 3)
     reg = rng.uniform(0.1, 2.0, (3, 8))
-    w_zf, _ = baselines.zf_directions(h)
-    w_mm = baselines.mmse_directions(h, reg)
+    w_zf, _ = reference.zf_directions(h)
+    w_mm = reference.mmse_directions(h, reg)
     worst = 0.0
     for idx in np.ndindex(3, 8):
         ref_mm, _ = reference.mmse_beamformer(h[idx], reg[idx])
@@ -115,11 +115,35 @@ def check_batched_classical() -> CheckResult:
         worst = max(worst, float(np.max(np.abs(w_zf[idx] - ref_zf))),
                     float(np.max(np.abs(w_mm[idx] - ref_mm))))
     band = channels_with_gram_cond(rng, np.geomspace(1e11, 1e13, 16), 4, 3)
-    _, singular = baselines.zf_directions(band)
+    _, singular = reference.zf_directions(band)
     differ = sum(bool(s) != zf_raises(b) for s, b in zip(singular, band))
     return CheckResult("batched_classical", worst <= 1e-10 and differ == 0,
                        f"max deviation {worst:.2e}, singular mask differs from zf_beamformer "
                        f"on {differ}/{len(band)} near-singular slices")
+
+
+def check_closed_form_classical() -> CheckResult:
+    """baselines.regularized_terms against metrics.terms of the ZF and MMSE
+    directions, on a stack that holds a Gram of condition number 1e9; and
+    the regulariser 1e-12 against ZF's 0."""
+    rng = np.random.default_rng(33)
+    h = _rand_channel(rng, 24, 4, 3).reshape(3, 8, 4, 3)
+    h[1, 5] = channels_with_gram_cond(rng, [1e9], 4, 3)[0]
+    sigma2 = rng.uniform(0.05, 2.0, (3, 3))
+    reg = sigma2.mean(axis=1)
+    eig = baselines.gram_eigh(h)
+    zf = metrics.rates_from(*baselines.zf_terms(eig), sigma2)
+    pairs = [(zf, reference.zf_directions(h)[0]),
+             (metrics.rates_from(*baselines.regularized_terms(eig, reg[:, None, None]), sigma2),
+              reference.mmse_directions(h, reg[:, None]))]
+    worst = max(float(np.max(np.abs(rates / metrics.per_sample_sum_rates(w, h, np.ones((3, 3)),
+                                                                        sigma2) - 1.0)))
+                for rates, w in pairs)
+    limit = metrics.rates_from(*baselines.regularized_terms(eig, 1e-12), sigma2)
+    gap = float(np.max(np.abs(limit / zf - 1.0)))
+    return CheckResult("closed_form_classical", worst <= 1e-9 and gap <= 1e-9,
+                       f"max rate deviation from the directions {worst:.2e}, "
+                       f"reg 1e-12 from ZF {gap:.2e}")
 
 
 def check_mmse_zf_limit() -> CheckResult:
@@ -365,11 +389,12 @@ def check_rate_bound() -> CheckResult:
     bound = metrics.sum_rate_bound((np.abs(h) ** 2).sum(axis=2), sigma2)
     w_rand = _rand_channel(rng, 48, 4, 3).reshape(6, 8, 4, 3)
     w_rand /= np.linalg.norm(w_rand, axis=2, keepdims=True)
-    designs = [(baselines.zf_directions(h)[0], np.ones((6, 3))),
-               (baselines.mmse_directions(h, sigma2.mean(axis=1)[:, None]), np.ones((6, 3))),
-               (w_rand, 3.0 * rng.dirichlet(np.ones(3), 6))]
-    worst = max(float(np.max(metrics.per_sample_sum_rates(w, h, p, sigma2) / bound))
-                for w, p in designs)
+    eig = baselines.gram_eigh(h)
+    rates = [metrics.rates_from(*baselines.zf_terms(eig), sigma2),
+             metrics.rates_from(*baselines.regularized_terms(eig, sigma2.mean(axis=1)[:, None, None]),
+                                sigma2),
+             metrics.per_sample_sum_rates(w_rand, h, 3.0 * rng.dirichlet(np.ones(3), 6), sigma2)]
+    worst = max(float(np.max(r / bound)) for r in rates)
     h1, s1 = h[..., :1], sigma2[:, :1]
     w_mf = h1.conj() / np.linalg.norm(h1, axis=2, keepdims=True)
     attained = metrics.per_sample_sum_rates(w_mf, h1, np.ones((6, 1)), s1)
@@ -487,6 +512,7 @@ def check_checkpoint_mapping() -> CheckResult:
 ALL_CHECKS = (
     check_zf_nulling,
     check_batched_classical,
+    check_closed_form_classical,
     check_mmse_zf_limit,
     check_structure_collinearity,
     check_structure_oracle,

@@ -105,8 +105,8 @@ def test_criterion_03_mmse_limit_and_ordering(zf_corpus):
     for _ in range(500):
         h = rand_complex(rng, 1, 4, 4)
         noise = np.full(4, sigma2)
-        for se, w in ((zf_se, bo.baselines.zf_directions(h)[0]),
-                      (mm_se, bo.baselines.mmse_directions(h, sigma2))):
+        for se, w in ((zf_se, reference.zf_directions(h)[0]),
+                      (mm_se, reference.mmse_directions(h, sigma2))):
             bf = bo.BeamformerSet(w_tilde=w, p=bo.equal_power(4, 4.0), p_max=4.0)
             se.append(reference.weighted_sum_rate(reference.sinr_per_ue(h, bf, noise)))
     assert np.mean(mm_se) >= np.mean(zf_se)

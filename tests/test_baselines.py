@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from beamopt.baselines import mmse_directions, zf_directions
 from beamopt.reference import (BeamformerSet, InfeasibleTargetsError, SingularChannelError,
                                VirtualUplinkPowers, equal_power, matched_filter,
-                               mmse_beamformer, optimal_structure_bf, sinr_per_ue,
-                               solve_virtual_uplink_powers, virtual_uplink_sinrs,
-                               weighted_sum_rate, zf_beamformer)
+                               mmse_beamformer, mmse_directions, optimal_structure_bf,
+                               sinr_per_ue, solve_virtual_uplink_powers, virtual_uplink_sinrs,
+                               weighted_sum_rate, zf_beamformer, zf_directions)
 
 
 def rand_channel(rng, m, n):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamopt.baselines import mmse_directions, zf_directions
-from beamopt.metrics import per_sample_sum_rates
-from beamopt.reference import (BeamformerSet, mmse_beamformer, sinr_per_ue, virtual_uplink_sinrs,
-                               weighted_sum_rate, zf_beamformer)
+from beamopt.baselines import gram_eigh, regularized_terms, zf_terms
+from beamopt.metrics import per_sample_sum_rates, rates_from, terms
+from beamopt.reference import (BeamformerSet, mmse_beamformer, mmse_directions, sinr_per_ue,
+                               virtual_uplink_sinrs, weighted_sum_rate, zf_beamformer,
+                               zf_directions)
 from beamopt.verify import channels_with_gram_cond, zf_raises
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -114,6 +115,61 @@ def test_batched_classical_rates_match_reference(h, method, seed):
     for i in range(s):
         ref = weighted_sum_rate(sinr_per_ue(h[i], BeamformerSet(w[i], p[i], float(n)), sigma2[i]))
         assert rates[i] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+def directions_terms(h, reg):
+    """metrics.terms of the reference ZF (reg None) or MMSE directions, equal unit powers."""
+    w = zf_directions(h)[0] if reg is None else mmse_directions(h, reg[:, None])
+    return terms(w, h, np.ones((h.shape[0], h.shape[-1])))
+
+
+@PROPERTY
+@given(channel_stacks(), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_terms_match_the_directions(h, seed):
+    s, _, _, n = h.shape
+    sigma2 = np.random.default_rng(seed).uniform(0.05, 2.0, (s, n))
+    reg = sigma2.mean(axis=1)
+    eig = gram_eigh(h)
+    assert not eig.singular.any()
+    for closed, ref in ((zf_terms(eig), directions_terms(h, None)),
+                        (regularized_terms(eig, reg[:, None, None]), directions_terms(h, reg))):
+        scale = np.max(ref[0], axis=(1, 2), keepdims=True)         # per sample
+        for got, want in zip(closed, ref):                          # ZF's interference is rounding
+            assert np.all(np.abs(got - want) <= 1e-9 * (np.abs(want) + scale))
+        np.testing.assert_allclose(rates_from(*closed, sigma2), rates_from(*ref, sigma2),
+                                   rtol=1e-9)
+
+
+def test_closed_form_on_a_zf_singular_slice_keeps_the_true_gram():
+    """ZF's terms are NaN on the singular slice only; MMSE's rate there is the
+    directions' rate, which the Gram replaced by I would not give."""
+    rng = np.random.default_rng(2)
+    h = crandn(rng, (3, 4, 4, 3))
+    h[1, 2, :, 1] = h[1, 2, :, 0]                               # two UEs, one channel
+    sigma2 = rng.uniform(0.05, 0.5, (3, 3))
+    reg = sigma2.mean(axis=1)
+    eig = gram_eigh(h)
+    np.testing.assert_array_equal(eig.singular, zf_directions(h)[1])
+    for t in zf_terms(eig):
+        assert np.all(np.isnan(t[1, 2])) and not np.isnan(np.delete(t.reshape(12, 3), 6, 0)).any()
+    mmse = regularized_terms(eig, reg[:, None, None])
+    np.testing.assert_allclose(rates_from(*mmse, sigma2),
+                               rates_from(*directions_terms(h, reg), sigma2), rtol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closed_form_on_a_non_finite_slice_is_nan(bad):
+    rng = np.random.default_rng(3)
+    h = crandn(rng, (2, 3, 4, 2))
+    h[1, 0, 2, 1] = bad
+    with np.errstate(invalid="ignore"):
+        eig = gram_eigh(h)
+        np.testing.assert_array_equal(eig.singular, zf_directions(h)[1])
+    assert eig.singular.tolist() == [[False] * 3, [True, False, False]]
+    for terms_ in (zf_terms(eig), regularized_terms(eig, 0.5)):
+        for t in terms_:
+            assert np.all(np.isnan(t[1, 0])) and np.all(np.isfinite(t[0])) \
+                and np.all(np.isfinite(t[1, 1:]))
 
 
 @PROPERTY

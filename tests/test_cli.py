@@ -486,10 +486,36 @@ class TestVerify:
         assert all(float(l.split()[2]) >= 0.0 and l.split()[3] == "ms" for l in lines)
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command, option", [("generate", "--out"), ("train", "--ckpt"),
+                                                 ("eval", "--out"), ("plot", "--out")])
+    def test_missing_output_directory_exit_2_before_any_input_is_read(self, tiny, capsys,
+                                                                      command, option):
+        """The inputs do not exist either: exit 2, not 3 or 6, shows the output's
+        directory is checked first, before any work."""
+        tmp, cfg = tiny
+        inputs = {"generate": ["--config", cfg],
+                  "train": ["--config", cfg, "--dataset", tmp / "missing.ds"],
+                  "eval": ["--config", cfg, "--dataset", tmp / "missing.ds"],
+                  "plot": [tmp / "missing.csv"]}[command]
+        assert run(command, *inputs, option, tmp / "nodir" / "x.out") == 2
+        assert f"config error: {option}: directory {tmp / 'nodir'} does not exist" \
+            in capsys.readouterr().err
+        assert not (tmp / "nodir").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "beamopt.cli", "--help"],
                               capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "generate" in proc.stdout and "verify" in proc.stdout
+
+    def test_package_invocation_from_a_checkout(self):
+        src = str(Path(beamopt.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "beamopt", "--help"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "verify" in proc.stdout
 

@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from beamopt.config import ConfigError, apply_desk_scale, parse_config, parse_config_text
+from beamopt.config import SCHEMA, ConfigError, apply_desk_scale, parse_config, parse_config_text
 from beamopt.reference import serialize_config
+from beamopt.trainer import TrainConfig
 
 MINIMAL = """
 [experiment]
@@ -40,6 +41,20 @@ def test_minimal_parse():
     assert cfg.methods == ("ZF", "MMSE")
     assert cfg.train.epochs == 2
     assert cfg.scs_hz == 30e3          # default
+
+
+def test_optional_keys_take_the_dataclass_defaults():
+    """MINIMAL leaves out the six optional keys; each takes its field's default,
+    which is written only in the dataclass."""
+    assert [key for _, key, _, _, optional in SCHEMA if optional] == [
+        "subcarrier_spacing_hz", "lr_decay", "val_fraction", "early_stop_patience",
+        "snr_sampling", "fixed_snr_db"]
+    cfg = parse_config_text(MINIMAL)
+    assert cfg.scs_hz == 30e3
+    t = cfg.train
+    assert (t.lr_decay, t.val_fraction, t.early_stop_patience, t.snr_sampling,
+            t.fixed_snr_db) == (1.0, 0.1, 20, "uniform", 5.0)
+    assert t == TrainConfig(epochs=2, batch_size=4, lr=0.001, seed=5)
 
 
 def test_round_trip_identity():
