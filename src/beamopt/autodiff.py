@@ -137,9 +137,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 class Tape:
     """Ordered record of executed ops; supports exactly one backward pass."""

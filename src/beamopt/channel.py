@@ -174,8 +174,6 @@ def draw_ue_snrs(nominal_snr_db: float, jitter_db: float, n_ue: int,
     """Per-UE SNRs: nominal + Gaussian offset (sigma = jitter/2), clipped to +/- jitter."""
     if n_ue < 1:
         raise ValueError("need at least one UE")
-    if jitter_db == 0:
-        return np.full(n_ue, nominal_snr_db)
     delta = rng.standard_normal(n_ue) * (jitter_db / 2.0)
     delta = np.clip(delta, -jitter_db, jitter_db)
     return nominal_snr_db + delta

@@ -9,12 +9,14 @@ import csv
 import math
 
 from .evaluation import ResultRow
+from .trainer import SNR_RANGE_DB
 
 CSV_COLUMNS = ("experiment", "method", "snr_db", "se_mean", "se_std", "n")
 
 
 class CsvFormatError(ValueError):
-    """Results CSV is missing, malformed, empty, or holds a non-finite value or n < 1."""
+    """Results CSV is missing, malformed, empty, or holds a non-finite value, an
+    snr_db outside trainer.SNR_RANGE_DB or n < 1."""
 
 
 def write_results_csv(rows, path) -> None:
@@ -49,6 +51,9 @@ def read_results_csv(path) -> list[ResultRow]:
                 for name, value in zip(CSV_COLUMNS[2:5], (row.snr_db, row.se_mean, row.se_std)):
                     if not math.isfinite(value):
                         raise CsvFormatError(f"{path}:{lineno}: {name} must be finite, got {value!r}")
+                lo, hi = SNR_RANGE_DB
+                if not lo <= row.snr_db <= hi:
+                    raise CsvFormatError(f"{path}:{lineno}: snr_db {row.snr_db!r} outside [{lo}, {hi}]")
                 if row.n < 1:
                     raise CsvFormatError(f"{path}:{lineno}: n must be at least 1, got {row.n}")
                 rows.append(row)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,17 +92,12 @@ class TrainReport:
     val_loss: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_loss: float = float("inf")
-    wall_time_s: float = 0.0
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             f.write("epoch,train_loss,val_loss\n")
             for i, (tr, va) in enumerate(zip(self.train_loss, self.val_loss)):
                 f.write(f"{i},{tr!r},{va!r}\n")
-
-
-def _noise_vars(offsets_db: np.ndarray, nominal_db: float) -> np.ndarray:
-    return snr_db_to_noise_var(nominal_db + offsets_db)
 
 
 def _val_nominals(tc: TrainConfig, n_val: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,7 +122,6 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
     if smallest * cfg.n_ue * cfg.m_tx * (cfg.k_sc // downsampling(cfg.bb_spec)) < 2:
         raise BatchTooSmallError(f"train.batch_size: {tc.batch_size} leaves a batch of {smallest}, "
                                  f"one element per batch-norm channel at K={cfg.k_sc}, M=N=1")
-    t0 = time.perf_counter()
     root = np.random.SeedSequence(tc.seed)
     split_rng, shuffle_rng, snr_rng, val_rng = (
         np.random.Generator(np.random.PCG64(s)) for s in root.spawn(4))
@@ -156,7 +149,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
             else:
                 nominal = float(snr_rng.uniform(*SNR_RANGE_DB))
             h = dataset.h[batch_idx]
-            sigma2 = _noise_vars(dataset.ue_snr_offset_db[batch_idx], nominal)
+            sigma2 = snr_db_to_noise_var(nominal + dataset.ue_snr_offset_db[batch_idx])
             with ad.Tape() as tape:
                 w, p = forward_graph(h, params, cfg, training=True)
                 loss = metrics.neg_sum_rate_graph(w, h, p, sigma2)
@@ -190,7 +183,6 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
 
     if best is None:
         best = params.copy()
-    report.wall_time_s = time.perf_counter() - t0
     return best, report
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import baselines, kernels, metrics, models, reference
+from . import baselines, channel, evaluation, kernels, metrics, models, reference
 from .models import ModelConfig, forward_graph, init_params, power_split, unit_beams
 
 
@@ -144,6 +144,26 @@ def check_closed_form_classical() -> CheckResult:
     return CheckResult("closed_form_classical", worst <= 1e-9 and gap <= 1e-9,
                        f"max rate deviation from the directions {worst:.2e}, "
                        f"reg 1e-12 from ZF {gap:.2e}")
+
+
+def check_eval_classical_rows() -> CheckResult:
+    """evaluate's ZF and MMSE rows against the mean rates of the beams of
+    reference.zf_directions and reference.mmse_directions, MMSE regularised
+    at each sample's mean sigma^2."""
+    rng = np.random.default_rng(38)
+    h = _rand_channel(rng, 48, 4, 3).reshape(6, 8, 4, 3)
+    offsets = rng.uniform(-6.0, 6.0, (6, 3))
+    ds = channel.ChannelDataset(h=h, ue_snr_offset_db=offsets, profile="TDL-A",
+                                delay_spread_ns=30.0, jitter_db=6.0, seed=0)
+    w_zf, _ = reference.zf_directions(h)
+    worst = 0.0
+    for row in evaluation.evaluate(ds, (-5.0, 10.0, 25.0), evaluation.CLASSICAL_METHODS):
+        sigma2 = channel.snr_db_to_noise_var(row.snr_db + offsets)
+        w = w_zf if row.method == "ZF" else reference.mmse_directions(h, sigma2.mean(axis=1)[:, None])
+        want = metrics.per_sample_sum_rates(w, h, np.ones((6, 3)), sigma2).mean()
+        worst = max(worst, abs(row.se_mean / want - 1.0))
+    return CheckResult("eval_classical_rows", worst <= 1e-9,
+                       f"max se_mean deviation from the oracle beams {worst:.2e}")
 
 
 def check_mmse_zf_limit() -> CheckResult:
@@ -513,6 +533,7 @@ ALL_CHECKS = (
     check_zf_nulling,
     check_batched_classical,
     check_closed_form_classical,
+    check_eval_classical_rows,
     check_mmse_zf_limit,
     check_structure_collinearity,
     check_structure_oracle,

@@ -117,8 +117,10 @@ class TestTapsToFreq:
 
 class TestDrawUeSnrs:
     def test_zero_jitter(self):
-        out = draw_ue_snrs(5.0, 0.0, 4, np.random.default_rng(4))
-        np.testing.assert_array_equal(out, np.full(4, 5.0))
+        # bytes, not values: assert_array_equal would pass a -0.0 offset
+        for nominal in (0.0, 5.0):
+            out = draw_ue_snrs(nominal, 0.0, 4, np.random.default_rng(4))
+            assert out.tobytes() == np.full(4, nominal).tobytes()
 
     def test_moments_match_rule(self):
         rng = np.random.default_rng(5)

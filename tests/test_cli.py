@@ -439,7 +439,7 @@ class TestPlot:
         assert run("plot", bad, "--out", tmp / "x.svg") == 6
 
     @pytest.mark.parametrize("record", ["exp,ZF,5.0,nan,0.1,4", "exp,ZF,inf,1.0,0.1,4",
-                                        "exp,ZF,5.0,1.0,0.1,-3"])
+                                        "exp,ZF,5.0,1.0,0.1,-3", "exp,ZF,1e17,2.0,0.1,4"])
     def test_non_finite_or_empty_row_exit_6(self, tiny, capsys, record):
         tmp, _ = tiny
         bad = tmp / "bad.csv"

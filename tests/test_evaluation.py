@@ -3,9 +3,10 @@ import pytest
 
 from beamopt.channel import ChannelDataset, gen_dataset, snr_db_to_noise_var
 from beamopt.evaluation import evaluate
-from beamopt.metrics import as_complex
+from beamopt.metrics import as_complex, per_sample_sum_rates
 from beamopt.models import ModelConfig, forward_graph, init_params
-from beamopt.reference import BeamformerSet, sinr_per_ue, weighted_sum_rate
+from beamopt.reference import (BeamformerSet, mmse_directions, sinr_per_ue, weighted_sum_rate,
+                               zf_directions)
 
 
 class SimpleCfg:
@@ -33,6 +34,20 @@ def test_reproducible_bit_exact():
     a = evaluate(ds, [0.0, 10.0], ["ZF", "MMSE"])
     b = evaluate(ds, [0.0, 10.0], ["ZF", "MMSE"])
     assert a == b
+
+
+def test_classical_rows_match_the_direction_oracles():
+    """Each ZF and MMSE row is the mean rate of the oracle beams at equal
+    powers, MMSE regularised at each sample's mean sigma^2."""
+    ds = gen_dataset(SimpleCfg(), count=16, seed=3)
+    w_zf, singular = zf_directions(ds.h)
+    assert not singular.any()
+    rows = evaluate(ds, [-10.0, 5.0, 20.0, 35.0], ["ZF", "MMSE"])
+    for row in rows:
+        sigma2 = snr_db_to_noise_var(row.snr_db + ds.ue_snr_offset_db)
+        w = w_zf if row.method == "ZF" else mmse_directions(ds.h, sigma2.mean(axis=1)[:, None])
+        want = per_sample_sum_rates(w, ds.h, np.ones((16, SimpleCfg.n_ue)), sigma2).mean()
+        assert row.se_mean == pytest.approx(want, rel=1e-9, abs=0.0), (row.method, row.snr_db)
 
 
 def test_zf_closed_form_on_orthogonal_channels():
