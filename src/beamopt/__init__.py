@@ -7,8 +7,8 @@ spectral efficiency against SNR on tapped-delay-line channels.
 """
 
 from .autodiff import Adam, BatchNormState, Tape, Tensor
-from .channel import (ChannelDataset, TdlProfile, draw_ue_snrs, gen_channel, gen_dataset,
-                      load_dataset, save_dataset, snr_db_to_noise_var)
+from .channel import (ChannelDataset, TdlProfile, gen_dataset, load_dataset, save_dataset,
+                      snr_db_to_noise_var)
 from .config import ExperimentConfig, apply_desk_scale, parse_config
 from .evaluation import ResultRow, evaluate
 from .models import (ModelConfig, ModelParams, forward_graph, init_params, load_checkpoint,
@@ -16,8 +16,8 @@ from .models import (ModelConfig, ModelParams, forward_graph, init_params, load_
 from .reference import (BeamformerSet, InfeasibleTargetsError, SingularChannelError,
                         VirtualUplinkPowers, equal_power, gen_taps, matched_filter,
                         mmse_beamformer, optimal_structure_bf, serialize_config, sinr_per_ue,
-                        solve_virtual_uplink_powers, taps_to_freq, weighted_sum_rate,
-                        zf_beamformer)
+                        solve_virtual_uplink_powers, taps_to_freq, ue_snr_offsets,
+                        weighted_sum_rate, zf_beamformer)
 from .trainer import TrainConfig, TrainReport, TrainingDiverged, train
 
 __version__ = "0.1.0"

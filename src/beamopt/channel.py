@@ -12,7 +12,6 @@ dataset serves the whole SNR sweep with identical draws for every method.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import os
@@ -94,12 +93,8 @@ class TdlProfile:
         object.__setattr__(self, "powers", p)
 
     @classmethod
-    @functools.cache
     def load(cls, name: str) -> "TdlProfile":
-        """Load a built-in profile by name, sorting taps and normalizing powers.
-
-        Memoised: every call with the same name returns the same read-only profile.
-        """
+        """Load a built-in profile by name, sorting taps and normalizing powers."""
         if name not in _TDL_TABLES:
             raise ValueError(f"unknown delay profile {name!r}; choose from {sorted(_TDL_TABLES)}")
         delays, powers_db = _TDL_TABLES[name]
@@ -160,50 +155,9 @@ def _phase_matrix(delays_s: np.ndarray, k_sc: int, scs_hz: float) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(freqs, delays_s))
 
 
-@functools.cache
-def _profile_phase(profile: TdlProfile, delay_spread_ns: float, k_sc: int,
-                   scs_hz: float) -> np.ndarray:
-    """The read-only phase matrix of a profile at a delay spread, memoised per argument set."""
-    phase = _phase_matrix(profile.delays * delay_spread_ns * 1e-9, k_sc, scs_hz)
-    phase.setflags(write=False)
-    return phase
-
-
-def draw_ue_snrs(nominal_snr_db: float, jitter_db: float, n_ue: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Per-UE SNRs: nominal + Gaussian offset (sigma = jitter/2), clipped to +/- jitter."""
-    if n_ue < 1:
-        raise ValueError("need at least one UE")
-    delta = rng.standard_normal(n_ue) * (jitter_db / 2.0)
-    delta = np.clip(delta, -jitter_db, jitter_db)
-    return nominal_snr_db + delta
-
-
 def snr_db_to_noise_var(snr_db) -> np.ndarray:
     """Noise variance for unit-average channel gain and reference power P_max/N = 1."""
     return 10.0 ** (-np.asarray(snr_db, dtype=np.float64) / 10.0)
-
-
-def gen_channel(cfg, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One channel snapshot for a config exposing profile, delay_spread_ns,
-    m_tx, n_ue, k_sc, scs_hz and jitter_db.
-
-    Returns (h, offsets): the complex128 channel (K, M, N) and the per-UE
-    SNR offsets in dB (N,).
-
-    Tap draws are independent per (tx antenna, UE) pair; the profile
-    normalization gives E[|H[k,m,n]|^2] = 1. The draws and arithmetic are
-    those of reference.gen_taps + taps_to_freq per pair, so the output is
-    bit-identical to that composition.
-    """
-    profile = cfg.profile if isinstance(cfg.profile, TdlProfile) else TdlProfile.load(cfg.profile)
-    if cfg.delay_spread_ns <= 0:
-        raise ValueError("delay spread must be positive")
-    phase = _profile_phase(profile, cfg.delay_spread_ns, cfg.k_sc, cfg.scs_hz)
-    z = rng.standard_normal((cfg.m_tx, cfg.n_ue, 2, profile.delays.size))
-    gains = (z[:, :, 0] + 1j * z[:, :, 1]) * np.sqrt(profile.powers / 2.0)
-    h = np.matmul(phase, gains[..., None])[..., 0]      # (M, N, K)
-    return h.transpose(2, 0, 1), draw_ue_snrs(0.0, cfg.jitter_db, cfg.n_ue, rng)
 
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
@@ -212,15 +166,37 @@ def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
 
 
 def gen_dataset(cfg, count: int, seed: int) -> ChannelDataset:
-    """Generate `count` independent samples; deterministic for fixed seed and config."""
+    """`count` independent samples for a config exposing profile (a built-in
+    profile name), delay_spread_ns, m_tx, n_ue, k_sc, scs_hz and jitter_db.
+
+    The loop only draws: sample i's stream, sample_rng(seed, i), gives its
+    (M, N, 2, L) tap normals, then its N offset normals. The rest runs once
+    over the stack, so a file's first s samples are the s-sample file, and
+    each sample is bit-identical to reference.gen_taps + taps_to_freq per
+    (m, n) pair, then reference.ue_snr_offsets, on its stream.
+    """
     if count < 1:
         raise ValueError("dataset must contain at least one sample")
-    h = np.empty((count, cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)
-    offsets = np.empty((count, cfg.n_ue), dtype=np.float64)
+    if cfg.delay_spread_ns <= 0:
+        raise ValueError("delay spread must be positive")
+    profile = TdlProfile.load(cfg.profile)
+    phase = _phase_matrix(profile.delays * cfg.delay_spread_ns * 1e-9, cfg.k_sc, cfg.scs_hz)
+    z = np.empty((count, cfg.m_tx, cfg.n_ue, 2, profile.delays.size))
+    delta = np.empty((count, cfg.n_ue))
     for i in range(count):
-        h[i], offsets[i] = gen_channel(cfg, sample_rng(seed, i))
-    return ChannelDataset(h=h, ue_snr_offset_db=offsets, profile=str(getattr(cfg.profile, "name", cfg.profile)),
-                          delay_spread_ns=float(cfg.delay_spread_ns), jitter_db=float(cfg.jitter_db),
+        rng = sample_rng(seed, i)
+        rng.standard_normal(out=z[i])
+        rng.standard_normal(out=delta[i])
+    gains = z[..., 0, :] + 1j * z[..., 1, :]
+    del z                                       # so the draws and h are never held together
+    gains *=np.sqrt(profile.powers / 2.0)      # in place: one fewer stack-sized array
+    h = np.empty((count, cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=np.complex128)
+    np.matmul(phase, gains[..., None], out=h.transpose(0, 2, 3, 1)[..., None])
+    jitter = cfg.jitter_db
+    # 0.0 + turns the -0.0 that clip leaves at jitter 0 into +0.0
+    offsets = 0.0 + np.clip(delta * (jitter / 2), -jitter, jitter)
+    return ChannelDataset(h=h, ue_snr_offset_db=offsets, profile=profile.name,
+                          delay_spread_ns=float(cfg.delay_spread_ns), jitter_db=float(jitter),
                           seed=int(seed))
 
 

@@ -31,8 +31,6 @@ def _fmt(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw_step = (hi - lo) / max(target - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

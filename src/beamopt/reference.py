@@ -4,7 +4,9 @@ run none of it. A slice H is (M, N), columns = UE channels, and under the h^T
 convention ZF gives h_j^T w_i = delta_ij. zf_directions and mmse_directions
 are the ZF and MMSE beams of a whole stack, which baselines.regularized_terms
 scores in closed form; conv1d and batchnorm1d are the unfused ops of
-autodiff.conv_bn_gelu; serialize_config inverts config.parse_config_text.
+autodiff.conv_bn_gelu; gen_taps + taps_to_freq per (tx antenna, UE) pair,
+then ue_snr_offsets, is one sample of channel.gen_dataset from its stream;
+serialize_config inverts config.parse_config_text.
 """
 
 from __future__ import annotations
@@ -365,6 +367,13 @@ def taps_to_freq(taps, k_sc: int, scs_hz: float) -> np.ndarray:
     delays = np.array([t[0] for t in taps], dtype=np.float64)
     gains = np.array([t[1] for t in taps], dtype=np.complex128)
     return _phase_matrix(delays, k_sc, scs_hz) @ gains
+
+
+def ue_snr_offsets(jitter_db: float, n_ue: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-UE SNR offsets in dB: Gaussian with sigma = jitter/2, clipped to
+    +/- jitter, and +0.0 (not -0.0) at jitter 0."""
+    delta = rng.standard_normal(n_ue) * (jitter_db / 2.0)
+    return 0.0 + np.clip(delta, -jitter_db, jitter_db)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

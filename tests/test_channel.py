@@ -4,11 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamopt.channel import (ChannelDataset, CorruptDatasetError, DatasetShapeError,
-                             DatasetVersionError, TdlProfile, draw_ue_snrs, gen_channel,
-                             gen_dataset, load_dataset, sample_rng, save_dataset,
+from beamopt.channel import (CorruptDatasetError, DatasetShapeError, DatasetVersionError,
+                             TdlProfile, gen_dataset, load_dataset, save_dataset,
                              snr_db_to_noise_var)
-from beamopt.reference import gen_taps, taps_to_freq
+from beamopt.reference import gen_taps, taps_to_freq, ue_snr_offsets
 
 # A few anchor values transcribed independently from the 3GPP TR 38.901
 # NLOS tables (normalized delay, power dB) to pin the embedded data.
@@ -26,6 +25,44 @@ class SimpleCfg:
         self.k_sc = k_sc
         self.scs_hz = scs_hz
         self.jitter_db = jitter_db
+
+
+def per_pair_sample(cfg, seed: int, i: int):
+    """Sample i of a gen_dataset file from the references: on the stream
+    PCG64(SeedSequence((seed, i))), gen_taps + taps_to_freq for each (m, n)
+    pair, then reference.ue_snr_offsets."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+    prof = TdlProfile.load(cfg.profile)
+    h = np.empty((cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=complex)
+    for m in range(cfg.m_tx):
+        for n in range(cfg.n_ue):
+            h[:, m, n] = taps_to_freq(gen_taps(prof, cfg.delay_spread_ns, rng), cfg.k_sc, cfg.scs_hz)
+    return h, ue_snr_offsets(cfg.jitter_db, cfg.n_ue, rng)
+
+
+def matches_per_pair_oracle(cfg, seed: int = 7, count: int = 4) -> bool:
+    """Whether every sample of a `count`-sample gen_dataset file equals
+    per_pair_sample byte for byte (so a -0.0 offset does not match +0.0)."""
+    ds = gen_dataset(cfg, count=count, seed=seed)
+    oracle = [per_pair_sample(cfg, seed, i) for i in range(count)]
+    return all(ds.h[i].tobytes() == h.tobytes()
+               and ds.ue_snr_offset_db[i].tobytes() == offsets.tobytes()
+               for i, (h, offsets) in enumerate(oracle))
+
+
+@pytest.fixture(scope="module")
+def jittered_offsets():
+    """The offsets of 10,000 samples of 10 UEs at 20 dB jitter (one tx antenna
+    and subcarrier keep the tap draws small)."""
+    cfg = SimpleCfg(m_tx=1, n_ue=10, k_sc=1, jitter_db=20.0)
+    return gen_dataset(cfg, count=10_000, seed=5).ue_snr_offset_db
+
+
+@pytest.fixture(scope="module")
+def subcarrier_zero():
+    """H[0, :, 0] of 100,000 samples of two tx antennas and one UE."""
+    cfg = SimpleCfg(m_tx=2, n_ue=1, k_sc=1, delay_spread_ns=100.0)
+    return gen_dataset(cfg, count=100_000, seed=10).h[:, 0, :, 0]
 
 
 class TestTdlProfile:
@@ -54,9 +91,8 @@ class TestTdlProfile:
         with pytest.raises(ValueError, match="unknown delay profile"):
             TdlProfile.load("TDL-B")
 
-    def test_load_is_memoised_and_read_only(self):
+    def test_load_is_read_only(self):
         prof = TdlProfile.load("TDL-C")
-        assert TdlProfile.load("TDL-C") is prof
         with pytest.raises(ValueError, match="read-only"):
             prof.powers[0] = 1.0
 
@@ -116,53 +152,43 @@ class TestTapsToFreq:
 
 
 class TestDrawUeSnrs:
+    """The per-UE SNR offsets that gen_dataset draws."""
+
     def test_zero_jitter(self):
         # bytes, not values: assert_array_equal would pass a -0.0 offset
-        for nominal in (0.0, 5.0):
-            out = draw_ue_snrs(nominal, 0.0, 4, np.random.default_rng(4))
-            assert out.tobytes() == np.full(4, nominal).tobytes()
+        ds = gen_dataset(SimpleCfg(m_tx=4, n_ue=4, jitter_db=0.0), count=16, seed=4)
+        assert ds.ue_snr_offset_db.tobytes() == np.zeros((16, 4)).tobytes()
 
-    def test_moments_match_rule(self):
-        rng = np.random.default_rng(5)
-        draws = np.concatenate([draw_ue_snrs(5.0, 20.0, 10, rng)
-                                for _ in range(10_000)])
-        assert draws.mean() == pytest.approx(5.0, abs=0.3)
+    def test_moments_match_rule(self, jittered_offsets):
+        assert jittered_offsets.mean() == pytest.approx(0.0, abs=0.3)
         # sigma = jitter/2 = 10 dB, mildly shrunk by the +/-20 dB clipping
-        assert draws.std() == pytest.approx(10.0, rel=0.05)
+        assert jittered_offsets.std() == pytest.approx(10.0, rel=0.05)
 
-    def test_clipping_bounds(self):
-        rng = np.random.default_rng(6)
-        draws = np.concatenate([draw_ue_snrs(5.0, 20.0, 10, rng)
-                                for _ in range(10_000)])
-        assert draws.min() >= -15.0 and draws.max() <= 25.0
+    def test_clipping_bounds(self, jittered_offsets):
+        assert jittered_offsets.min() >= -20.0 and jittered_offsets.max() <= 20.0
 
 
 class TestGenChannel:
-    def test_shape_matches_table_dimensions(self):
-        cfg = SimpleCfg(m_tx=4, n_ue=4, k_sc=48)
-        h, offsets = gen_channel(cfg, np.random.default_rng(8))
-        assert h.shape == (48, 4, 4) and offsets.shape == (4,)
-        assert h.shape[0] == 12 * 4
+    """The channels that gen_dataset draws."""
 
-    def test_unit_average_gain_single_tap(self):
-        cfg = SimpleCfg(m_tx=1, n_ue=1, k_sc=1)
-        cfg.profile = TdlProfile(name="flat", delays=np.array([0.0]), powers=np.array([1.0]))
-        rng = np.random.default_rng(9)
-        gains = np.array([abs(gen_channel(cfg, rng)[0][0, 0, 0]) ** 2 for _ in range(100_000)])
+    def test_shape_matches_table_dimensions(self):
+        ds = gen_dataset(SimpleCfg(m_tx=4, n_ue=4, k_sc=48), count=2, seed=8)
+        assert ds.h.shape == (2, 48, 4, 4) and ds.ue_snr_offset_db.shape == (2, 4)
+        assert ds.h.shape[1] == 12 * 4
+
+    def test_unit_average_gain_single_tap(self, subcarrier_zero):
+        """Every tap's phase is 1 at subcarrier 0, so H[0, m, n] sums the taps
+        of a unit-power profile into one unit-variance Rayleigh tap."""
+        gains = np.abs(subcarrier_zero[:, 0]) ** 2
         assert gains.mean() == pytest.approx(1.0, rel=0.03)
 
-    def test_antenna_pairs_uncorrelated(self):
-        cfg = SimpleCfg(m_tx=2, n_ue=1, k_sc=1, delay_spread_ns=100.0)
-        rng = np.random.default_rng(10)
-        draws = np.array([gen_channel(cfg, rng)[0][0, :, 0] for _ in range(100_000)])
-        corr = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
+    def test_antenna_pairs_uncorrelated(self, subcarrier_zero):
+        corr = np.mean(subcarrier_zero[:, 0] * np.conj(subcarrier_zero[:, 1]))
         assert abs(corr) < 0.02
 
     def test_parseval_energy_across_subcarriers(self):
         cfg = SimpleCfg(m_tx=1, n_ue=1, k_sc=16, profile="TDL-C", delay_spread_ns=300.0)
-        rng = np.random.default_rng(11)
-        energy = np.mean([np.mean(np.abs(gen_channel(cfg, rng)[0]) ** 2)
-                          for _ in range(20_000)])
+        energy = np.mean(np.abs(gen_dataset(cfg, count=20_000, seed=11).h) ** 2)
         assert energy == pytest.approx(1.0, rel=0.03)
 
 
@@ -292,27 +318,17 @@ class TestDataset:
         assert a.fingerprint() == b.fingerprint()
 
     def test_sample_streams_independent_of_order(self):
-        cfg = SimpleCfg()
-        h5, _ = gen_channel(cfg, sample_rng(3, 5))
-        full = gen_dataset(cfg, count=8, seed=3)
-        np.testing.assert_array_equal(full.h[5], h5)
+        """A 6-sample file is the first 6 samples of an 8-sample file, byte for
+        byte: cli._require_samples relies on it."""
+        cfg = SimpleCfg(jitter_db=6.0)
+        six, eight = gen_dataset(cfg, count=6, seed=3), gen_dataset(cfg, count=8, seed=3)
+        assert six.h.tobytes() == eight.h[:6].tobytes()
+        assert six.ue_snr_offset_db.tobytes() == eight.ue_snr_offset_db[:6].tobytes()
 
     @pytest.mark.parametrize("cfg", [SimpleCfg(jitter_db=6.0),
                                      SimpleCfg("TDL-C", 300.0, m_tx=3, n_ue=2, k_sc=12)])
-    def test_gen_channel_bit_identical_to_per_pair_taps(self, cfg):
-        """The tap oracle: gen_taps + taps_to_freq per (m, n) pair, then the offsets."""
-        prof = TdlProfile.load(cfg.profile)
-        for i in range(4):
-            rng = sample_rng(7, i)
-            h = np.empty((cfg.k_sc, cfg.m_tx, cfg.n_ue), dtype=complex)
-            for m in range(cfg.m_tx):
-                for n in range(cfg.n_ue):
-                    h[:, m, n] = taps_to_freq(gen_taps(prof, cfg.delay_spread_ns, rng),
-                                              cfg.k_sc, cfg.scs_hz)
-            offsets = draw_ue_snrs(0.0, cfg.jitter_db, cfg.n_ue, rng)
-            sample_h, sample_offsets = gen_channel(cfg, sample_rng(7, i))
-            np.testing.assert_array_equal(sample_h, h)
-            np.testing.assert_array_equal(sample_offsets, offsets)
+    def test_bit_identical_to_per_pair_taps(self, cfg):
+        assert matches_per_pair_oracle(cfg)
 
 
 def test_snr_to_noise_var_convention():

@@ -196,6 +196,21 @@ class TestTrainEval:
         bad_cfg.write_text(TINY_CONFIG.replace("m_tx = 2", "m_tx = 4"))
         assert run("train", "--config", bad_cfg, "--dataset", ds, "--ckpt", tmp / "m.ckpt") == 3
 
+    @pytest.mark.parametrize("old, new, made_for", [
+        ("profile = TDL-A", "profile = TDL-C", "TDL-C/30.0ns/jitter 6.0dB"),
+        ("delay_spread_ns = 30", "delay_spread_ns = 300", "TDL-A/300.0ns/jitter 6.0dB"),
+        ("jitter_db = 6", "jitter_db = 0", "TDL-A/30.0ns/jitter 0.0dB")])
+    def test_dataset_for_another_channel_exit_3(self, tiny, capsys, old, new, made_for):
+        tmp, cfg = tiny
+        other_cfg, test_ds = tmp / "other.ini", tmp / "test.ds"
+        other_cfg.write_text(TINY_CONFIG.replace(old, new))
+        run("generate", "--config", other_cfg, "--out", test_ds, "--split", "test")
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--out", tmp / "r.csv") == 3
+        assert f"dataset generated for {made_for}, config wants TDL-A/30.0ns/jitter 6.0dB" \
+            in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
     def test_dataset_smaller_than_train_samples_exit_3(self, tiny, capsys):
         tmp, cfg = tiny
         test_ds = tmp / "test.ds"
@@ -295,6 +310,19 @@ class TestTrainEval:
         assert f"checkpoint error: cannot read checkpoint {tmp / name}" in capsys.readouterr().err
         assert not (tmp / "r.csv").exists()
 
+    def test_two_checkpoints_for_one_method_exit_5(self, tiny, capsys):
+        tmp, cfg = tiny
+        test_ds, first, second = tmp / "test.ds", tmp / "a.ckpt", tmp / "b.ckpt"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        mc = models.ModelConfig(m_tx=2, n_ue=2, k_sc=8, joint_power=True)
+        for path, seed in ((first, 0), (second, 1)):
+            models.save_checkpoint(path, mc, models.init_params(mc, np.random.default_rng(seed)))
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", first,
+                   "--ckpt", second, "--out", tmp / "r.csv") == 5
+        assert f"{second}: duplicate checkpoint for NNBF-P" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
     def test_corrupt_checkpoint_exit_5(self, tiny):
         tmp, cfg = tiny
         test_ds = tmp / "test.ds"
@@ -372,6 +400,17 @@ class TestTrainEval:
         assert run("train", "--config", cfg, "--dataset", train_ds, "--ckpt", tmp / "m.ckpt") == 2
         assert "config error: train.batch_size: 2 leaves a batch of 1, one element per " \
             "batch-norm channel at K=4, M=N=1" in capsys.readouterr().err
+        assert not list(tmp.glob("m*"))
+
+    def test_train_without_a_neural_method_exit_2(self, tiny, capsys):
+        tmp, cfg = tiny
+        cfg.write_text(TINY_CONFIG.replace("ZF, MMSE, NNBF-P", "ZF, MMSE"))
+        train_ds = tmp / "train.ds"
+        run("generate", "--config", cfg, "--out", train_ds)
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--dataset", train_ds, "--ckpt", tmp / "m.ckpt") == 2
+        assert "config lists no neural methods (NNBF / NNBF-P); nothing to train" \
+            in capsys.readouterr().err
         assert not list(tmp.glob("m*"))
 
     def test_diverged_training_exit_4(self, tiny, monkeypatch):

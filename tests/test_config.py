@@ -73,6 +73,15 @@ def test_field_level_messages():
         parse_config_text(MINIMAL.replace("schema_version = 1", "schema_version = 9"))
     with pytest.raises(ConfigError, match="missing section"):
         parse_config_text(MINIMAL.replace("[dataset]", "[data]"))
+    for old, new, message in [
+            ("id = t1", "id = ", "experiment.id: must be non-empty"),
+            ("profile = TDL-A", "profile = TDL-B", "experiment.profile: unknown profile 'TDL-B'"),
+            ("k_sc = 8", "k_sc = 0", "experiment.k_sc: must be at least 1"),
+            ("snr_grid_db = -5, 5", "snr_grid_db =", "experiment.snr_grid_db: must list at least"),
+            ("methods = ZF, MMSE", "methods =", "experiment.methods: must list at least one"),
+            ("[experiment]", "stray line\n[experiment]", "config syntax: .*no section headers")]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(MINIMAL.replace(old, new))
 
 
 @pytest.mark.parametrize("key, line", [

@@ -14,8 +14,8 @@ train and test, train, eval with checkpoints, eval --desk-scale, plot),
 (c) `eval` and `plot` on a one-SNR grid.
 A line counts as run only in a frame that no `verify.py` frame called, so a
 runtime function that only `verify` calls counts as unrun. Every
-functools.cache of the runtime modules is cleared first, so the cached
-functions run their bodies again.
+module-level functools.cache of the runtime modules (kernels.build's) is
+cleared first, so the cached functions run their bodies again.
 
 The guard fails on any unrun line of a runtime function, method, property
 or nested function, with two exceptions. Failure lines, which the exit-code
@@ -71,8 +71,6 @@ ALLOWED = {
         4, "the fallbacks: no cc on PATH, or a normal_fill that fails its self-check"),
     "beamopt.models._table_mismatch": (
         10, "the message of a rejected checkpoint's array table"),
-    "beamopt.plotting._nice_ticks": (
-        1, "a flat range; render_results_svg widens a flat x range and y starts at 0"),
     "beamopt.trainer.train": (
         1, "the copy when no epoch improves: every loss NaN or +inf"),
 }
@@ -85,12 +83,8 @@ def runtime_modules():
 
 
 def clear_caches(module) -> None:
-    """Clear every functools.cache the module defines, on functions and class members."""
-    found = list(vars(module).values())
-    found += [member for obj in found if inspect.isclass(obj) and obj.__module__ == module.__name__
-              for member in vars(obj).values()]
-    for obj in found:
-        obj = getattr(obj, "__func__", obj)           # classmethod, staticmethod
+    """Clear every module-level functools.cache the module defines."""
+    for obj in vars(module).values():
         if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__:
             obj.cache_clear()
 
