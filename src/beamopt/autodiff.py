@@ -341,13 +341,6 @@ class BatchNormState:
     mean: np.ndarray
     var: np.ndarray
 
-    @classmethod
-    def fresh(cls, channels: int) -> "BatchNormState":
-        return cls(mean=np.zeros(channels), var=np.ones(channels))
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(mean=self.mean.copy(), var=self.var.copy())
-
 
 def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
                  stride: int = 1, padding: int = 0, eps: float = 1e-5,
@@ -361,6 +354,8 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
     reductions sum(gz) and sum(gz * xhat), gz being the gradient at the GELU
     input, once for dx, dw, dgamma and dbeta, and skips dx when x needs no
     gradient. The op keeps cols, xhat, the GELU input z and its cdf for it.
+    Only a train-mode block has a pull: a backward pass through an eval-mode
+    block raises instead of detaching the backbone.
     """
     x, w, gamma, beta = as_tensor(x), as_tensor(w), as_tensor(gamma), as_tensor(beta)
     if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
@@ -404,6 +399,8 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
     cdf *= 0.5
 
     def pull(g):
+        if not training:
+            raise RuntimeError("conv_bn_gelu: no gradient through a batch norm in eval mode")
         gz = z * z
         gz *= -0.5
         np.exp(gz, out=gz)
@@ -415,14 +412,11 @@ def conv_bn_gelu(x, w, gamma, beta, state: BatchNormState, training: bool,
         dbeta = ones @ gz
         gz_xhat = gz * xhat
         dgamma = ones @ gz_xhat
-        if training:
-            gz *= n
-            gz -= dbeta
-            np.multiply(xhat, dgamma, out=gz_xhat)
-            gz -= gz_xhat
-            gz *= gamma.data * ivar / n
-        else:
-            gz *= gamma.data * ivar
+        gz *= n
+        gz -= dbeta
+        np.multiply(xhat, dgamma, out=gz_xhat)
+        gz -= gz_xhat
+        gz *= gamma.data * ivar / n
         # gz is now the gradient at the conv output. dw goes first, so dcols
         # and dxp do not live through the dw GEMM.
         dw = dx = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .channel import _TDL_TABLES, MAX_SEED
 from .evaluation import CLASSICAL_METHODS, NEURAL_METHODS
-from .models import DEFAULT_BB_SPEC, downsampling
+from .models import DOWNSAMPLING
 from .trainer import SNR_RANGE_DB, TrainConfig, validation_size
 
 SCHEMA_VERSION = 1
@@ -95,10 +95,9 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.m_tx/n_ue: need M >= N >= 1, got {self.m_tx}x{self.n_ue}")
         if self.k_sc < 1:
             raise ConfigError("experiment.k_sc: must be at least 1")
-        down = downsampling(DEFAULT_BB_SPEC)
-        if self.k_sc % down and self.neural_methods:
-            raise ConfigError(f"experiment.k_sc: NNBF and NNBF-P need K divisible by {down}, "
-                              f"got {self.k_sc}")
+        if self.k_sc % DOWNSAMPLING and self.neural_methods:
+            raise ConfigError(f"experiment.k_sc: NNBF and NNBF-P need K divisible by "
+                              f"{DOWNSAMPLING}, got {self.k_sc}")
         if not (math.isfinite(self.scs_hz) and self.scs_hz > 0):
             raise ConfigError(f"experiment.subcarrier_spacing_hz: must be finite and positive, "
                               f"got {self.scs_hz!r}")

@@ -1,10 +1,11 @@
-"""Neural beamforming models: a backbone of conv/batch-norm/GELU basic
+"""Neural beamforming models: a fixed backbone of conv/batch-norm/GELU
 blocks feeding separate fully connected heads for beam directions and
 (optionally) per-UE power allocation.
 
-Each basic block is one fused autodiff op (ad.conv_bn_gelu) on channels-last
-activations, (B*N*M, L, C); the group flatten puts the features back in
-(n, m), C, L order, the order the FC weights and checkpoints use.
+Each backbone block is one fused autodiff op (ad.conv_bn_gelu) on
+channels-last activations, (B*N*M, L, C); the group flatten puts the
+features back in (n, m), C, L order, the order the FC weights and
+checkpoints use.
 
 Output constraints are architectural, not learned: unit_beams divides each
 beam column by its norm (plus a 1e-12 floor) in one op, and power_split
@@ -32,20 +33,18 @@ from .autodiff import BatchNormState, Tensor
 
 NORM_FLOOR = 1e-12
 
-DEFAULT_BB_SPEC = ((2, 16, False), (16, 32, True), (32, 32, True))
+# (c_in, c_out, downsample) per block: the 2 I/Q channels in, and with K/4
+# positions left, C*L = 8K features per antenna pair out
+BB_SPEC = ((2, 16, False), (16, 32, True), (32, 32, True))
+DOWNSAMPLING = 2 ** sum(down for _, _, down in BB_SPEC)
 KERNEL_SIZE = 3
 PADDING = 1
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 CHECKPOINT_MAGIC = b"BMCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 CHECKPOINT_ALIGN = 64          # the payload starts at a multiple of this
-
-
-def downsampling(bb_spec) -> int:
-    """The factor by which a backbone shortens the K axis: 2 per downsampling block."""
-    return 2 ** sum(bool(down) for _, _, down in bb_spec)
 
 
 class CheckpointError(Exception):
@@ -60,31 +59,17 @@ class ModelConfig:
     n_ue: int
     k_sc: int
     joint_power: bool = True                      # False = equal-power variant
-    bb_spec: tuple = DEFAULT_BB_SPEC              # (c_in, c_out, downsample) per block
     fc_widths_bf: tuple = (1024,)
     fc_widths_pw: tuple = (1024,)
 
     def __post_init__(self):
         if min(self.m_tx, self.n_ue, self.k_sc) < 1 or self.m_tx < self.n_ue:
             raise ValueError(f"need M >= N >= 1, K >= 1; got M={self.m_tx} N={self.n_ue} K={self.k_sc}")
-        if not self.bb_spec or any(len(block) != 3 for block in self.bb_spec):
-            raise ValueError(f"bb_spec must list (c_in, c_out, downsample) blocks: {self.bb_spec}")
-        sizes = (self.m_tx, self.n_ue, self.k_sc, *self.fc_widths_bf, *self.fc_widths_pw,
-                 *(c for block in self.bb_spec for c in block[:2]))
+        sizes = (self.m_tx, self.n_ue, self.k_sc, *self.fc_widths_bf, *self.fc_widths_pw)
         if any(type(v) is not int or v < 1 for v in sizes):
-            raise ValueError(f"dimensions, channels and widths must be positive integers: {self}")
-        if self.bb_spec[0][0] != 2:
-            raise ValueError("first block must take the 2 I/Q channels")
-        for prev, nxt in zip(self.bb_spec, self.bb_spec[1:]):
-            if prev[1] != nxt[0]:
-                raise ValueError(f"block channel mismatch: {prev} -> {nxt}")
-        down = downsampling(self.bb_spec)
-        if self.k_sc % down != 0:
-            raise ValueError(f"K={self.k_sc} must be divisible by the total downsampling {down}")
-        c_last = self.bb_spec[-1][1]
-        if c_last * (self.k_sc // down) != 8 * self.k_sc:
-            raise ValueError(
-                f"backbone must end with C*L = 8K features per antenna pair, got {c_last}*{self.k_sc // down}")
+            raise ValueError(f"dimensions and widths must be positive integers: {self}")
+        if self.k_sc % DOWNSAMPLING != 0:
+            raise ValueError(f"K={self.k_sc} must be divisible by the total downsampling {DOWNSAMPLING}")
 
     @property
     def flat_features(self) -> int:
@@ -93,54 +78,48 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
         """The config whose `asdict` went through JSON as `raw`."""
-        return cls(**{**raw, "bb_spec": tuple(tuple(b) for b in raw["bb_spec"]),
-                      "fc_widths_bf": tuple(raw["fc_widths_bf"]),
+        return cls(**{**raw, "fc_widths_bf": tuple(raw["fc_widths_bf"]),
                       "fc_widths_pw": tuple(raw["fc_widths_pw"])})
 
 
 class ModelParams:
-    """Named trainable tensors that share one flat float64 vector, plus
-    batch-norm running-stat buffers.
+    """The model's whole state in one flat float64 vector, laid out as the
+    checkpoint payload: every parameter in `spec` (param_spec) order, then
+    each batch-norm layer's run_mean and run_var.
 
-    `shapes` maps each tensor name to its shape in layout order. `flat`
-    (default: a new uninitialised vector; load_checkpoint passes a
-    copy-on-write mapping of the file) holds the values back to back, and
-    each tensor's .data is a view of it. Init, Adam and `copy(out=)` write
-    through those views; no code gives a tensor a new .data array, so `flat`
-    always holds the current values.
+    `arrays` maps each array's name to its view of `flat`, in that order;
+    `tensors` (the trainable Tensors) and `bn_states` (the running stats)
+    hold the same views. `flat` defaults to a new uninitialised vector;
+    load_checkpoint passes a copy-on-write mapping of the file. Init, Adam,
+    train-mode batch norm and `copy(out=)` write through the views; no code
+    gives a tensor a new .data array, so `flat` always holds the current
+    state.
     """
 
-    def __init__(self, shapes: "OrderedDict[str, tuple]", flat: np.ndarray | None = None):
-        sizes = [math.prod(shape) for shape in shapes.values()]
+    def __init__(self, spec: list, flat: np.ndarray | None = None):
+        self.spec = spec
+        layout = _layout(spec)
+        sizes = [math.prod(shape) for _, shape in layout]
         self.flat = np.empty(sum(sizes)) if flat is None else flat
-        self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
-        self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
+        self.arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
         offset = 0
-        for (name, shape), size in zip(shapes.items(), sizes):
-            self.tensors[name] = Tensor(self.flat[offset:offset + size].reshape(shape),
-                                        requires_grad=True)
+        for (name, shape), size in zip(layout, sizes):
+            self.arrays[name] = self.flat[offset:offset + size].reshape(shape)
             offset += size
+        self.tensors = OrderedDict((name, Tensor(self.arrays[name], requires_grad=True))
+                                   for name, _, init in spec if init != "bn")
+        self.bn_states = OrderedDict(
+            (name, BatchNormState(self.arrays[name + ".run_mean"], self.arrays[name + ".run_var"]))
+            for name, _, init in spec if init == "bn")
 
     def copy(self, out: "ModelParams | None" = None) -> "ModelParams":
-        """A copy that shares no memory with these parameters; with `out`, one
-        of the same layout, the values are written into its buffers instead."""
-        shapes = OrderedDict((name, t.data.shape) for name, t in self.tensors.items())
+        """A copy that shares no memory with this state; with `out`, one of
+        the same layout, the values are written into its vector instead."""
         if out is None:
-            out = ModelParams(shapes, self.flat.copy())
-        elif OrderedDict((name, t.data.shape) for name, t in out.tensors.items()) != shapes:
+            return ModelParams(self.spec, self.flat.copy())
+        if out.spec != self.spec:
             raise ValueError("copy target has a different parameter layout")
-        else:
-            np.copyto(out.flat, self.flat)
-        out.bn_states = OrderedDict((name, st.copy()) for name, st in self.bn_states.items())
-        return out
-
-    def flat_arrays(self) -> "OrderedDict[str, np.ndarray]":
-        out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for name, t in self.tensors.items():
-            out[name] = t.data
-        for name, st in self.bn_states.items():
-            out[name + ".run_mean"] = st.mean
-            out[name + ".run_var"] = st.var
+        np.copyto(out.flat, self.flat)
         return out
 
 
@@ -153,7 +132,7 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     parameters.
     """
     spec = []
-    for i, (c_in, c_out, _) in enumerate(cfg.bb_spec):
+    for i, (c_in, c_out, _) in enumerate(BB_SPEC):
         spec += [(f"bb{i}.conv.w", (c_out, c_in, KERNEL_SIZE), "normal"),
                  (f"bb{i}.bn.gamma", (c_out,), "ones"), (f"bb{i}.bn.beta", (c_out,), "zeros"),
                  (f"bb{i}.bn", (c_out,), "bn")]
@@ -169,32 +148,31 @@ def param_spec(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     return spec
 
 
+def _layout(spec) -> list[tuple[str, tuple]]:
+    """(name, shape) of each array of the state in payload order: the
+    parameters in spec order, then each batch-norm run_mean and run_var."""
+    return ([(name, shape) for name, shape, init in spec if init != "bn"]
+            + [(f"{name}.{stat}", shape) for name, shape, init in spec if init == "bn"
+               for stat in ("run_mean", "run_var")])
+
+
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Kaiming-style fan-in normal init; zeros for biases/beta, ones for gamma.
 
     Draws go straight into the flat vector, in param_spec order, scaled in the
     same pass: the bits of `rng.standard_normal(out=w); w *= sqrt(2 / fan_in)`.
     """
-    spec = param_spec(cfg)
-    params = ModelParams(OrderedDict((name, shape) for name, shape, init in spec if init != "bn"))
-    for name, shape, init in spec:
+    params = ModelParams(param_spec(cfg))
+    for name, shape, init in params.spec:
         if init == "normal":
             kernels.standard_normal(rng, params.tensors[name].data,
                                     np.sqrt(2.0 / math.prod(shape[1:])))
         elif init == "bn":
-            params.bn_states[name] = BatchNormState.fresh(shape[0])
+            params.bn_states[name].mean[...] = 0.0
+            params.bn_states[name].var[...] = 1.0
         else:
             params.tensors[name].data[...] = 1.0 if init == "ones" else 0.0
     return params
-
-
-def basic_block(x: Tensor, conv_w: Tensor, gamma: Tensor, beta: Tensor,
-                state: BatchNormState, downsample: bool, training: bool) -> Tensor:
-    """conv1d -> batch norm -> GELU as one op on channels-last (rows, L, C)
-    activations; downsampling blocks use stride 2."""
-    return ad.conv_bn_gelu(x, conv_w, gamma, beta, state, training=training,
-                           stride=2 if downsample else 1, padding=PADDING,
-                           eps=BN_EPS, momentum=BN_MOMENTUM)
 
 
 def channel_to_input(h: np.ndarray) -> np.ndarray:
@@ -263,10 +241,11 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
         raise ValueError(f"channel batch {h.shape[1:]} does not match config "
                          f"(K={cfg.k_sc}, M={cfg.m_tx}, N={cfg.n_ue})")
     x = Tensor(channel_to_input(h))
-    for i, (_, _, down) in enumerate(cfg.bb_spec):
-        x = basic_block(x, params.tensors[f"bb{i}.conv.w"],
-                        params.tensors[f"bb{i}.bn.gamma"], params.tensors[f"bb{i}.bn.beta"],
-                        params.bn_states[f"bb{i}.bn"], downsample=down, training=training)
+    for i, (_, _, down) in enumerate(BB_SPEC):
+        x = ad.conv_bn_gelu(x, params.tensors[f"bb{i}.conv.w"], params.tensors[f"bb{i}.bn.gamma"],
+                            params.tensors[f"bb{i}.bn.beta"], params.bn_states[f"bb{i}.bn"],
+                            training=training, stride=2 if down else 1, padding=PADDING,
+                            eps=BN_EPS, momentum=BN_MOMENTUM)
     # (B, 8NMK) in (n, m), C, L order, the order the FC weights were drawn for
     feat = ad.flatten_groups(x, group=n_ue * m_tx)
 
@@ -286,25 +265,23 @@ def forward_graph(h: np.ndarray, params: ModelParams, cfg: ModelConfig,
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: ModelParams) -> None:
-    """Model checkpoint v3: magic, version and a JSON header (the model config
+    """Model checkpoint v4: magic, version and a JSON header (the model config
     and the payload's array table), padded to CHECKPOINT_ALIGN bytes, then one
-    little-endian float64 payload: params.flat, then each batch-norm run_mean
-    and run_var.
+    little-endian float64 payload: params.flat, the parameters followed by
+    each batch-norm run_mean and run_var.
 
     The path is unlinked and created anew, never truncated: a reader that
     mapped the old file keeps the old inode, and so the old values.
     """
-    arrays = params.flat_arrays()
     header = json.dumps({"model": asdict(cfg),
-                         "tensors": [[name, list(a.shape)] for name, a in arrays.items()]},
+                         "tensors": [[name, list(a.shape)] for name, a in params.arrays.items()]},
                         sort_keys=True).encode("utf-8")
     header += b" " * (-(12 + len(header)) % CHECKPOINT_ALIGN)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
     with open(path, "xb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
-        for a in arrays.values():
-            f.write(memoryview(np.asarray(a, dtype="<f8").reshape(-1)))
+        f.write(memoryview(np.asarray(params.flat, dtype="<f8")))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
@@ -313,9 +290,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     whose size is not the header's plus the table's payload. A file that cannot
     be opened or mapped is a CheckpointError too.
 
-    The file is mapped copy-on-write: params.flat and the batch-norm buffers
-    view the mapping, so the payload is never copied, and writes to them
-    never reach the file.
+    The file is mapped copy-on-write: params.flat is the mapped payload, so
+    it is never copied, and writes to it never reach the file.
     """
     try:
         f = open(path, "rb")
@@ -339,13 +315,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: bad config header: {exc}") from exc
         spec = param_spec(cfg)
-        shapes = OrderedDict((name, shape) for name, shape, init in spec if init != "bn")
-        bn = [(name, shape[0]) for name, shape, init in spec if init == "bn"]
-        expected = OrderedDict(shapes)
-        for name, channels in bn:
-            expected.update({name + ".run_mean": (channels,), name + ".run_var": (channels,)})
+        expected = OrderedDict(_layout(spec))
         if table != expected:
-            raise CheckpointError(f"{path}: {_table_mismatch(table, expected, shapes)}")
+            raise CheckpointError(f"{path}: {_table_mismatch(table, expected)}")
         start, count = 12 + header_len, sum(math.prod(s) for s in expected.values())
         if start % CHECKPOINT_ALIGN or start + 8 * count != size:
             raise CheckpointError(f"{path}: {size} bytes, expected a {CHECKPOINT_ALIGN}-byte "
@@ -355,30 +327,23 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
         except (OSError, ValueError) as exc:
             raise CheckpointError(f"{path}: cannot map the file: {exc}") from exc
 
-    n_params = sum(math.prod(s) for s in shapes.values())
-    flat = np.frombuffer(mapping, dtype="<f8", count=n_params, offset=start)
-    buffers = np.frombuffer(mapping, dtype="<f8", offset=start + 8 * n_params)
+    flat = np.frombuffer(mapping, dtype="<f8", count=count, offset=start)
     if sys.byteorder == "big":
-        flat, buffers = flat.astype(np.float64), buffers.astype(np.float64)
-    params = ModelParams(shapes, flat)
-    at = 0
-    for name, channels in bn:
-        params.bn_states[name] = BatchNormState(mean=buffers[at:at + channels],
-                                                var=buffers[at + channels:at + 2 * channels])
-        at += 2 * channels
+        flat = flat.astype(np.float64)
+    params = ModelParams(spec, flat)
     # a sum of squares is finite when every entry is, unless it overflows;
     # only then does the exact scan run
-    bad = next((name for name, arr in params.flat_arrays().items()
+    bad = next((name for name, arr in params.arrays.items()
                 if not (math.isfinite(np.vdot(arr, arr)) or np.isfinite(arr).all())), None)
     if bad is not None:
         raise CheckpointError(f"{path}: non-finite value in tensor {bad!r}")
     return cfg, params
 
 
-def _table_mismatch(table, expected, parameters) -> str:
+def _table_mismatch(table, expected) -> str:
     """What differs between a checkpoint's array table and the config's."""
     for name, shape in expected.items():
-        kind = "parameter" if name in parameters else "buffer"
+        kind = "buffer" if name.endswith((".run_mean", ".run_var")) else "parameter"
         if name not in table:
             return f"missing {kind} {name!r}"
         if table[name] != shape:

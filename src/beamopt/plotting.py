@@ -7,6 +7,7 @@ on library versions, hash seeds, or timestamps.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 WIDTH, HEIGHT = 640, 440
@@ -107,7 +108,7 @@ def render_results_svg(rows, path) -> None:
              f'fill="none" stroke="black" stroke-width="1"/>')
     parts.append(frame)
 
-    fallback = iter(_FALLBACK_COLORS)
+    fallback = itertools.cycle(_FALLBACK_COLORS)
     colors = {}
     for method in methods:
         colors[method] = METHOD_COLORS.get(method) or next(fallback)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .channel import ChannelDataset, snr_db_to_noise_var
-from .models import ModelConfig, ModelParams, downsampling, forward_graph
+from .models import DOWNSAMPLING, ModelConfig, ModelParams, forward_graph
 
 # Nominal SNRs the harness supports: uniform training draws and the eval grid.
 SNR_RANGE_DB = (-15.0, 50.0)
@@ -119,7 +119,7 @@ def train(cfg: ModelConfig, params: ModelParams, dataset: ChannelDataset,
     """
     n_val = validation_size(len(dataset), tc.val_fraction)
     smallest = (len(dataset) - n_val) % tc.batch_size or tc.batch_size
-    if smallest * cfg.n_ue * cfg.m_tx * (cfg.k_sc // downsampling(cfg.bb_spec)) < 2:
+    if smallest * cfg.n_ue * cfg.m_tx * (cfg.k_sc // DOWNSAMPLING) < 2:
         raise BatchTooSmallError(f"train.batch_size: {tc.batch_size} leaves a batch of {smallest}, "
                                  f"one element per batch-norm channel at K={cfg.k_sc}, M=N=1")
     root = np.random.SeedSequence(tc.seed)

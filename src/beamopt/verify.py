@@ -286,7 +286,7 @@ def check_grad_batchnorm() -> CheckResult:
     mixer = rng.standard_normal((2, 3, 4))
 
     def build(t):
-        state = ad.BatchNormState.fresh(3)
+        state = ad.BatchNormState(np.zeros(3), np.ones(3))
         y = reference.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta), state, training=True)
         return weighted_sum(y, mixer)
 
@@ -294,13 +294,13 @@ def check_grad_batchnorm() -> CheckResult:
     return CheckResult("grad_batchnorm", ok, detail)
 
 
-def check_grad_basic_block() -> CheckResult:
+def check_grad_conv_bn_gelu() -> CheckResult:
     """All four VJPs of the fused conv -> batch norm -> GELU op, stride 2."""
     rng = np.random.default_rng(27)
     mixer = rng.standard_normal((2, 4, 3))
 
     def build(x, w, gamma, beta):
-        y = ad.conv_bn_gelu(x, w, gamma, beta, ad.BatchNormState.fresh(3),
+        y = ad.conv_bn_gelu(x, w, gamma, beta, ad.BatchNormState(np.zeros(3), np.ones(3)),
                             training=True, stride=2, padding=1)
         return weighted_sum(y, mixer)
 
@@ -308,7 +308,7 @@ def check_grad_basic_block() -> CheckResult:
     inputs = [xw[:32].reshape(2, 8, 2), xw[32:].reshape(3, 2, 3), rng.uniform(0.5, 1.5, 3),
               rng.standard_normal(3)]
     ok, detail = _grad_check(build, inputs, 1e-5)
-    return CheckResult("grad_basic_block", ok, detail)
+    return CheckResult("grad_conv_bn_gelu", ok, detail)
 
 
 def check_grad_sum_rates() -> CheckResult:
@@ -348,10 +348,9 @@ def check_grad_full_loss() -> CheckResult:
 
     def loss_with(data) -> float:
         target.data[...] = data.reshape(target.data.shape)
-        states = {k: v.copy() for k, v in params.bn_states.items()}
+        state = params.flat.copy()
         w, p = forward_graph(h, params, cfg, training=True)
-        for k in params.bn_states:
-            params.bn_states[k] = states[k]
+        params.flat[...] = state           # undo the forward's batch-norm updates
         return -metrics.per_sample_sum_rates(metrics.as_complex(w.data), h, p.data,
                                              sigma2).mean()
 
@@ -507,17 +506,17 @@ def check_normal_kernels() -> CheckResult:
 
 def check_checkpoint_mapping() -> CheckResult:
     """Values loaded from a checkpoint stay bit-identical while a save replaces
-    its file, and a version 2 header is rejected."""
+    its file, and a version 3 header is rejected."""
     cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
     with tempfile.TemporaryDirectory(prefix="beamopt-verify-") as tmp:
         path = os.path.join(tmp, "m.ckpt")
         models.save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(31)))
         _, loaded = models.load_checkpoint(path)
-        before = [a.tobytes() for a in loaded.flat_arrays().values()]
+        before = loaded.flat.tobytes()
         models.save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(32)))
-        kept = before == [a.tobytes() for a in loaded.flat_arrays().values()]
+        kept = before == loaded.flat.tobytes()
         with open(path, "r+b") as f:
-            f.write(b"BMCK" + struct.pack("<I", 2))
+            f.write(b"BMCK" + struct.pack("<I", 3))
         try:
             models.load_checkpoint(path)
             rejected = False
@@ -526,7 +525,7 @@ def check_checkpoint_mapping() -> CheckResult:
     return CheckResult("checkpoint_mapping", kept and rejected,
                        f"{'mapped' if not loaded.flat.flags.owndata else 'copied'} values "
                        f"{'kept' if kept else 'changed'} across a save to their path, "
-                       f"version 2 header {'rejected' if rejected else 'accepted'}")
+                       f"version 3 header {'rejected' if rejected else 'accepted'}")
 
 
 ALL_CHECKS = (
@@ -544,7 +543,7 @@ ALL_CHECKS = (
     check_grad_softmax,
     check_grad_conv,
     check_grad_batchnorm,
-    check_grad_basic_block,
+    check_grad_conv_bn_gelu,
     check_grad_sum_rates,
     check_grad_unit_beams,
     check_grad_full_loss,

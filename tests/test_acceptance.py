@@ -197,7 +197,8 @@ def test_criterion_06_gradient_suite():
         (lambda t: weighted_sum(conv1d(t, ad.Tensor(conv_w), stride=2, padding=1), mix_conv),
          rng.standard_normal((2, 2, 8))),
         (lambda t: weighted_sum(batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
-                                            ad.BatchNormState.fresh(3), training=True), mix_bn),
+                                            ad.BatchNormState(np.zeros(3), np.ones(3)),
+                                            training=True), mix_bn),
          rng.standard_normal((2, 3, 4))),
         (lambda t: weighted_sum(ad.flatten_groups(t, group=2), mix_flat),
          rng.standard_normal((4, 3, 2))),
@@ -222,10 +223,9 @@ def test_criterion_06_gradient_suite():
 
         def loss_of(flat, tensor=tensor, x0=x0):
             tensor.data[...] = flat.reshape(x0.shape)
-            states = {k: v.copy() for k, v in params.bn_states.items()}
+            state = params.flat.copy()
             w_, p_ = forward_graph(h, params, cfg, training=True)
-            for k in params.bn_states:
-                params.bn_states[k] = states[k]
+            params.flat[...] = state        # undo the forward's batch-norm updates
             val = -metrics.per_sample_sum_rates(metrics.as_complex(w_.data), h, p_.data,
                                                 sigma2).mean()
             tensor.data[...] = x0

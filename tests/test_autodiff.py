@@ -321,13 +321,17 @@ class TestConv1d:
             assert_grad_close(lambda t: probe(ad.Tensor(x0), t), w0)
 
 
+def fresh_state(channels):
+    return ad.BatchNormState(np.zeros(channels), np.ones(channels))
+
+
 class TestBatchNorm:
     def test_normalized_input_passthrough(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((8, 2, 16))
         x -= x.mean(axis=(0, 2), keepdims=True)
         x /= x.std(axis=(0, 2), keepdims=True)
-        state = ad.BatchNormState.fresh(2)
+        state = fresh_state(2)
         out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
                           state, training=True).data
         np.testing.assert_allclose(out, x, atol=1e-4)
@@ -335,7 +339,7 @@ class TestBatchNorm:
     def test_constant_channel_maps_to_beta(self):
         x = np.full((4, 1, 8), 3.7)
         beta = np.array([0.9])
-        state = ad.BatchNormState.fresh(1)
+        state = fresh_state(1)
         out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(1)), ad.Tensor(beta),
                           state, training=True).data
         np.testing.assert_allclose(out, np.full_like(x, 0.9), atol=1e-12)
@@ -343,7 +347,7 @@ class TestBatchNorm:
     def test_train_statistics(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((16, 3, 32)) * 5 + 2
-        state = ad.BatchNormState.fresh(3)
+        state = fresh_state(3)
         out = batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)),
                           state, training=True).data
         assert np.max(np.abs(out.mean(axis=(0, 2)))) <= 1e-9
@@ -360,7 +364,7 @@ class TestBatchNorm:
     def test_running_stats_updated_only_in_train(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 2, 8))
-        state = ad.BatchNormState.fresh(2)
+        state = fresh_state(2)
         batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
                     state, training=False)
         np.testing.assert_array_equal(state.mean, np.zeros(2))
@@ -376,7 +380,7 @@ class TestBatchNorm:
         mixer = rng.standard_normal((3, 2, 5))
 
         def bn_mix(x, gamma, beta, training=True):
-            state = ad.BatchNormState.fresh(2)
+            state = fresh_state(2)
             return weighted_sum(batchnorm1d(x, gamma, beta, state, training=training), mixer)
 
         assert_grad_close(lambda t: bn_mix(t, ad.Tensor(gamma0), ad.Tensor(beta0)), x0)
@@ -391,14 +395,16 @@ class TestBatchNorm:
 
         def build(t):
             return weighted_sum(batchnorm1d(t, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                                            shared.copy(), training=False), mixer)
+                                            ad.BatchNormState(shared.mean.copy(),
+                                                              shared.var.copy()),
+                                            training=False), mixer)
 
         assert_grad_close(build, x0)
 
     def test_single_element_train_rejected(self):
         with pytest.raises(ValueError, match="more than one element"):
             batchnorm1d(ad.Tensor(np.ones((1, 2, 1))), ad.Tensor(np.ones(2)),
-                        ad.Tensor(np.zeros(2)), ad.BatchNormState.fresh(2), training=True)
+                        ad.Tensor(np.zeros(2)), fresh_state(2), training=True)
 
 
 class TestFlattenGroups:

@@ -1,5 +1,7 @@
+import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +325,26 @@ class TestTrainEval:
         assert f"{second}: duplicate checkpoint for NNBF-P" in capsys.readouterr().err
         assert not (tmp / "r.csv").exists()
 
+    def test_version_3_checkpoint_exit_5(self, tiny, capsys):
+        """Version 3: the same payload under a header whose config also held bb_spec."""
+        tmp, cfg = tiny
+        test_ds, ckpt = tmp / "test.ds", tmp / "v3.ckpt"
+        run("generate", "--config", cfg, "--out", test_ds, "--split", "test")
+        mc = models.ModelConfig(m_tx=2, n_ue=2, k_sc=8)
+        models.save_checkpoint(ckpt, mc, models.init_params(mc, np.random.default_rng(0)))
+        raw = ckpt.read_bytes()
+        start = 12 + struct.unpack_from("<I", raw, 8)[0]
+        header = json.loads(raw[12:start])
+        header["model"]["bb_spec"] = [[2, 16, False], [16, 32, True], [32, 32, True]]
+        text = json.dumps(header, sort_keys=True).encode()
+        text += b" " * (-(12 + len(text)) % 64)
+        ckpt.write_bytes(b"BMCK" + struct.pack("<II", 3, len(text)) + text + raw[start:])
+        capsys.readouterr()
+        assert run("eval", "--config", cfg, "--dataset", test_ds, "--ckpt", ckpt,
+                   "--out", tmp / "r.csv") == 5
+        assert f"{ckpt}: checkpoint version 3, expected 4" in capsys.readouterr().err
+        assert not (tmp / "r.csv").exists()
+
     def test_corrupt_checkpoint_exit_5(self, tiny):
         tmp, cfg = tiny
         test_ds = tmp / "test.ds"
@@ -516,7 +538,7 @@ class TestVerify:
         results = verify.run_checks()
         assert all(r.passed for r in results)
         assert len({r.name for r in results}) == len(results)
-        assert {"grad_basic_block", "grad_sum_rates"} <= {r.name for r in results}
+        assert {"grad_conv_bn_gelu", "grad_sum_rates"} <= {r.name for r in results}
 
     def test_each_check_reports_its_wall_time(self, capsys):
         assert run("verify") == 0
@@ -545,8 +567,10 @@ class TestOutputDirectory:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        src = str(Path(beamopt.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "beamopt.cli", "--help"],
-                              capture_output=True, text=True)
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True)
         assert proc.returncode == 0
         assert "generate" in proc.stdout and "verify" in proc.stdout
 
@@ -561,8 +585,9 @@ class TestEntryPoint:
     def test_import_loads_no_scipy(self):
         code = ("import sys, beamopt.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True)
+        src = str(Path(beamopt.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 
     def test_kernels_are_built_lazily_and_leave_no_files(self, tiny):

@@ -15,9 +15,10 @@ from beamopt.models import (CheckpointError, ModelConfig, init_params, load_chec
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
-# about a quarter of the file is the header: the config and the array table
-TINY_MODEL = ModelConfig(m_tx=1, n_ue=1, k_sc=2, bb_spec=((2, 8, False),),
-                         fc_widths_bf=(2,), fc_widths_pw=(2,))
+# the smallest model of the fixed backbone: its header (the config and the
+# array table) is about 1/60 of the file, so the flip test also flips the
+# header alone
+TINY_MODEL = ModelConfig(m_tx=1, n_ue=1, k_sc=4, fc_widths_bf=(2,), fc_widths_pw=(2,))
 
 
 class TinyCfg:
@@ -85,8 +86,13 @@ def test_truncated_checkpoint_rejected(files, cut):
 @PROPERTY
 @given(FLIPS)
 def test_flipped_checkpoint_loads_finite_or_raises_checkpoint_error(files, flips):
-    files["path"].write_bytes(flipped(files["ckpt"], flips))
-    check_checkpoint_load(files["path"])
+    """The flips anywhere in the file, then confined to the magic, the version
+    and the JSON header."""
+    raw = files["ckpt"]
+    head = 12 + struct.unpack_from("<I", raw, 8)[0]
+    for corrupt in (flipped(raw, flips), flipped(raw[:head], flips) + raw[head:]):
+        files["path"].write_bytes(corrupt)
+        check_checkpoint_load(files["path"])
 
 
 @PROPERTY

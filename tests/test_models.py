@@ -13,8 +13,8 @@ from scipy.special import erf
 from beamopt import autodiff as ad
 from beamopt import metrics
 from beamopt.models import (CHECKPOINT_ALIGN, CHECKPOINT_VERSION, CheckpointError, ModelConfig,
-                            basic_block, channel_to_input,
-                            forward_graph, init_params, load_checkpoint, save_checkpoint)
+                            channel_to_input, forward_graph, init_params, load_checkpoint,
+                            save_checkpoint)
 
 
 def rand_batch(rng, b, k, m, n):
@@ -33,15 +33,6 @@ class TestModelConfig:
     def test_k_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(m_tx=2, n_ue=2, k_sc=6)
-
-    def test_backbone_feature_budget_enforced(self):
-        with pytest.raises(ValueError, match="8K features"):
-            ModelConfig(m_tx=2, n_ue=2, k_sc=8,
-                        bb_spec=((2, 16, False), (16, 16, True), (16, 16, True)))
-
-    def test_first_block_must_take_iq(self):
-        with pytest.raises(ValueError, match="I/Q"):
-            ModelConfig(m_tx=2, n_ue=2, k_sc=8, bb_spec=((4, 32, True), (32, 32, True)))
 
     def test_json_round_trip(self):
         cfg = ModelConfig(m_tx=4, n_ue=2, k_sc=16, joint_power=False, fc_widths_bf=(64, 32))
@@ -100,21 +91,25 @@ class TestChannelToInput:
         assert x[row, k, 1] == h[b, k, m, n].imag
 
 
+def fresh_state(channels):
+    return ad.BatchNormState(np.zeros(channels), np.ones(channels))
+
+
 class TestBasicBlock:
     def test_channel_expansion_keeps_length(self):
         rng = np.random.default_rng(4)
         x = ad.Tensor(rng.standard_normal((6, 48, 2)))
         w = ad.Tensor(rng.standard_normal((16, 2, 3)) * 0.1)
-        out = basic_block(x, w, ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16)),
-                          ad.BatchNormState.fresh(16), downsample=False, training=True)
+        out = ad.conv_bn_gelu(x, w, ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16)),
+                              fresh_state(16), training=True, stride=1, padding=1)
         assert out.data.shape == (6, 48, 16)
 
     def test_downsample_halves_length(self):
         rng = np.random.default_rng(5)
         x = ad.Tensor(rng.standard_normal((6, 48, 16)))
         w = ad.Tensor(rng.standard_normal((32, 16, 3)) * 0.1)
-        out = basic_block(x, w, ad.Tensor(np.ones(32)), ad.Tensor(np.zeros(32)),
-                          ad.BatchNormState.fresh(32), downsample=True, training=True)
+        out = ad.conv_bn_gelu(x, w, ad.Tensor(np.ones(32)), ad.Tensor(np.zeros(32)),
+                              fresh_state(32), training=True, stride=2, padding=1)
         assert out.data.shape == (6, 24, 32)
 
     def test_matches_layerwise_oracle(self):
@@ -123,9 +118,9 @@ class TestBasicBlock:
         w = rng.standard_normal((16, 2, 3)) * 0.3
         gamma = rng.uniform(0.5, 1.5, 16)
         beta = rng.standard_normal(16) * 0.2
-        out = basic_block(ad.Tensor(x.transpose(0, 2, 1)), ad.Tensor(w), ad.Tensor(gamma),
-                          ad.Tensor(beta), ad.BatchNormState.fresh(16), downsample=False,
-                          training=True).data.transpose(0, 2, 1)
+        out = ad.conv_bn_gelu(ad.Tensor(x.transpose(0, 2, 1)), ad.Tensor(w), ad.Tensor(gamma),
+                              ad.Tensor(beta), fresh_state(16), training=True, stride=1,
+                              padding=1).data.transpose(0, 2, 1)
 
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         conv = np.zeros((4, 16, 8))
@@ -250,10 +245,10 @@ class TestCheckpoint:
         (lambda t: t.move_to_end("bb0.conv.w"), r"arrays in the order \['bb0.bn.gamma'"),
     ])
     def test_tensor_set_checked_against_config(self, tmp_path, edit, match):
-        """A version 3 file whose array table, written here from the format's
+        """A version 4 file whose array table, written here from the format's
         description, differs from the config's."""
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
-        tensors = init_params(cfg, np.random.default_rng(27)).flat_arrays()
+        tensors = init_params(cfg, np.random.default_rng(27)).arrays
         edit(tensors)
         header = json.dumps({"model": asdict(cfg),
                              "tensors": [[name, list(a.shape)] for name, a in tensors.items()]},
@@ -272,7 +267,7 @@ class TestCheckpoint:
     def test_non_finite_tensor_rejected(self, tmp_path, name, bad):
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8, fc_widths_bf=(16,), fc_widths_pw=(16,))
         params = init_params(cfg, np.random.default_rng(28))
-        params.flat_arrays()[name].flat[-1] = bad
+        params.arrays[name].flat[-1] = bad
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, cfg, params)
         with pytest.raises(CheckpointError, match=f"non-finite value in tensor '{name}'"):
@@ -288,15 +283,16 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.flat, params.flat)
 
     def test_version_1_rejected(self, tmp_path):
-        """Versions 1 and 2 (the named-tensor container) are both rejected."""
+        """Versions 1 to 3 are rejected: 2 held the named-tensor container, and
+        3 carried the retired bb_spec in its header."""
         cfg = ModelConfig(m_tx=2, n_ue=2, k_sc=8)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(29)))
         raw = bytearray(path.read_bytes())
-        for version in (1, 2):
+        for version in (1, 2, 3):
             raw[4:8] = struct.pack("<I", version)
             path.write_bytes(bytes(raw))
-            with pytest.raises(CheckpointError, match=f"checkpoint version {version}, expected 3"):
+            with pytest.raises(CheckpointError, match=f"checkpoint version {version}, expected 4"):
                 load_checkpoint(path)
 
     def test_loaded_values_survive_a_save_to_the_same_path(self, tmp_path):
@@ -317,7 +313,7 @@ class TestCheckpoint:
             save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(32)))
             with open(path, "rb") as f:
                 assert f.read() != first
-            payload = b"".join(a.tobytes() for a in loaded.flat_arrays().values())
+            payload = loaded.flat.tobytes()
             assert payload == first[len(first) - len(payload):], "loaded values changed"
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))

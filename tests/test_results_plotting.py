@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from beamopt import cli
 from beamopt.evaluation import ResultRow
 from beamopt.plotting import render_results_svg
 from beamopt.results import CSV_COLUMNS, CsvFormatError, read_results_csv, write_results_csv
@@ -101,6 +102,15 @@ class TestSvg:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):
             render_results_svg([], tmp_path / "x.svg")
+
+    def test_plot_of_more_unknown_methods_than_fallback_colours(self, tmp_path):
+        """Five methods outside ZF/MMSE/NNBF/NNBF-P: the fallback palette cycles."""
+        rows = [ResultRow("e", f"M{i}", snr, 1.0 + i, 0.1, 4)
+                for i in range(5) for snr in (0.0, 10.0)]
+        csv, svg = tmp_path / "five.csv", tmp_path / "five.svg"
+        write_results_csv(rows, csv)
+        assert cli.main(["plot", str(csv), "--out", str(svg)]) == 0
+        assert svg.read_text().count("<polyline") == 5
 
     def test_single_point_series(self, tmp_path):
         rows = [ResultRow("e", "NNBF-P", 5.0, 3.0, 0.1, 4)]

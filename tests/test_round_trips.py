@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from beamopt.channel import _TDL_TABLES, MAX_SEED, ChannelDataset, load_dataset, save_dataset
 from beamopt.config import KNOWN_METHODS, ExperimentConfig, parse_config_text
-from beamopt.models import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from beamopt.models import (DOWNSAMPLING, ModelConfig, init_params, load_checkpoint,
+                            save_checkpoint)
 from beamopt.reference import serialize_config
 from beamopt.trainer import SNR_RANGE_DB, TrainConfig
 
@@ -48,16 +49,12 @@ def test_dataset_round_trip_is_bit_exact(tmp_path_factory, ds):
 
 @st.composite
 def model_configs(draw):
-    """Any valid architecture: a channel chain ending in C * L = 8K features."""
+    """Any valid model on the fixed backbone: K a multiple of its downsampling."""
     n = draw(st.integers(1, 3))
-    down = draw(st.lists(st.booleans(), min_size=1, max_size=3))
-    factor = 2 ** sum(down)
-    inner = draw(st.lists(st.integers(1, 6), min_size=len(down) - 1, max_size=len(down) - 1))
-    chans = [2, *inner, 8 * factor]
     widths = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple)
     return ModelConfig(m_tx=draw(st.integers(n, 3)), n_ue=n,
-                       k_sc=factor * draw(st.integers(1, 3)), joint_power=draw(st.booleans()),
-                       bb_spec=tuple(zip(chans, chans[1:], down)),
+                       k_sc=DOWNSAMPLING * draw(st.integers(1, 3)),
+                       joint_power=draw(st.booleans()),
                        fc_widths_bf=draw(widths), fc_widths_pw=draw(widths))
 
 

@@ -55,8 +55,6 @@ ALLOWED = {
         1, "the overflow path: the exact norm once the bound overflows"),
     "beamopt.autodiff.Tape.backward": (
         1, "a record whose output no gradient reaches; no model op leaves one"),
-    "beamopt.autodiff.conv_bn_gelu.<locals>.pull": (
-        1, "the eval-mode pull; kept so that a backbone in eval mode is not silently detached"),
     "beamopt.autodiff.Adam.kernel": (
         1, "names the kernel that ran, for verify and the benchmark's machine record"),
     "beamopt.channel._read_exact": (

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from beamopt.channel import ChannelDataset, DatasetError
 from beamopt.evaluation import NonFiniteRateError, RateBoundError, evaluate
-from beamopt.models import DEFAULT_BB_SPEC, ModelConfig, downsampling, init_params
+from beamopt.models import DOWNSAMPLING, ModelConfig, init_params
 from beamopt.trainer import SNR_RANGE_DB, TrainConfig, TrainingDiverged, train
 
 # the named errors a step or an evaluate may end with; beamopt exits 4, 3, 1 and 1 on them
 NAMED = (TrainingDiverged, DatasetError, NonFiniteRateError, RateBoundError)
-DOWNSAMPLING = downsampling(DEFAULT_BB_SPEC)
 
 
 @st.composite

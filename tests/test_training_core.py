@@ -178,16 +178,19 @@ def small_model():
 
 class TestFlatParameters:
     def test_tensors_view_the_flat_vector_in_spec_order(self):
+        """The parameters in spec order, then each batch-norm run_mean and run_var."""
         _, params = small_model()
-        bases = {id(t.data.base) for t in params.tensors.values()}
+        buffers = [a for st_ in params.bn_states.values() for a in (st_.mean, st_.var)]
+        arrays = [t.data for t in params.tensors.values()] + buffers
         flat = params.flat
-        assert bases == {id(flat)}               # init drew into the views
-        assert flat.size == sum(t.data.size for t in params.tensors.values())
+        assert {id(a.base) for a in arrays} == {id(flat)}     # init wrote into the views
+        assert flat.size == sum(a.size for a in arrays)
+        assert [id(a) for a in params.arrays.values()] == [id(a) for a in arrays]
         offset = 0
-        for t in params.tensors.values():
-            assert t.data.base is flat
-            np.testing.assert_array_equal(flat[offset:offset + t.data.size], t.data.ravel())
-            offset += t.data.size
+        for a in arrays:
+            assert a.base is flat
+            np.testing.assert_array_equal(flat[offset:offset + a.size], a.ravel())
+            offset += a.size
 
     def test_write_through_tensor_shows_in_flat(self):
         _, params = small_model()
@@ -203,6 +206,7 @@ class TestFlatParameters:
             np.testing.assert_array_equal(dup.tensors[name].data, t.data)
         for name, st_ in params.bn_states.items():
             assert not np.shares_memory(dup.bn_states[name].mean, st_.mean)
+            assert dup.bn_states[name].mean.base is dup.flat
         dup.tensors["bf0.w"].data[0, 0] += 1.0
         assert dup.tensors["bf0.w"].data[0, 0] != params.tensors["bf0.w"].data[0, 0]
 
@@ -255,7 +259,7 @@ def test_adam_step_allocates_less_than_one_parameter_vector(kernel):
 
 def test_save_checkpoint_allocates_less_than_one_payload(tmp_path):
     cfg, params = small_model()
-    payload = sum(a.nbytes for a in params.flat_arrays().values())
+    payload = params.flat.nbytes
     peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", cfg, params))
     assert peak < payload, f"save_checkpoint peak {peak} B, payload {payload} B"
 
@@ -263,7 +267,7 @@ def test_save_checkpoint_allocates_less_than_one_payload(tmp_path):
 def test_load_checkpoint_allocates_about_one_payload(tmp_path):
     """The load maps the file, so its allocations are a small fraction of the payload."""
     cfg, params = small_model()
-    payload = sum(a.nbytes for a in params.flat_arrays().values())
+    payload = params.flat.nbytes
     save_checkpoint(tmp_path / "m.ckpt", cfg, params)
     peak = traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt"))
     assert peak < 0.05 * payload, f"load_checkpoint peak {peak} B, payload {payload} B"
@@ -427,8 +431,7 @@ def test_training_through_factored_gradients_writes_the_bytes_of_formed_ones(
         params = init_params(cfg, np.random.default_rng(14))
         best, report = train(cfg, params, ds, tc)
         assert min(factored) == (3 if joint else 2)    # bf0.w, bf1.w and, for NNBF-P, pw0.w
-        runs.append([a.tobytes() for p in (params, best) for a in (
-            p.flat, *(b for st_ in p.bn_states.values() for b in (st_.mean, st_.var)))]
+        runs.append([p.flat.tobytes() for p in (params, best)]
                     + [np.array(report.train_loss).tobytes(), np.array(report.val_loss).tobytes(),
                        report.best_epoch, report.best_val_loss])
     assert runs[0] == runs[1]
